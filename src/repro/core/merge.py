@@ -33,9 +33,9 @@ Two evaluation engines drive step 2:
   nothing: the block rows, the superedge bit price ``2·log2|S|``, and
   hence every candidate pair's score are frozen between two committed
   merges (one *epoch*).  The batch loop therefore draws a window of up
-  to :data:`WINDOW_MAX_ATTEMPTS` attempts ahead (snapshotting the RNG
-  state before each draw), prices the window's **not-yet-cached ordered
-  pairs in one pass** through the fused columnar kernel
+  to :data:`WINDOW_MAX_ATTEMPTS` attempts ahead (in bulk, see below),
+  prices the window's **not-yet-cached ordered pairs in one pass**
+  through the fused columnar kernel
   (:meth:`~repro.core.batch.BatchCostEvaluator.evaluate_scores`) into a
   pair→score dictionary, and then resolves the attempts sequentially
   against the threshold as pure dictionary lookups — the scalar
@@ -46,29 +46,42 @@ Two evaluation engines drive step 2:
   not-yet-consumed speculative draws never happened as far as the
   random stream is concerned.
 
+The batch window's pairs come from a **bulk sampler**
+(:func:`_draw_window`): one ``rng.integers`` call with an array of
+bounds draws every attempt's firsts and seconds.  numpy draws an array
+bound element by element with the same bounded routine, over the same
+32-bit stream, as the per-attempt ``integers(0, bound, size=count)``
+calls of :func:`_sample_pairs` (a bound of 1 consumes nothing, a
+rejected draw is redrawn in place), so the window is exactly their
+stream on every bit generator.  A rewind restores the one window-start
+state and redraws the window's bounds up to the deciding attempt — one
+snapshot per window instead of one per attempt.
+
 Both engines replay byte-identical merges for the same seed: the batch
-path consumes the RNG identically (one :func:`_sample_pairs` draw per
-resolved attempt, in attempt order — speculation is always rewound),
-dedups index pairs with the same first-occurrence ``seen``-set
+path consumes the RNG identically (the stream of one
+:func:`_sample_pairs` draw per resolved attempt, in attempt order, with
+dict-equal generator state after every window — speculation is always
+rewound), dedups index pairs with the same first-occurrence ``seen``-set
 semantics, evaluates with bit-identical arithmetic (the cache holds the
 same doubles the scalar pass computes, priced once per ordered pair per
 epoch), selects per attempt with the same first-wins maximum, and
 records the same rejected scores on the threshold
-(``tests/core/test_engine_equivalence.py``).
+(``tests/core/test_engine_equivalence.py``,
+``tests/core/test_window_sampler.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from repro.core.batch import BatchCostEvaluator
 from repro.core.costs import CostModel, MergePlan
 from repro.core.threshold import ThresholdPolicy
-from repro.obs.profile import probe
+from repro.obs.profile import count as _obs_count, probe
 
 OBJECTIVES = ("relative", "absolute")
 
@@ -113,12 +126,55 @@ def _sample_pairs(
     a single flat draw over the ordered-pair space would be ~2.5×
     cheaper and equally uniform, but it changes the random stream —
     and with it every downstream merge — which the integration suite's
-    absolute quality pins (fig7) do not allow.
+    absolute quality pins (fig7) do not allow.  The batch engine's
+    window sampler (:func:`_draw_window`) draws this exact stream for a
+    whole window of attempts in one ``integers`` call.
     """
     first = rng.integers(0, size, size=count)
     second = rng.integers(0, size - 1, size=count)
     second = second + (second >= first)
     return first, second
+
+
+#: One speculative window's draws: per attempt, the ``(first, second)``
+#: index lists :func:`_sample_pairs` would return, plus a rewinder that
+#: puts the generator just after attempt ``k``'s draw (from anywhere).
+_WindowDraws = Tuple[List[Tuple[List[int], List[int]]], Callable[[int], None]]
+
+
+def _draw_window(rng: np.random.Generator, sizes: List[int]) -> _WindowDraws:
+    """Draw one attempt of ``(size, size)`` pairs per entry of *sizes*.
+
+    The draws, and the generator state after the window or any rewind,
+    are those of one :func:`_sample_pairs` call per attempt.  The whole
+    window is one ``integers`` call over an array of bounds in the
+    per-call order (per attempt, ``size`` draws under ``size``, then
+    ``size`` under ``size - 1``), which numpy draws element by element
+    with the bounded routine and 32-bit stream of the per-call draws: a
+    bound of 1 consumes nothing and a rejected draw is redrawn in place.
+    A rewind restores the window-start state and redraws the bounds up
+    to the attempt.
+    """
+    bit_generator = rng.bit_generator
+    start = bit_generator.state
+    block = np.repeat(sizes, 2)  # per attempt: `size` firsts, `size` seconds
+    bounds = np.repeat(block - [0, 1] * len(sizes), block)
+    values: List[int] = rng.integers(0, bounds).tolist()
+    draws: List[Tuple[List[int], List[int]]] = []
+    ends: List[int] = []  # draws from the window start through each attempt
+    at = 0
+    for size in sizes:
+        first = values[at:at + size]
+        second = values[at + size:at + 2 * size]
+        at += 2 * size
+        ends.append(at)
+        draws.append((first, [j + (j >= i) for i, j in zip(first, second)]))
+
+    def rewind(k: int) -> None:
+        bit_generator.state = start
+        rng.integers(0, bounds[:ends[k]])
+
+    return draws, rewind
 
 
 def _scalar_attempt(
@@ -278,7 +334,6 @@ def merge_groups(
     gpos = 0  # current group index
     failures = 0  # current group's consecutive-failure count
     window_attempts = WINDOW_MIN_ATTEMPTS
-    bit_generator = rng.bit_generator
     #: The epoch cache: ordered pair (a, b) of supernode ids -> the score
     #: CostModel.evaluate_merge(a, b) would report.  Every entry is
     #: frozen until the next committed merge, which drops the whole cache
@@ -293,14 +348,14 @@ def merge_groups(
             failures = 0
             continue
 
-        # ---- draw one speculative window of attempts, snapshotting the
-        # RNG state before each draw so any attempt invalidated by an
-        # earlier commit can be rewound (= never drawn).  The walk mirrors
-        # the sequential loop's group advancement under the assumption
-        # that every attempt fails — the common case; a commit discards
-        # the rest of the window.
-        specs: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        states: List[dict] = []
+        # ---- plan one speculative window of attempts and draw it, so
+        # that any attempt invalidated by an earlier commit can be
+        # rewound (= never drawn).  The walk mirrors the sequential
+        # loop's group advancement under the assumption that every
+        # attempt fails — the common case; a commit discards the rest of
+        # the window.
+        window_groups: List[int] = []  # group index of each attempt
+        sizes: List[int] = []
         p, fail = gpos, failures
         drawn = 0
         while p < num_groups:
@@ -309,14 +364,16 @@ def merge_groups(
                 p += 1
                 fail = 0
                 continue
-            if len(specs) >= window_attempts or drawn >= WINDOW_MAX_SAMPLES:
+            if len(window_groups) >= window_attempts or drawn >= WINDOW_MAX_SAMPLES:
                 break
-            states.append(bit_generator.state)
-            first, second = _sample_pairs(p_count, p_count, rng)
-            specs.append((p, first, second))
+            window_groups.append(p)
+            sizes.append(p_count)
             drawn += p_count
             fail += 1
         end_state = (p, fail)
+        with probe("merge.sample"):
+            draws, rewind = _draw_window(rng, sizes)
+        _obs_count("repro_merge_attempts_total", len(window_groups), kind="drawn")
 
         # ---- dedup each attempt to the scalar seen-set semantics and
         # collect the window's not-yet-priced ordered pairs (the cache
@@ -327,11 +384,11 @@ def merge_groups(
         miss_a: List[int] = []
         miss_b: List[int] = []
         window_miss: set = set()
-        for spec_p, first, second in specs:
+        for spec_p, (first, second) in zip(window_groups, draws):
             ids = glists[spec_p]
             seen = set()
             pairs: List[Tuple[int, int]] = []
-            for i, j in zip(first.tolist(), second.tolist()):
+            for i, j in zip(first, second):
                 key = (i, j) if i < j else (j, i)
                 if key in seen:
                     continue
@@ -367,14 +424,17 @@ def merge_groups(
                 # Unclean rows (baseline-made summary): rewind the
                 # speculation and price the first attempt with the
                 # scalar loop instead.
-                if len(states) > 1:
-                    bit_generator.state = states[1]
+                if len(window_groups) > 1:
+                    with probe("merge.sample"):
+                        rewind(0)
                 window_attempts = WINDOW_MIN_ATTEMPTS
-                spec_p, first, second = specs[0]
+                first, second = draws[0]
                 outcome = _resolve_scalar_attempt(
-                    cost_model, evaluator, glists[spec_p], first, second,
+                    cost_model, evaluator, glists[window_groups[0]],
+                    np.asarray(first), np.asarray(second),
                     use_relative, threshold, stats,
                 )
+                _obs_count("repro_merge_attempts_total", 1, kind="resolved")
                 if outcome == "abort":
                     gpos += 1
                     failures = 0
@@ -428,6 +488,7 @@ def merge_groups(
             # The whole window failed: the construction walk's end state
             # is exactly where sequential processing stands; speculate
             # further next time (AIMD increase).
+            _obs_count("repro_merge_attempts_total", len(window_groups), kind="resolved")
             gpos, failures = end_state
             window_attempts = min(window_attempts * 2, WINDOW_MAX_ATTEMPTS)
             continue
@@ -435,8 +496,10 @@ def merge_groups(
         # the window: rewind the RNG to just after the deciding attempt's
         # draw, so the speculative draws never happened.
         k = committed if committed >= 0 else aborted
-        if k + 1 < len(states):
-            bit_generator.state = states[k + 1]
+        _obs_count("repro_merge_attempts_total", k + 1, kind="resolved")
+        if k + 1 < len(window_groups):
+            with probe("merge.sample"):
+                rewind(k)
         if committed >= 0:
             gpos = py_specs[k][0]
             failures = 0

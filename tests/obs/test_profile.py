@@ -104,3 +104,39 @@ class TestInstrumentedPathsStayExact:
         }
         assert "merge.apply" in phases
         assert {"merge.fused_join", "merge.fused_reduce", "merge.scalar_attempt"} & phases
+
+    def test_window_sampler_probe_and_attempt_counters(self, tmp_path):
+        """One ``merge.sample`` span per window draw or rewind, and the
+        drawn-vs-resolved attempt counters; the summary bytes must not move."""
+        from repro.core import PegasusConfig, save_summary, summarize
+        from repro.graph import planted_partition
+
+        graph = planted_partition(120, 4, avg_degree_in=6.0, avg_degree_out=1.0, seed=5)
+        config = PegasusConfig(seed=2, t_max=6)
+        paths = []
+        registry = MetricsRegistry()
+        for profiled in (False, True):
+            if profiled:
+                enable_profiling(registry)
+            try:
+                result = summarize(graph, compression_ratio=0.5, config=config)
+            finally:
+                disable_profiling()
+            paths.append(tmp_path / f"summary-{profiled}.txt")
+            save_summary(result.summary, paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+        snapshot = registry.snapshot()
+        phases = {
+            s["labels"]["phase"]: s["count"]
+            for s in samples_for(snapshot, "repro_phase_seconds")
+        }
+        attempts = {
+            s["labels"]["kind"]: s["value"]
+            for s in samples_for(snapshot, "repro_merge_attempts_total")
+        }
+        assert set(attempts) == {"drawn", "resolved"}
+        assert attempts["drawn"] >= attempts["resolved"] > 0
+        # A draw per window plus a rewind per window cut short (which
+        # holds at least two attempts): never more spans than attempts.
+        assert 0 < phases["merge.sample"] <= attempts["drawn"]
