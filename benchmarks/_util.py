@@ -10,8 +10,8 @@ Every bench module is also runnable standalone
 (``python benchmarks/bench_<name>.py``) through :func:`bench_main`, which
 adds a ``--smoke`` flag (tiny graphs; exercised by
 ``tests/test_benchmarks_smoke.py`` so the scripts cannot silently rot) and,
-where the bench exposes one, the ``--backend`` / ``--cost-cache`` axis of
-the summarization engine.
+where the bench exposes one, the ``--engine`` axis of the summarization
+engine.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def bench_main(
     """Shared ``main()`` plumbing for running a bench module as a script.
 
     Parses ``--smoke`` / ``--scale`` (plus whatever *parser_hook* adds,
-    e.g. ``--backend``), applies the matching ``REPRO_*`` environment
+    e.g. ``--engine``), applies the matching ``REPRO_*`` environment
     overrides for the duration of the run, and calls *run_table* with the
     parsed namespace.  Bench ``main()``s print tables only; the pass/fail
     assertions live in the pytest wrappers.
@@ -82,22 +82,9 @@ def bench_main(
 
 
 def engine_arguments(parser: argparse.ArgumentParser) -> None:
-    """Add the summarization-engine axis (``--backend`` / ``--cost-cache`` /
-    ``--engine``)."""
-    from repro.core import BACKENDS, COST_CACHES, ENGINES
+    """Add the summarization-engine axis (``--engine``)."""
+    from repro.core import ENGINES
 
-    parser.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="flat",
-        help="summary-graph storage backend (identical summaries either way)",
-    )
-    parser.add_argument(
-        "--cost-cache",
-        choices=COST_CACHES,
-        default="incremental",
-        help="cost-model strategy; 'rebuild' is the pre-cache reference engine",
-    )
     parser.add_argument(
         "--engine",
         choices=ENGINES,

@@ -4,11 +4,10 @@ Shape to reproduce: on node-sampled subgraphs spanning the edge-count
 range, log(runtime) against log(|E|) has slope ≈ 1, regardless of whether
 |T| = 100 or |T| = |V|/2.
 
-Standalone, this bench exposes the summarization-engine axis
-(``--backend`` / ``--cost-cache`` / ``--engine``); the slope shape must hold on every
-engine.  Summaries are bit-identical across storage backends at a fixed
-cost-cache mode (the equivalence suite pins this); across cost-cache
-modes they are equivalent in quality but not bit-identical.
+Standalone, this bench exposes the merge-evaluation engine axis
+(``--engine``); the slope shape must hold on both engines, whose
+summaries are bit-identical (``tests/core/test_engine_equivalence.py``
+pins this).
 """
 
 from __future__ import annotations
@@ -59,20 +58,8 @@ def _run_table(args) -> None:
     kwargs = {}
     if args.smoke:
         kwargs.update(node_fractions=(0.6, 1.0), target_modes=("100",))
-    rows = run_with_speedup(
-        fig6_scalability.run,
-        args.workers,
-        backend=args.backend,
-        engine=args.engine,
-        cost_cache=args.cost_cache,
-        **kwargs,
-    )
-    _emit(
-        rows,
-        title_suffix=(
-            f" [backend={args.backend}, cost_cache={args.cost_cache}, engine={args.engine}]"
-        ),
-    )
+    rows = run_with_speedup(fig6_scalability.run, args.workers, engine=args.engine, **kwargs)
+    _emit(rows, title_suffix=f" [engine={args.engine}]")
     _print_slopes(rows, check=False)
 
 

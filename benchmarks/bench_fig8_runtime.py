@@ -5,16 +5,12 @@ it adds superedges selectively, its summaries are *sparse* and queries on
 them run much faster than on the dense weighted summaries of SAAGs (and
 of k-Grass / S2L where those finish at all).
 
-Standalone, this bench exposes the summarization-engine axis
-(``--backend`` / ``--cost-cache`` / ``--engine``) and, when run at the
-fast defaults, emits a second table comparing the summarize phase across
-three engine generations per dataset: the seed engine (dict storage +
-per-pair cost rebuild), the PR-1 flat engine (flat storage + incremental
-cache, scalar pair loop), and the batched engine (flat + incremental +
-vectorized speculative windows).  Summaries are bit-identical across
-storage backends and merge engines at a fixed cost-cache mode; across
-cost-cache modes the float arithmetic associates differently, so those
-runs compare the same workload, not the same merge trajectory.
+Standalone, this bench exposes the merge-evaluation engine axis
+(``--engine``) and, when run with the default batch engine, emits a
+second table comparing the summarize phase of the two engines per
+dataset: the scalar pair loop and the batched engine (vectorized
+speculative windows).  Summaries are bit-identical across engines, so
+the two columns time the same merge trajectory.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ def _bench_arguments(parser) -> None:
     parser.add_argument(
         "--speedup-only",
         action="store_true",
-        help="emit only the engine-generation speedup table (skips the slow "
+        help="emit only the engine speedup table (skips the slow "
         "weighted-baseline sweep; useful with --scale full)",
     )
 
@@ -75,7 +71,7 @@ def test_fig8_runtime(benchmark):
 
 
 def _engine_speedup_table(datasets, *, repeats: int = 3) -> None:
-    """Best-of-*repeats* summarization timing across engine generations.
+    """Best-of-*repeats* summarization timing of the two merge engines.
 
     Timed in isolation (not inside the full Fig. 8 sweep) because the
     sub-second summarize phases are otherwise dominated by the cache/CPU
@@ -86,19 +82,14 @@ def _engine_speedup_table(datasets, *, repeats: int = 3) -> None:
     from repro.graph import load_dataset
 
     scale = ExperimentScale.from_env()
-    engines = {
-        "seed": ("dict", "rebuild", "scalar"),
-        "scalar": ("flat", "incremental", "scalar"),
-        "batch": ("flat", "incremental", "batch"),
-    }
     rows = []
     for name in datasets:
         graph = load_dataset(name, scale=scale.dataset_scale, seed=scale.seed).graph
         queries = sample_query_nodes(graph, scale.num_queries, seed=scale.seed)
         for method in ("pegasus", "ssumm"):
             best = {}
-            for label, (backend, cost_cache, engine) in engines.items():
-                best[label] = min(
+            for engine in ("scalar", "batch"):
+                best[engine] = min(
                     build_summary_for_method(
                         method,
                         graph,
@@ -106,42 +97,20 @@ def _engine_speedup_table(datasets, *, repeats: int = 3) -> None:
                         targets=queries,
                         t_max=scale.t_max,
                         seed=scale.seed,
-                        backend=backend,
-                        cost_cache=cost_cache,
                         engine=engine,
                     )[2]
                     for _ in range(repeats)
                 )
             rows.append(
-                (
-                    name,
-                    method,
-                    best["seed"],
-                    best["scalar"],
-                    best["batch"],
-                    best["scalar"] / best["batch"],
-                    best["seed"] / best["batch"],
-                )
+                (name, method, best["scalar"], best["batch"], best["scalar"] / best["batch"])
             )
     preset = os.environ.get("REPRO_SCALE", "default").lower()
     emit_table(
         "fig8_runtime_speedup" + ("" if preset == "default" else f"_{preset}"),
-        f"Summarization phase (best of {repeats}, REPRO_SCALE={preset}): seed engine"
-        " (dict+rebuild+scalar) vs PR-1 flat engine (flat+incremental+scalar) vs"
-        " batch engine (flat+incremental+batch)",
-        [
-            "Dataset",
-            "Method",
-            "Seed (s)",
-            "Scalar (s)",
-            "Batch (s)",
-            "Batch vs scalar",
-            "Batch vs seed",
-        ],
-        [
-            (d, m, fmt(a), fmt(b), fmt(c), f"{sb:.2f}x", f"{sa:.2f}x")
-            for d, m, a, b, c, sb, sa in rows
-        ],
+        f"Summarization phase (best of {repeats}, REPRO_SCALE={preset}): scalar"
+        " pair loop vs batch engine",
+        ["Dataset", "Method", "Scalar (s)", "Batch (s)", "Batch vs scalar"],
+        [(d, m, fmt(a), fmt(b), f"{sb:.2f}x") for d, m, a, b, sb in rows],
     )
 
 
@@ -158,21 +127,9 @@ def _run_table(args) -> None:
         return
     methods = ("pegasus", "ssumm") if args.smoke else None
     kwargs = {"methods": methods} if methods else {}
-    rows = run_with_speedup(
-        fig8_runtime.run,
-        args.workers,
-        backend=args.backend,
-        cost_cache=args.cost_cache,
-        engine=args.engine,
-        **kwargs,
-    )
-    _emit(
-        rows,
-        title_suffix=(
-            f" [backend={args.backend}, cost_cache={args.cost_cache}, engine={args.engine}]"
-        ),
-    )
-    if args.backend == "flat" and args.cost_cache == "incremental" and args.engine == "batch":
+    rows = run_with_speedup(fig8_runtime.run, args.workers, engine=args.engine, **kwargs)
+    _emit(rows, title_suffix=f" [engine={args.engine}]")
+    if args.engine == "batch":
         datasets = sorted({r.dataset for r in rows})
         if not args.smoke and "synthetic_dense" not in datasets:
             # The dense stand-in is where the engines differentiate most.

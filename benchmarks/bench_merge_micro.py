@@ -121,7 +121,7 @@ def run_window_calls(shapes=WINDOW_SHAPES, *, num_nodes: int = 600, m: int = 4):
     graph = barabasi_albert(num_nodes, m, seed=0)
     rows = []
     for label, num_groups, group_size in shapes:
-        summary = SummaryGraph(graph, backend="flat")
+        summary = SummaryGraph(graph)
         model = CostModel(summary, PersonalizedWeights.uniform(graph))
         evaluator = BatchCostEvaluator(model)
         rng = np.random.default_rng(7)
@@ -160,10 +160,10 @@ def run_rows(scenarios, *, group_size: int = 64, repeats: int = 3):
     rows = []
     for label, num_nodes, m in scenarios:
         graph = barabasi_albert(num_nodes, m, seed=0)
-        summary = SummaryGraph(graph, backend="flat")
+        summary = SummaryGraph(graph)
         weights = PersonalizedWeights.uniform(graph)
         model = CostModel(summary, weights)
-        evaluator = BatchCostEvaluator(model, min_batch_elements=0)
+        evaluator = BatchCostEvaluator(model)
         rng = np.random.default_rng(1)
         a_ids, b_ids = _draw_pairs(min(group_size, num_nodes), 4, rng)
         elements = int(

@@ -69,8 +69,6 @@ def run_fig8_rows(datasets, *, repeats: int = 3):
                     targets=queries,
                     t_max=scale.t_max,
                     seed=scale.seed,
-                    backend="flat",
-                    cost_cache="incremental",
                     engine=engine,
                 )[2]
                 for _ in range(repeats)

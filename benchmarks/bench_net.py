@@ -77,7 +77,7 @@ def _build_clusters(dataset_scale: float, num_machines: int, t_max: int, tenants
             graph,
             num_machines,
             0.5 * graph.size_in_bits(),
-            config=PegasusConfig(seed=i, t_max=t_max, backend="flat"),
+            config=PegasusConfig(seed=i, t_max=t_max),
             seed=i,
         )
         for i in range(tenants)

@@ -49,7 +49,7 @@ def _build_cluster(dataset_scale: float, num_machines: int, t_max: int):
         graph,
         num_machines,
         0.5 * graph.size_in_bits(),
-        config=PegasusConfig(seed=0, t_max=t_max, backend="flat"),
+        config=PegasusConfig(seed=0, t_max=t_max),
         seed=0,
     )
     return dataset.display_name, cluster

@@ -73,7 +73,7 @@ def run_rows(scenarios, *, repeats: int = 3):
             )
 
             def _text_load():
-                loaded = load_summary(text_path, graph, backend="flat")
+                loaded = load_summary(text_path, graph)
                 rwr_scores(loaded, 0)
 
             def _bin_load():

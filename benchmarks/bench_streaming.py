@@ -155,7 +155,7 @@ def run(
     dataset = load_dataset("lastfm_asia", scale=scale.dataset_scale, seed=seed)
     base, stream = _split_stream(dataset.graph, stream_fraction, seed)
     budget = 0.5 * base.size_in_bits()
-    config = PegasusConfig(seed=seed, t_max=scale.t_max, backend="flat")
+    config = PegasusConfig(seed=seed, t_max=scale.t_max)
     rng = np.random.default_rng(seed + 1)
     probes = rng.integers(0, base.num_nodes, size=num_probes)
     rows = []

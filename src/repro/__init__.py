@@ -19,7 +19,6 @@ Quickstart
 
 from repro.core import (
     CostModel,
-    FlatSummaryGraph,
     Pegasus,
     PegasusConfig,
     PegasusResult,
@@ -37,7 +36,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CostModel",
-    "FlatSummaryGraph",
     "Pegasus",
     "PegasusConfig",
     "PegasusResult",

@@ -24,18 +24,14 @@ def ssumm_summarize(
     max_group_size: int = 500,
     recursive_splits: int = 10,
     seed: "int | None" = None,
-    backend: str = "flat",
-    cost_cache: str = "incremental",
     engine: str = "batch",
 ) -> PegasusResult:
     """Summarize *graph* with SSumM under a bit budget.
 
     Parameters mirror :func:`repro.core.pegasus.summarize`; the target set,
     personalization degree, and threshold policy are fixed to SSumM's
-    choices (``T = V``, ``α = 1``, ``θ(t) = 1/(1+t)``).  *backend*,
-    *cost_cache*, and *engine* select the shared engine's storage backend,
-    cost-model strategy, and merge-evaluation engine, exactly as for
-    PeGaSus.
+    choices (``T = V``, ``α = 1``, ``θ(t) = 1/(1+t)``).  *engine* selects
+    the shared merge-evaluation engine, exactly as for PeGaSus.
     """
     config = PegasusConfig(
         alpha=1.0,
@@ -44,8 +40,6 @@ def ssumm_summarize(
         recursive_splits=recursive_splits,
         threshold="fixed",
         seed=seed,
-        backend=backend,
-        cost_cache=cost_cache,
         engine=engine,
     )
     return summarize(

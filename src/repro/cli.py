@@ -53,7 +53,7 @@ import numpy as np
 
 from repro._util import format_table
 from repro.baselines import ssumm_summarize
-from repro.core import BACKENDS, COST_CACHES, ENGINES, PegasusConfig, summarize
+from repro.core import ENGINES, PegasusConfig, summarize
 from repro.core.summary_io import save_summary
 from repro.eval import smape, spearman_correlation
 from repro.graph import dataset_names, load_dataset, read_edgelist, table2_rows
@@ -96,8 +96,6 @@ def _cmd_summarize(args) -> int:
             compression_ratio=args.ratio,
             t_max=args.t_max,
             seed=args.seed,
-            backend=args.backend,
-            cost_cache=args.cost_cache,
             engine=args.engine,
         )
     else:
@@ -106,8 +104,6 @@ def _cmd_summarize(args) -> int:
             beta=args.beta,
             t_max=args.t_max,
             seed=args.seed,
-            backend=args.backend,
-            cost_cache=args.cost_cache,
             engine=args.engine,
         )
         result = summarize(graph, targets=targets, compression_ratio=args.ratio, config=config)
@@ -143,7 +139,7 @@ def _cmd_query(args) -> int:
     rows: List[Sequence[object]] = [(int(u), f"{exact[u]:.6f}") for u in top]
     headers = ["Node", f"{args.type.upper()} (exact)"]
     if args.compare_summary:
-        config = PegasusConfig(alpha=args.alpha, seed=args.seed, backend=args.backend)
+        config = PegasusConfig(alpha=args.alpha, seed=args.seed)
         result = summarize(graph, targets=[node], compression_ratio=args.ratio, config=config)
         approx = answer(result.summary)
         rows = [(int(u), f"{exact[u]:.6f}", f"{approx[u]:.6f}") for u in top]
@@ -228,7 +224,7 @@ def _cmd_serve(args) -> int:
     if args.source == "subgraph":
         cluster = build_subgraph_cluster(graph, args.machines, budget, seed=args.seed)
     else:
-        config = PegasusConfig(seed=args.seed, backend=args.backend)
+        config = PegasusConfig(seed=args.seed)
         cluster = build_summary_cluster(
             graph, args.machines, budget, config=config, seed=args.seed
         )
@@ -355,7 +351,7 @@ def _cmd_serve_net(args) -> int:
                 graph,
                 args.machines,
                 budget,
-                config=PegasusConfig(seed=args.seed + i, backend=args.backend),
+                config=PegasusConfig(seed=args.seed + i),
                 seed=args.seed + i,
             )
             for i in range(args.tenants)
@@ -779,7 +775,7 @@ def _cmd_stream(args) -> int:
     stream = edges[order[-held_out:]]
     budget = args.ratio * base.size_in_bits()
 
-    config = PegasusConfig(seed=args.seed, backend=args.backend)
+    config = PegasusConfig(seed=args.seed)
     summarizer = StreamingSummarizer(
         base,
         args.machines,
@@ -935,7 +931,7 @@ def _cmd_convert(args) -> int:
 
     if direction == "binary":
         graph, name = _load_graph(args)
-        summary = load_summary(args.src, graph, backend="flat")
+        summary = load_summary(args.src, graph)
         save_summary_binary(summary, args.dst, include_graph=not args.no_embed_graph)
     else:
         summary = load_summary_binary(args.src)
@@ -951,7 +947,7 @@ def _cmd_convert(args) -> int:
             graph = summary.graph
             if graph is None:
                 graph, _name = _load_graph(args)
-            reloaded = load_summary(args.dst, graph, backend="flat")
+            reloaded = load_summary(args.dst, graph)
         same = _summaries_equivalent(summary, reloaded)
         print(f"verified        round trip {'OK' if same else 'FAILED'}")
         if not same:
@@ -980,18 +976,6 @@ def build_parser() -> argparse.ArgumentParser:
     summarize_cmd.add_argument("--beta", type=float, default=0.1)
     summarize_cmd.add_argument("--t-max", type=int, default=20)
     summarize_cmd.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="flat",
-        help="summary-graph storage backend (identical output either way)",
-    )
-    summarize_cmd.add_argument(
-        "--cost-cache",
-        choices=COST_CACHES,
-        default="incremental",
-        help="cost-model strategy; 'rebuild' is the pre-cache reference path",
-    )
-    summarize_cmd.add_argument(
         "--engine",
         choices=ENGINES,
         default="batch",
@@ -1013,12 +997,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query_cmd.add_argument("--ratio", type=float, default=0.5)
     query_cmd.add_argument("--alpha", type=float, default=1.25)
-    query_cmd.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="flat",
-        help="summary-graph storage backend for --compare-summary",
-    )
     query_cmd.set_defaults(func=_cmd_query)
 
     experiment_cmd = sub.add_parser("experiment", help="run one paper experiment")
@@ -1060,12 +1038,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("summary", "subgraph"),
         default="summary",
         help="what each machine holds: a personalized summary or a budgeted subgraph",
-    )
-    serve_cmd.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="flat",
-        help="summary storage backend for --source summary",
     )
     serve_cmd.add_argument("--queries", type=int, default=64, help="number of queries to fire")
     serve_cmd.add_argument(
@@ -1111,12 +1083,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_net_cmd.add_argument(
         "--ratio", type=float, default=0.5, help="per-machine budget as a fraction of Size(G)"
-    )
-    serve_net_cmd.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="flat",
-        help="summary storage backend for the tenant clusters",
     )
     serve_net_cmd.add_argument(
         "--queries", type=int, default=32, help="queries fired per tenant over the wire"
@@ -1303,12 +1269,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="pool size for serving and refresh fan-outs (identical output at any count)",
-    )
-    stream_cmd.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="flat",
-        help="summary storage backend for the per-machine summaries",
     )
     stream_cmd.add_argument(
         "--no-verify",

@@ -10,8 +10,8 @@ Public entry points:
 """
 
 from repro.core.weights import PersonalizedWeights
-from repro.core.summary import BACKENDS, FlatSummaryGraph, SummaryGraph
-from repro.core.costs import COST_CACHES, CostModel, personalized_error
+from repro.core.summary import SummaryGraph
+from repro.core.costs import CostModel, personalized_error
 from repro.core.batch import BatchCostEvaluator
 from repro.core.corrections import CorrectionSet, compute_corrections, decode, lossless_size_in_bits
 from repro.core.shingle import candidate_groups, node_shingles
@@ -22,11 +22,8 @@ from repro.core.summary_io import load_summary, save_summary
 __all__ = [
     "PersonalizedWeights",
     "SummaryGraph",
-    "FlatSummaryGraph",
-    "BACKENDS",
     "BatchCostEvaluator",
     "CostModel",
-    "COST_CACHES",
     "ENGINES",
     "personalized_error",
     "CorrectionSet",

@@ -55,8 +55,7 @@ ndarray methods and operator arithmetic, so a steady-state window issues
 **under ten numpy-API calls** regardless of its size — measured, not
 asserted, by the counting shim in ``benchmarks/bench_merge_micro.py``
 (the old per-attempt evaluator issued ~100, whose fixed dispatch
-overhead kept sparse graphs at parity and motivated a profitability
-gate; both are gone — see below).
+overhead kept sparse graphs at parity).
 
 The merge loop resolves the attempts sequentially against the
 threshold; a committed merge ends the pricing epoch (``|S|`` shrinks,
@@ -72,8 +71,8 @@ Byte-identical replay contract
 ------------------------------
 
 The batch engine is not "close to" the scalar engine — it is pinned to
-replay **bit-identical** merge decisions for the same seed, on both
-storage backends, both objectives, and both threshold policies
+replay **bit-identical** merge decisions for the same seed, under both
+objectives and both threshold policies
 (``tests/core/test_engine_equivalence.py``).  Three properties make that
 possible:
 
@@ -91,29 +90,14 @@ possible:
   dedup keeps first occurrences in sample order), so both engines see the
   same candidate sequence.
 
-The retired profitability gate
-------------------------------
-
-Earlier revisions kept a gate (``min_batch_elements``) that routed
-short-row candidate groups to the scalar loop, because ~100 numpy calls
-of fixed overhead per window outweighed the vectorization win on sparse
-graphs.  The fused kernel removed the call floor, the gate lost its
-reason to exist, and ``engine="batch"`` is now unconditional.
-:data:`DEFAULT_MIN_BATCH_ELEMENTS` and the constructor knob survive as
-accepted-but-ignored compatibility vestiges only.
-
 When the scalar engine is still used
 ------------------------------------
 
-* ``cost_cache="rebuild"`` has no maintained block rows to gather, so
-  ``engine="batch"`` silently degrades to the scalar loop there;
-* windows touching a supernode with a superedge over an *edgeless*
-  block (only baseline-made summaries have those; a ``summarize()`` run
-  never does) fall back to the scalar loop, which prices those blocks
-  with its fixup scans.
-
-Either path yields the same bits, so both are purely performance /
-coverage knobs, not semantic ones.
+Windows touching a supernode with a superedge over an *edgeless* block
+(only baseline-made summaries have those; a ``summarize()`` run never
+does) fall back to the scalar loop, which prices those blocks with its
+fixup scans.  Either path yields the same bits, so the fallback is a
+coverage detail, not a semantic one.
 """
 
 from __future__ import annotations
@@ -126,12 +110,6 @@ from repro.core.costs import CostModel, MergePlan
 from repro.core.pricing import block_cost_masked, merged_cost_masked
 from repro.errors import GraphFormatError
 from repro.obs.profile import probe
-
-#: Retired profitability gate (kept as an accepted-but-ignored
-#: compatibility knob): the fused window kernel's numpy-call floor is
-#: gone, so the vectorized path is unconditional and the gate value is
-#: never consulted.
-DEFAULT_MIN_BATCH_ELEMENTS = 0
 
 #: One speculative window of attempts: ``(members, first, second)`` per
 #: attempt — the candidate group's member array and its
@@ -277,7 +255,7 @@ class _RowStore:
 
 
 class BatchCostEvaluator:
-    """Fused window evaluation over a ``cache="incremental"`` cost model.
+    """Fused window evaluation over a :class:`CostModel`'s block cache.
 
     The evaluator owns numpy mirrors of the cost model's per-supernode
     weight sums plus cached columnar exports of the block-edge-weight
@@ -288,29 +266,15 @@ class BatchCostEvaluator:
     Parameters
     ----------
     cost_model:
-        The live cost model; must use the incremental block cache.
-    min_batch_elements:
-        Retired profitability-gate knob, accepted and recorded for
-        compatibility but never consulted: the fused kernel's numpy-call
-        floor is low enough that the vectorized path wins at every row
-        length, so batching is unconditional.
+        The live cost model.
     """
 
-    def __init__(self, cost_model: CostModel, *, min_batch_elements: Optional[int] = None):
-        if cost_model._blocks is None:
-            raise GraphFormatError(
-                "BatchCostEvaluator requires CostModel(cache='incremental')"
-            )
+    def __init__(self, cost_model: CostModel):
         self._cm = cost_model
         self._n = cost_model.summary.num_nodes
         self._n64 = np.int64(self._n)  # hoisted off the per-window path
         self._sw = np.asarray(cost_model._sw, dtype=np.float64)
         self._sq = np.asarray(cost_model._sq, dtype=np.float64)
-        self.min_batch_elements = (
-            DEFAULT_MIN_BATCH_ELEMENTS
-            if min_batch_elements is None
-            else int(min_batch_elements)
-        )
         size = max(self._n, 1)
         # Eagerly maintained per-supernode scalars: the self block's
         # weight / self-loop flag (the tail terms of every evaluation).
@@ -363,7 +327,6 @@ class BatchCostEvaluator:
         lengths = store.length[ids]
         if (lengths < 0).any():
             blocks = self._cm._blocks
-            assert blocks is not None  # guaranteed by the constructor
             summary = self._cm.summary
             for s in ids[lengths < 0].tolist():
                 acc = blocks.get(s)
@@ -743,7 +706,6 @@ class BatchCostEvaluator:
     def _apply_merge(self, plan: MergePlan) -> int:
         cm = self._cm
         blocks = cm._blocks
-        assert blocks is not None  # guaranteed by the constructor
         summary = cm.summary
         touched = set(blocks[plan.a])
         touched.update(blocks[plan.b])

@@ -27,29 +27,18 @@ Block error, unordered-pair space:
 where ``Π_AB = s_A s_B / Z`` (or ``(s_A² − q_A) / 2Z`` for ``A = B``) is the
 total weight of all unordered node pairs in the block.
 
-Caching strategies
-------------------
+The block-edge-weight cache
+---------------------------
 
-Two strategies compute ``ew_AB``, selected by ``CostModel(cache=...)``:
-
-* ``cache="incremental"`` (default) — every live supernode keeps a dict
-  ``{X: ew_AX}`` of block edge weights, built once at O(|E|) and updated
-  in O(deg) when a merge commits.  :meth:`evaluate_merge` then runs a
-  single fused pass over the two partner dicts (no per-candidate rebuild
-  and no scratch dict), which is what makes candidate evaluation
-  O(superdegree) instead of O(Σ member degrees) and drives the fig-6/fig-8
-  speedups.  Both summary backends share this code path, so their float
-  arithmetic — and therefore every merge decision — is bit-identical,
-  which the cross-backend equivalence suite relies on.
-* ``cache="rebuild"`` — the original strategy: recompute the block edge
-  weights of both candidates from the input adjacency on every call
-  (the ``O(Σ_{u∈A}|N_u| + Σ_{v∈B}|N_v|)`` of Lemma 1).  Kept as the
-  validation reference and as the baseline the benchmarks report
-  speedups against.
-
-The two strategies agree to float round-off but not bit-for-bit (sums
-associate differently), so per-run reproducibility requires sticking to
-one strategy; mixed-strategy comparisons belong in ``pytest.approx``.
+Every live supernode keeps a dict ``{X: ew_AX}`` of block edge weights,
+built once at O(|E|) by walking the input adjacency of its members
+(``O(Σ_{u∈A}|N_u|)`` per supernode, Lemma 1) and updated in O(deg) when a
+merge commits.  :meth:`CostModel.evaluate_merge` then runs a single fused
+pass over the two partner dicts (no per-candidate rebuild and no scratch
+dict), which makes candidate evaluation O(superdegree) instead of
+O(Σ member degrees).  ``tests/core/test_costs.py`` pins the maintained
+cache against freshly built models and every merge delta against
+:meth:`CostModel.total_cost`.
 
 Implementation note: the normalizer is folded into the node weights once
 (``w' = w / sqrt(Z)``, so ``W_uv = w'_u w'_v`` exactly) and the hot loops
@@ -61,33 +50,24 @@ of the whole algorithm.
 from __future__ import annotations
 
 import math
-from typing import AbstractSet, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro._util import log2_capped
-from repro.core.pricing import (
-    MergePlan,
-    evaluate_pair,
-    evaluate_pair_rebuild,
-    superedge_cost_columns,
-)
+from repro.core.pricing import MergePlan, evaluate_pair, superedge_cost_columns
 from repro.core.summary import SummaryGraph
 from repro.core.weights import PersonalizedWeights
 from repro.errors import GraphFormatError
 
-__all__ = ["COST_CACHES", "CostModel", "MergePlan", "personalized_error"]
-
-#: Available block-edge-weight caching strategies for :class:`CostModel`.
-COST_CACHES = ("incremental", "rebuild")
+__all__ = ["CostModel", "MergePlan", "personalized_error"]
 
 
 class CostModel:
     """Incremental cost bookkeeping for a :class:`SummaryGraph`.
 
-    The model owns the per-supernode weight sums (and, in the default
-    ``"incremental"`` mode, the per-supernode block-edge-weight caches) and
-    answers the two questions PeGaSus asks while merging (Alg. 2):
+    The model owns the per-supernode weight sums and block-edge-weight
+    caches and answers the two questions PeGaSus asks while merging (Alg. 2):
 
     * :meth:`evaluate_merge` — the (relative) cost reduction of a candidate
       pair, plus the optimal superedge set for the union (lines 4–5, 9);
@@ -102,25 +82,13 @@ class CostModel:
     summary, weights:
         The live summary graph and the personalized node weights (must be
         built on the same input graph).
-    cache:
-        Block-edge-weight strategy — ``"incremental"`` (default) or
-        ``"rebuild"``; see the module docstring.
     """
 
-    def __init__(
-        self,
-        summary: SummaryGraph,
-        weights: PersonalizedWeights,
-        *,
-        cache: str = "incremental",
-    ):
+    def __init__(self, summary: SummaryGraph, weights: PersonalizedWeights):
         if summary.graph is not weights.graph:
             raise ValueError("summary and weights must be built on the same graph")
-        if cache not in COST_CACHES:
-            raise ValueError(f"cache must be one of {COST_CACHES}, got {cache!r}")
         self.summary = summary
         self.weights = weights
-        self.cache = cache
         n = summary.num_nodes
         graph = summary.graph
 
@@ -143,11 +111,9 @@ class CostModel:
         self._error_bit_price = 2.0 * log2_capped(max(n, 1))
         self._se_bits = 2.0 * log2_capped(max(summary.num_supernodes, 1))
 
-        self._blocks: "Dict[int, Dict[int, float]] | None" = None
-        if cache == "incremental":
-            self._blocks = {
-                s: self._walk_block_edge_weights(s) for s in summary.supernodes()
-            }
+        self._blocks: Dict[int, Dict[int, float]] = {
+            s: self._walk_block_edge_weights(s) for s in summary.supernodes()
+        }
 
     # ------------------------------------------------------------------
     # block primitives
@@ -170,16 +136,12 @@ class CostModel:
         """``ew_{A,X}`` for every supernode ``X`` with an input edge to *A*.
 
         The self entry ``ew_{A,A}`` counts each within-block edge once.
-        In ``"incremental"`` mode this is a copy of the maintained cache
-        (O(superdegree)); in ``"rebuild"`` mode it walks the input edges
-        incident to *A* (``O(Σ_{u∈A} |N_u|)``, Lemma 1).
+        A copy of the maintained cache (O(superdegree)).
         """
-        if self._blocks is not None:
-            try:
-                return dict(self._blocks[supernode])
-            except KeyError:
-                raise GraphFormatError(f"supernode {supernode} does not exist") from None
-        return self._walk_block_edge_weights(supernode)
+        try:
+            return dict(self._blocks[supernode])
+        except KeyError:
+            raise GraphFormatError(f"supernode {supernode} does not exist") from None
 
     def potential_weight(self, a: int, b: int) -> float:
         """``Π_AB``: total weight of unordered node pairs in block ``{A, B}``."""
@@ -195,35 +157,27 @@ class CostModel:
     def _superedge_bits(self) -> float:
         return 2.0 * log2_capped(max(self.summary.num_supernodes, 1))
 
-    def _side_cost(
-        self, node: int, acc: Dict[int, float], adjacency: "AbstractSet[int]", se_bits: float
-    ) -> float:
-        """``Cost_A`` (Eq. 9) given the precomputed block edge weights."""
+    def supernode_cost(self, supernode: int) -> float:
+        """``Cost_A = Σ_B Cost_AB`` (Eq. 9); blocks with no edges and no
+        superedge contribute zero and are skipped."""
+        acc = self.block_edge_weights(supernode)
+        adjacency = self.summary.superedge_neighbors(supernode)
+        se_bits = self._superedge_bits()
         sw, sq = self._sw, self._sq
         price = self._error_bit_price
-        s_node = sw[node]
+        s_node = sw[supernode]
         cost = 0.0
         for x, ew in acc.items():
-            pi = (s_node * s_node - sq[node]) * 0.5 if x == node else s_node * sw[x]
+            pi = (s_node * s_node - sq[supernode]) * 0.5 if x == supernode else s_node * sw[x]
             if x in adjacency:
                 cost += se_bits + price * (pi - ew)
             else:
                 cost += price * ew
         for x in adjacency:
             if x not in acc:  # superedge over an edgeless block (baseline-made)
-                pi = (s_node * s_node - sq[node]) * 0.5 if x == node else s_node * sw[x]
+                pi = (s_node * s_node - sq[supernode]) * 0.5 if x == supernode else s_node * sw[x]
                 cost += se_bits + price * pi
         return cost
-
-    def supernode_cost(self, supernode: int) -> float:
-        """``Cost_A = Σ_B Cost_AB`` (Eq. 9); blocks with no edges and no
-        superedge contribute zero and are skipped."""
-        return self._side_cost(
-            supernode,
-            self.block_edge_weights(supernode),
-            self.summary.superedge_neighbors(supernode),
-            self._superedge_bits(),
-        )
 
     def pair_cost(self, a: int, b: int) -> float:
         """``Cost_AB`` (Eq. 6) for the current summary graph."""
@@ -247,8 +201,6 @@ class CostModel:
         (:func:`repro.core.pricing.evaluate_pair`), whose scalar pass
         defines the bit pattern the batch window kernel reproduces.
         """
-        if self._blocks is None:
-            return evaluate_pair_rebuild(self, a, b)
         return evaluate_pair(self, a, b)
 
     def apply_merge(self, plan: MergePlan) -> int:
@@ -264,21 +216,19 @@ class CostModel:
         q_m = sq[a] + sq[b]
 
         blocks = self._blocks
-        merged: "Dict[int, float] | None" = None
-        if blocks is not None:
-            acc_a = blocks.pop(a)
-            acc_b = blocks.pop(b)
-            merged = {}
-            for x, ew in acc_a.items():
-                if x != a and x != b:
-                    merged[x] = ew
-            get_m = merged.get
-            for x, ew in acc_b.items():
-                if x != a and x != b:
-                    merged[x] = get_m(x, 0.0) + ew
-            ew_self = acc_a.get(a, 0.0) + acc_b.get(b, 0.0) + acc_a.get(b, 0.0)
+        acc_a = blocks.pop(a)
+        acc_b = blocks.pop(b)
+        merged: Dict[int, float] = {}
+        for x, ew in acc_a.items():
+            if x != a and x != b:
+                merged[x] = ew
+        get_m = merged.get
+        for x, ew in acc_b.items():
+            if x != a and x != b:
+                merged[x] = get_m(x, 0.0) + ew
+        ew_self = acc_a.get(a, 0.0) + acc_b.get(b, 0.0) + acc_a.get(b, 0.0)
 
-        absorbed = list(self.summary.member_list(b))
+        absorbed = self.summary.member_list(b)
         union, _former = self.summary.merge_supernodes(a, b)
         dead = b if union == a else a
         for u in absorbed:
@@ -290,19 +240,18 @@ class CostModel:
         if plan.self_loop:
             self.summary.add_superedge(union, union)
 
-        if merged is not None:
-            # Re-key every partner's cache entry to the union id.  Setting
-            # the partner-side value from `merged` keeps the symmetry
-            # invariant ``blocks[X][A] == blocks[A][X]`` exact.
-            for x, ew in merged.items():
-                d = blocks[x]
-                d.pop(a, None)
-                d.pop(b, None)
-                d[union] = ew
-            if ew_self:
-                merged[union] = ew_self
-            blocks[union] = merged
-            self._se_bits = 2.0 * log2_capped(max(self.summary.num_supernodes, 1))
+        # Re-key every partner's cache entry to the union id.  Setting the
+        # partner-side value from `merged` keeps the symmetry invariant
+        # ``blocks[X][A] == blocks[A][X]`` exact.
+        for x, ew in merged.items():
+            d = blocks[x]
+            d.pop(a, None)
+            d.pop(b, None)
+            d[union] = ew
+        if ew_self:
+            merged[union] = ew_self
+        blocks[union] = merged
+        self._se_bits = 2.0 * log2_capped(max(self.summary.num_supernodes, 1))
         return union
 
     # ------------------------------------------------------------------
@@ -312,7 +261,7 @@ class CostModel:
         """All superedges as ``(Cost_AB, A, B)`` sorted ascending (Sect. III-F).
 
         Ties on the cost are broken by the ``(A, B)`` endpoint pair, so the
-        drop order is deterministic and identical across summary backends.
+        drop order is deterministic.
 
         Vectorized: block costs are priced columnwise from the summary's
         packed superedge export (:meth:`SummaryGraph.superedge_arrays`)
@@ -395,8 +344,8 @@ def personalized_error(summary: SummaryGraph, weights: PersonalizedWeights) -> f
     Works for any summary graph over the weights' input graph, including the
     weighted summaries produced by baselines (weights on superedges are
     ignored: reconstruction is presence/absence, as in Sect. II-A).
-    Superedges are folded in sorted order so the result is bit-identical
-    across summary backends.
+    Superedges are folded in sorted order so the result does not depend on
+    set iteration order.
     """
     if summary.graph is not weights.graph and summary.graph != weights.graph:
         raise ValueError("summary and weights must describe the same graph")

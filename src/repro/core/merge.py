@@ -14,13 +14,13 @@ until one supernode remains or ``log2|C_i|`` merge attempts fail in a row.
 The ablation of Sect. III-B (relative Eq. 11 vs absolute Eq. 10 criterion)
 is exposed via ``objective=``.
 
-This loop is storage-backend-agnostic: it talks to the summary only
-through the :class:`~repro.core.costs.CostModel`, and it consumes the RNG
-in a fixed pattern (one :func:`_sample_pairs` draw per attempt).  Given
-the same seed, the same candidate groups, and the same cost arithmetic,
-it therefore replays the same merges on the dict and flat backends —
-the property the cross-backend equivalence and determinism suites pin
-down (``tests/core/test_backend_equivalence.py``).
+This loop talks to the summary only through the
+:class:`~repro.core.costs.CostModel`, and it consumes the RNG in a fixed
+pattern (one :func:`_sample_pairs` draw per attempt).  Given the same
+seed, the same candidate groups, and the same cost arithmetic, it
+therefore replays the same merges run after run — the property the
+determinism suite and the byte-identity pins hold it to
+(``tests/core/test_summary_pins.py``).
 
 Two evaluation engines drive step 2:
 

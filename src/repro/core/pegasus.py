@@ -29,10 +29,10 @@ import numpy as np
 
 from repro._util import ensure_rng
 from repro.core.batch import BatchCostEvaluator
-from repro.core.costs import COST_CACHES, CostModel
+from repro.core.costs import CostModel
 from repro.core.merge import OBJECTIVES, merge_groups
 from repro.core.shingle import candidate_groups
-from repro.core.summary import BACKENDS, SummaryGraph
+from repro.core.summary import SummaryGraph
 from repro.core.threshold import AdaptiveThreshold, FixedSchedule, ThresholdPolicy
 from repro.core.weights import PersonalizedWeights
 from repro.errors import BudgetError
@@ -68,20 +68,11 @@ class PegasusConfig:
         ``"relative"`` (Eq. 11) or ``"absolute"`` (Eq. 10, ablation).
     seed:
         RNG seed; ``None`` draws fresh entropy.
-    backend:
-        Summary-graph storage backend, ``"flat"`` (default, the
-        array-native layout) or ``"dict"`` (the original reference
-        layout; see :mod:`repro.core.summary`).  Both produce identical
-        summaries for the same seed.
-    cost_cache:
-        Cost-model strategy, ``"incremental"`` (default) or ``"rebuild"``
-        (the pre-cache reference path; see :mod:`repro.core.costs`).
     engine:
         Merge-evaluation engine, ``"batch"`` (default; vectorized attempt
         evaluation, see :mod:`repro.core.batch`) or ``"scalar"`` (one
         ``evaluate_merge`` call per pair).  Both replay byte-identical
-        merges for the same seed; ``"batch"`` silently runs the scalar
-        loop when ``cost_cache="rebuild"`` (no block rows to gather).
+        merges for the same seed.
     """
 
     alpha: float = 1.25
@@ -93,8 +84,6 @@ class PegasusConfig:
     threshold: str = "adaptive"
     objective: str = "relative"
     seed: "int | None" = None
-    backend: str = "flat"
-    cost_cache: str = "incremental"
     engine: str = "batch"
 
     def __post_init__(self):
@@ -108,10 +97,6 @@ class PegasusConfig:
             raise ValueError(f"threshold must be one of {THRESHOLD_POLICIES}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
-        if self.cost_cache not in COST_CACHES:
-            raise ValueError(f"cost_cache must be one of {COST_CACHES}")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
 
@@ -222,13 +207,9 @@ def summarize(
 
     rng = ensure_rng(config.seed)
     started = time.perf_counter()
-    summary = SummaryGraph(graph, backend=config.backend)
-    cost_model = CostModel(summary, weights, cache=config.cost_cache)
-    evaluator = (
-        BatchCostEvaluator(cost_model)
-        if config.engine == "batch" and config.cost_cache == "incremental"
-        else None
-    )
+    summary = SummaryGraph(graph)
+    cost_model = CostModel(summary, weights)
+    evaluator = BatchCostEvaluator(cost_model) if config.engine == "batch" else None
     threshold = _make_threshold(config)
 
     iterations = 0

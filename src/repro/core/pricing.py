@@ -9,10 +9,10 @@ scalar ``CostModel.evaluate_merge`` pass, the columnar window kernel in
 and keeping them bit-identical meant auditing three copies of the same
 IEEE-754 expressions.  Now there is one core:
 
-* :func:`evaluate_pair` / :func:`evaluate_pair_rebuild` — the scalar
-  reference pass (one fused loop over the two endpoints' block-edge-weight
-  rows), consumed by :meth:`CostModel.evaluate_merge`.  This *defines*
-  the bit pattern every other implementation must reproduce.
+* :func:`evaluate_pair` — the scalar reference pass (one fused loop over
+  the two endpoints' block-edge-weight rows), consumed by
+  :meth:`CostModel.evaluate_merge`.  This *defines* the bit pattern
+  every other implementation must reproduce.
 * :func:`block_cost_masked` — the columnar Eq. 9 block cost, consumed by
   the batch window kernel for every before-merge term (row elements and
   the ``{a,a}``/``{b,b}``/``{a,b}`` tails alike).
@@ -54,7 +54,7 @@ import numpy as np
 from repro.errors import GraphFormatError
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, List
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (costs imports us)
     from repro.core.costs import CostModel
@@ -63,7 +63,6 @@ __all__ = [
     "MergePlan",
     "block_cost_masked",
     "evaluate_pair",
-    "evaluate_pair_rebuild",
     "merged_cost_masked",
     "superedge_cost_columns",
 ]
@@ -148,7 +147,7 @@ def merged_cost_masked(
 
 
 # ----------------------------------------------------------------------
-# the scalar reference pass (cache="incremental")
+# the scalar reference pass
 # ----------------------------------------------------------------------
 def evaluate_pair(cm: "CostModel", a: int, b: int) -> MergePlan:
     """Evaluate merging supernodes *a* and *b* (Eq. 10 and Eq. 11).
@@ -170,7 +169,6 @@ def evaluate_pair(cm: "CostModel", a: int, b: int) -> MergePlan:
     price = cm._error_bit_price
     sw, sq = cm._sw, cm._sq
     blocks = cm._blocks
-    assert blocks is not None  # callers dispatch on the cache strategy
     try:
         acc_a = blocks[a]
         acc_b = blocks[b]
@@ -286,65 +284,3 @@ def evaluate_pair(cm: "CostModel", a: int, b: int) -> MergePlan:
         merged_cost=merged_cost,
     )
 
-
-def evaluate_pair_rebuild(cm: "CostModel", a: int, b: int) -> MergePlan:
-    """The original per-candidate rebuild evaluation (``cache="rebuild"``)."""
-    summary = cm.summary
-    se_bits = cm._superedge_bits()
-    price = cm._error_bit_price
-    sw, sq = cm._sw, cm._sq
-
-    acc_a = cm._walk_block_edge_weights(a)
-    acc_b = cm._walk_block_edge_weights(b)
-    adj_a = summary.superedge_neighbors(a)
-    adj_b = summary.superedge_neighbors(b)
-
-    cost_a = cm._side_cost(a, acc_a, adj_a, se_bits)
-    cost_b = cm._side_cost(b, acc_b, adj_b, se_bits)
-    ew_ab = acc_a.get(b, 0.0)
-    pi_ab = sw[a] * sw[b]
-    if b in adj_a:
-        cost_ab = se_bits + price * (pi_ab - ew_ab)
-    else:
-        cost_ab = price * ew_ab
-    before = cost_a + cost_b - cost_ab
-
-    # Merged bookkeeping: s/q add; cross-edge weights add per partner.
-    s_m = sw[a] + sw[b]
-    q_m = sq[a] + sq[b]
-    acc_m: Dict[int, float] = {}
-    get_m = acc_m.get
-    for acc in (acc_a, acc_b):
-        for x, ew in acc.items():
-            if x != a and x != b:
-                acc_m[x] = get_m(x, 0.0) + ew
-    ew_self = acc_a.get(a, 0.0) + acc_b.get(b, 0.0) + ew_ab
-
-    merged_cost = 0.0
-    chosen: List[int] = []
-    for x, ew in acc_m.items():
-        pi = s_m * sw[x]
-        with_edge = se_bits + price * (pi - ew)
-        without_edge = price * ew
-        if with_edge < without_edge:
-            merged_cost += with_edge
-            chosen.append(x)
-        else:
-            merged_cost += without_edge
-    pi_self = (s_m * s_m - q_m) * 0.5
-    with_loop = se_bits + price * (pi_self - ew_self)
-    without_loop = price * ew_self
-    self_loop = with_loop < without_loop
-    merged_cost += with_loop if self_loop else without_loop
-
-    delta = before - merged_cost
-    relative = delta / before if before > 0.0 else 0.0
-    return MergePlan(
-        a=a,
-        b=b,
-        delta=delta,
-        relative_delta=relative,
-        superedges=chosen,
-        self_loop=self_loop,
-        merged_cost=merged_cost,
-    )

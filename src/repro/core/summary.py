@@ -15,31 +15,25 @@ The decoded (reconstructed) graph ``Ĝ`` has an edge ``{u, v}`` iff
 is exactly ``getNeighbors`` from Alg. 4 and is the primitive every query in
 :mod:`repro.queries` builds on.
 
-Storage backends
-----------------
+Storage
+-------
 
-Two interchangeable storage backends implement the structure; both expose
-the same public API and are pinned to each other by the cross-backend
-equivalence suite (``tests/core/test_backend_equivalence.py``):
+Supernode slots are indexed by id (``0..|V|-1``):
 
-* ``backend="dict"`` (:class:`SummaryGraph` itself) — the original
-  dict-of-lists / dict-of-sets layout: ``_members`` maps each live
-  supernode id to its member list, ``_adjacency`` maps it to its superedge
-  neighbor set.  Simple, and the reference semantics.
-* ``backend="flat"`` (:class:`FlatSummaryGraph`) — an array-native layout:
-  members live in one contiguous linked-chain buffer (``next`` pointers
-  plus per-slot head/tail/count arrays, so a merge concatenates two chains
-  in O(1)), supernode slots are indexed by id with a free-list of dead ids,
-  and superedges are kept in slot-indexed neighbor sets with an on-demand
-  packed columnar export (:meth:`FlatSummaryGraph.superedge_arrays`) that
-  vectorized consumers — :class:`repro.queries.operator.ReconstructedOperator`
-  in particular — read directly instead of walking dicts.
-
-``SummaryGraph(graph, backend="flat")`` dispatches to the flat backend;
-:meth:`from_parts` / :meth:`from_partition` take the same keyword.  Both
-backends enumerate live supernodes in ascending-id order after an identity
-initialization, which is what makes whole ``summarize()`` runs replayable
-across backends merge-for-merge.
+* ``_members[s]`` is the member list of supernode ``s`` (``None`` once
+  ``s`` is absorbed).  A merge appends the absorbed list with
+  ``list.extend``, so members stay in a fixed order — first members
+  first, absorbed members last — and so does every float sum the cost
+  model folds over them.
+* ``_alive`` is the liveness bitmap; live supernodes enumerate in
+  ascending id order, which is what makes whole ``summarize()`` runs
+  replayable merge-for-merge.
+* ``_nbr[s]`` is the superedge neighbor set of ``s`` (a list-indexed set,
+  so the hot membership tests skip dict hashing), plus a packed columnar
+  export (:meth:`SummaryGraph.superedge_arrays`), cached until the next
+  mutation, that vectorized consumers —
+  :class:`repro.queries.operator.ReconstructedOperator` in particular —
+  read directly instead of walking sets.
 
 Baselines that emit *weighted* summary graphs (S2L, k-Grass, SAAGs) attach
 per-superedge weights; :meth:`size_in_bits` then uses the weighted encoding
@@ -55,9 +49,6 @@ import numpy as np
 from repro._util import log2_capped
 from repro.errors import GraphFormatError
 from repro.graph.graph import Graph
-
-#: Available storage backends for :class:`SummaryGraph`.
-BACKENDS = ("dict", "flat")
 
 
 def _canonical(a: int, b: int) -> Tuple[int, int]:
@@ -77,33 +68,14 @@ class SummaryGraph:
         The input graph ``G``.
     weighted:
         Whether superedges carry weights (baseline summarizers only).
-    backend:
-        ``"dict"`` (default) or ``"flat"``; see the module docstring.
     """
 
-    #: Storage backend name; overridden by subclasses.
-    backend = "dict"
-
-    def __new__(cls, *args, backend: str = "dict", **kwargs):
-        if backend not in BACKENDS:
-            raise GraphFormatError(f"unknown summary backend {backend!r}; choose from {BACKENDS}")
-        if cls is SummaryGraph and backend == "flat":
-            return object.__new__(FlatSummaryGraph)
-        return object.__new__(cls)
-
-    def __init__(self, graph: Graph, *, weighted: bool = False, backend: str = "dict"):
-        if backend != self.backend:
-            raise GraphFormatError(
-                f"cannot construct a {self.backend!r}-backend {type(self).__name__} "
-                f"with backend={backend!r}"
-            )
-        n = graph.num_nodes
+    def __init__(self, graph: Graph, *, weighted: bool = False):
         self.graph = graph
-        self.supernode_of = np.arange(n, dtype=np.int64)
-        self._members: Dict[int, List[int]] = {u: [u] for u in range(n)}
-        self._adjacency: Dict[int, Set[int]] = {u: set() for u in range(n)}
-        self._num_superedges = 0
+        self.supernode_of = np.arange(graph.num_nodes, dtype=np.int64)
         self._weights: "Dict[Tuple[int, int], float] | None" = {} if weighted else None
+        self._num_superedges = 0
+        self._init_storage(self.supernode_of)
         for u, v in graph.edge_array():
             self.add_superedge(int(u), int(v))
 
@@ -118,7 +90,6 @@ class SummaryGraph:
         superedges: "Iterable[Tuple[int, int, float | None]]" = (),
         *,
         weighted: bool = False,
-        backend: "str | None" = None,
         validate: bool = False,
     ) -> "SummaryGraph":
         """Assemble a summary graph from an explicit partition + superedges.
@@ -133,46 +104,46 @@ class SummaryGraph:
         superedges:
             ``(a, b, weight)`` triples; ``weight`` is ignored unless
             *weighted* (``None`` means weight 1).
-        weighted, backend:
-            As for the main constructor.  When called on a subclass,
-            *backend* defaults to that subclass's backend.
+        weighted:
+            As for the main constructor.
         validate:
             Run :meth:`check_invariants` on the result (used by
             :func:`repro.core.summary_io.load_summary` on untrusted input).
         """
-        if backend is None:
-            backend = cls.backend if cls is not SummaryGraph else "dict"
-        if backend not in BACKENDS:
-            raise GraphFormatError(f"unknown summary backend {backend!r}; choose from {BACKENDS}")
         assignment = np.asarray(supernode_of, dtype=np.int64)
         if assignment.shape != (graph.num_nodes,):
             raise GraphFormatError("supernode_of must have one entry per node")
         if assignment.size and (assignment.min() < 0 or assignment.max() >= graph.num_nodes):
             raise GraphFormatError("supernode ids must lie in [0, num_nodes)")
-        target = FlatSummaryGraph if backend == "flat" else SummaryGraph
-        obj = object.__new__(target)
+        obj = object.__new__(cls)
         obj.graph = graph
         obj.supernode_of = assignment.copy()
         obj._weights = {} if weighted else None
         obj._num_superedges = 0
-        obj._init_storage_from_assignment(assignment)
+        obj._init_storage(assignment)
         for a, b, weight in superedges:
             obj.add_superedge(int(a), int(b), weight=weight)
         if validate:
             obj.check_invariants()
         return obj
 
-    def _init_storage_from_assignment(self, assignment: np.ndarray) -> None:
-        """Build the member/adjacency storage for a given partition.
-
-        Supernodes are created in order of their first member, so live-id
-        enumeration matches between backends for identity-like partitions.
-        """
-        members: Dict[int, List[int]] = {}
+    def _init_storage(self, assignment: np.ndarray) -> None:
+        """Build the slot-indexed member lists and neighbor sets of a
+        partition; each member list is in ascending node order."""
+        n = self.graph.num_nodes
+        self._n = n  # plain-int mirror; the hot accessors skip the property chain
+        members: List["List[int] | None"] = [None] * n
         for u, s in enumerate(assignment.tolist()):
-            members.setdefault(s, []).append(u)
+            slot = members[s]
+            if slot is None:
+                members[s] = [u]
+            else:
+                slot.append(u)
         self._members = members
-        self._adjacency = {s: set() for s in members}
+        self._alive = np.fromiter((m is not None for m in members), dtype=bool, count=n)
+        self._live_count = int(self._alive.sum())
+        self._nbr: List["Set[int] | None"] = [None if m is None else set() for m in members]
+        self._arrays_cache: "tuple | None" = None
 
     @classmethod
     def from_partition(
@@ -182,7 +153,6 @@ class SummaryGraph:
         *,
         weighted: bool = False,
         superedge_rule: str = "majority",
-        backend: "str | None" = None,
     ) -> "SummaryGraph":
         """Build a summary graph from a node partition.
 
@@ -204,8 +174,6 @@ class SummaryGraph:
               L1-optimal unweighted decoding;
             * ``"all_blocks"`` — superedge for every block with ≥ 1 edge
               (the dense decoding of weighted baseline summaries).
-        backend:
-            Storage backend; defaults to the backend of *cls*.
         """
         if superedge_rule not in ("majority", "all_blocks"):
             raise GraphFormatError(f"unknown superedge_rule {superedge_rule!r}")
@@ -239,9 +207,7 @@ class SummaryGraph:
                     pairs = size_of[sa] * size_of[sb]
                 if superedge_rule == "all_blocks" or (pairs and count * 2 >= pairs):
                     superedges.append((sa, sb, float(count) if weighted else None))
-        return cls.from_parts(
-            graph, supernode_of, superedges, weighted=weighted, backend=backend
-        )
+        return cls.from_parts(graph, supernode_of, superedges, weighted=weighted)
 
     # ------------------------------------------------------------------
     # structure accessors
@@ -249,12 +215,12 @@ class SummaryGraph:
     @property
     def num_nodes(self) -> int:
         """Number of input-graph nodes ``|V|``."""
-        return self.graph.num_nodes
+        return self._n
 
     @property
     def num_supernodes(self) -> int:
         """Number of live supernodes ``|S|``."""
-        return len(self._members)
+        return self._live_count
 
     @property
     def num_superedges(self) -> int:
@@ -267,50 +233,46 @@ class SummaryGraph:
         return self._weights is not None
 
     def supernodes(self) -> List[int]:
-        """Live supernode ids (ascending after an identity initialization)."""
-        return list(self._members)
+        """Live supernode ids, ascending."""
+        return np.flatnonzero(self._alive).tolist()
 
     def members(self, supernode: int) -> np.ndarray:
         """Member nodes of *supernode* as an array."""
-        try:
-            return np.asarray(self._members[supernode], dtype=np.int64)
-        except KeyError:
-            raise GraphFormatError(f"supernode {supernode} does not exist") from None
+        return np.asarray(self.member_list(supernode), dtype=np.int64)
 
     def member_list(self, supernode: int) -> List[int]:
         """Member nodes of *supernode* as the internal list (do not mutate).
 
         Hot-path variant of :meth:`members` that skips the array copy; the
-        rebuild-mode cost model walks this list once per block evaluation
-        (Lemma 1).
+        cost model and the HOP walk iterate it directly.
         """
-        try:
-            return self._members[supernode]
-        except KeyError:
-            raise GraphFormatError(f"supernode {supernode} does not exist") from None
+        members = self._members[supernode] if 0 <= supernode < self._n else None
+        if members is None:
+            raise GraphFormatError(f"supernode {supernode} does not exist")
+        return members
 
     def member_count(self, supernode: int) -> int:
         """``|A|`` for supernode *A*."""
-        try:
-            return len(self._members[supernode])
-        except KeyError:
-            raise GraphFormatError(f"supernode {supernode} does not exist") from None
+        return len(self.member_list(supernode))
 
     def superedge_neighbors(self, supernode: int) -> Set[int]:
         """Supernodes adjacent to *supernode* in ``P`` (may include itself)."""
-        try:
-            return self._adjacency[supernode]
-        except KeyError:
-            raise GraphFormatError(f"supernode {supernode} does not exist") from None
+        neighbors = self._nbr[supernode] if 0 <= supernode < self._n else None
+        if neighbors is None:
+            raise GraphFormatError(f"supernode {supernode} does not exist")
+        return neighbors
 
     def has_superedge(self, a: int, b: int) -> bool:
         """Whether the superedge ``{a, b}`` (possibly a self-loop) exists."""
-        return b in self._adjacency.get(a, ())
+        if not 0 <= a < self._n:
+            return False
+        neighbors = self._nbr[a]
+        return neighbors is not None and b in neighbors
 
     def superedges(self) -> Iterator[Tuple[int, int]]:
-        """Iterate superedges once each as ``(a, b)`` with ``a <= b``."""
-        for a, neighbors in self._adjacency.items():
-            for b in neighbors:
+        """Iterate superedges once each as ``(a, b)`` with ``a <= b``, sorted."""
+        for a in np.flatnonzero(self._alive).tolist():
+            for b in sorted(self._nbr[a]):
                 if a <= b:
                     yield a, b
 
@@ -325,26 +287,27 @@ class SummaryGraph:
 
         ``weights`` is ``None`` for unweighted summaries.  Vectorized
         consumers (the query operator, serialization) read these instead of
-        walking per-supernode adjacency; the fixed lexicographic order
-        makes everything built from them backend-independent.  The flat
-        backend overrides this with a cached export.
+        walking per-supernode adjacency.  Cached until the next mutation;
+        :meth:`superedges` already iterates in lexicographic order, so no
+        sort is needed.
         """
-        lo_list: List[int] = []
-        hi_list: List[int] = []
-        for a, b in self.superedges():
-            lo_list.append(a)
-            hi_list.append(b)
-        lo = np.asarray(lo_list, dtype=np.int64)
-        hi = np.asarray(hi_list, dtype=np.int64)
-        order = np.lexsort((hi, lo))
-        lo, hi = lo[order], hi[order]
-        if self._weights is None:
-            return lo, hi, None
-        weights = np.asarray(
-            [self._weights.get((int(a), int(b)), 1.0) for a, b in zip(lo, hi)],
-            dtype=np.float64,
-        )
-        return lo, hi, weights
+        if self._arrays_cache is None:
+            lo: List[int] = []
+            hi: List[int] = []
+            for a, b in self.superedges():
+                lo.append(a)
+                hi.append(b)
+            lo_arr = np.asarray(lo, dtype=np.int64)
+            hi_arr = np.asarray(hi, dtype=np.int64)
+            if self._weights is not None:
+                w_arr = np.asarray(
+                    [self._weights.get((a, b), 1.0) for a, b in zip(lo, hi)],
+                    dtype=np.float64,
+                )
+            else:
+                w_arr = None
+            self._arrays_cache = (lo_arr, hi_arr, w_arr)
+        return self._arrays_cache
 
     def block_pair_count(self, a: int, b: int) -> int:
         """Number of node pairs in block ``{a, b}`` (``C(|A|, 2)`` if ``a=b``)."""
@@ -372,31 +335,47 @@ class SummaryGraph:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
+    def _require_pair(self, a: int, b: int, what: str) -> None:
+        if (
+            not 0 <= a < self._n
+            or not 0 <= b < self._n
+            or self._nbr[a] is None
+            or self._nbr[b] is None
+        ):
+            raise GraphFormatError(f"{what} {a}, {b} must be live supernodes")
+
     def add_superedge(self, a: int, b: int, *, weight: "float | None" = None) -> None:
         """Insert superedge ``{a, b}``; idempotent for existing edges."""
-        if a not in self._adjacency or b not in self._adjacency:
-            raise GraphFormatError(f"superedge endpoints {a}, {b} must be live supernodes")
-        if b not in self._adjacency[a]:
-            self._adjacency[a].add(b)
-            self._adjacency[b].add(a)
+        self._require_pair(a, b, "superedge endpoints")
+        neighbors = self._nbr[a]
+        if b not in neighbors:
+            neighbors.add(b)
+            self._nbr[b].add(a)
             self._num_superedges += 1
+            self._arrays_cache = None
         if self._weights is not None:
             self._weights[_canonical(a, b)] = 1.0 if weight is None else float(weight)
+            self._arrays_cache = None
 
     def remove_superedge(self, a: int, b: int) -> None:
         """Remove superedge ``{a, b}``; no-op if absent."""
-        if b in self._adjacency.get(a, ()):
-            self._adjacency[a].discard(b)
-            self._adjacency[b].discard(a)
+        if not 0 <= a < self._n:
+            return
+        neighbors = self._nbr[a]
+        if neighbors is not None and b in neighbors:
+            neighbors.discard(b)
+            self._nbr[b].discard(a)
             self._num_superedges -= 1
+            self._arrays_cache = None
             if self._weights is not None:
                 self._weights.pop(_canonical(a, b), None)
 
     def merge_supernodes(self, a: int, b: int) -> Tuple[int, Set[int]]:
         """Merge supernodes *a* and *b* into one (Alg. 2, lines 6–8).
 
-        The union keeps id *a*; all superedges incident to either endpoint
-        are dropped (the caller re-adds the beneficial ones, line 9).
+        The union keeps id *a* and appends *b*'s members after its own; all
+        superedges incident to either endpoint are dropped (the caller
+        re-adds the beneficial ones, line 9).
 
         Returns ``(union_id, former_neighbors)`` where *former_neighbors* is
         the set of supernodes that had a superedge to *a* or *b* (with
@@ -405,17 +384,33 @@ class SummaryGraph:
         """
         if a == b:
             raise GraphFormatError("cannot merge a supernode with itself")
-        if a not in self._members or b not in self._members:
-            raise GraphFormatError(f"merge endpoints {a}, {b} must be live supernodes")
-        former = (self._adjacency[a] | self._adjacency[b]) - {a, b}
-        for x in tuple(self._adjacency[a]):
-            self.remove_superedge(a, x)
-        for x in tuple(self._adjacency[b]):
-            self.remove_superedge(b, x)
-        members_b = self._members.pop(b)
+        self._require_pair(a, b, "merge endpoints")
+        nbr = self._nbr
+        na, nb = nbr[a], nbr[b]
+        former = (na | nb) - {a, b}
+        dropped = len(na) + len(nb) - (1 if b in na else 0)
+        weights = self._weights
+        for x in na:
+            if x != a and x != b:
+                nbr[x].discard(a)
+            if weights is not None:
+                weights.pop(_canonical(a, x), None)
+        for x in nb:
+            if x != a and x != b:
+                nbr[x].discard(b)
+            if weights is not None:
+                weights.pop(_canonical(b, x), None)
+        na.clear()
+        nbr[b] = None
+        self._num_superedges -= dropped
+
+        members_b = self._members[b]
         self._members[a].extend(members_b)
+        self._members[b] = None
         self.supernode_of[members_b] = a
-        del self._adjacency[b]
+        self._alive[b] = False
+        self._live_count -= 1
+        self._arrays_cache = None
         return a, former
 
     # ------------------------------------------------------------------
@@ -510,274 +505,18 @@ class SummaryGraph:
         Used by tests and hypothesis properties; O(|V| + |P|).
         """
         seen = np.zeros(self.num_nodes, dtype=bool)
-        for supernode, members in self._members.items():
-            if not members:
-                raise GraphFormatError(f"supernode {supernode} is empty")
-            for u in members:
-                if seen[u]:
-                    raise GraphFormatError(f"node {u} appears in two supernodes")
-                seen[u] = True
-                if self.supernode_of[u] != supernode:
-                    raise GraphFormatError(f"supernode_of[{u}] inconsistent")
-        if not seen.all():
-            raise GraphFormatError("partition does not cover all nodes")
-        count = 0
-        for a, neighbors in self._adjacency.items():
-            if a not in self._members:
-                raise GraphFormatError(f"adjacency for dead supernode {a}")
-            for b in neighbors:
-                if a not in self._adjacency.get(b, ()):
-                    raise GraphFormatError(f"superedge {{{a}, {b}}} not symmetric")
-                if a <= b:
-                    count += 1
-        if count != self._num_superedges:
-            raise GraphFormatError(f"superedge count {self._num_superedges} != recount {count}")
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SummaryGraph(|V|={self.num_nodes}, |S|={self.num_supernodes}, "
-            f"|P|={self._num_superedges}, weighted={self.is_weighted}, "
-            f"backend={self.backend!r})"
-        )
-
-
-class FlatSummaryGraph(SummaryGraph):
-    """Array-native storage backend for :class:`SummaryGraph`.
-
-    Layout (all arrays are slot-indexed by supernode id, length ``|V|``):
-
-    * ``_m_next`` — one contiguous ``int64`` buffer of linked member
-      chains: ``_m_next[u]`` is the next member of ``u``'s supernode, or
-      ``-1`` at the chain tail.  ``_m_head``/``_m_tail``/``_m_count`` hold
-      per-slot chain heads, tails, and lengths, so merging two supernodes
-      concatenates their chains in O(1) (the dict backend pays O(|B|) to
-      extend a list).
-    * ``_alive`` — liveness bitmap; ``_free`` is the LIFO free-list of dead
-      slot ids, kept for callers that allocate fresh supernodes (e.g.
-      future split/refine operations).
-    * ``_nbr`` — slot-indexed superedge neighbor sets (list-indexed, so the
-      hot membership tests skip dict hashing), plus a lazily built packed
-      columnar export (:meth:`superedge_arrays`) for vectorized consumers.
-
-    Member chains concatenate absorbed-last, so :meth:`member_list` returns
-    members in the same order as the dict backend's list ``extend`` — which
-    keeps the two backends replayable against each other merge-for-merge.
-    """
-
-    backend = "flat"
-
-    def __init__(self, graph: Graph, *, weighted: bool = False, backend: str = "flat"):
-        if backend != self.backend:
-            raise GraphFormatError(
-                f"cannot construct a {self.backend!r}-backend {type(self).__name__} "
-                f"with backend={backend!r}"
-            )
-        n = graph.num_nodes
-        self.graph = graph
-        self.supernode_of = np.arange(n, dtype=np.int64)
-        self._weights = {} if weighted else None
-        self._num_superedges = 0
-        self._init_storage_from_assignment(self.supernode_of)
-        for u, v in graph.edge_array():
-            self.add_superedge(int(u), int(v))
-
-    def _init_storage_from_assignment(self, assignment: np.ndarray) -> None:
-        n = self.graph.num_nodes
-        self._n = n  # plain-int mirror; the hot accessors skip the property chain
-        head = [-1] * n
-        tail = [-1] * n
-        nxt = [-1] * n
-        count = [0] * n
-        for u, s in enumerate(assignment.tolist()):
-            if head[s] < 0:
-                head[s] = u
-            else:
-                nxt[tail[s]] = u
-            tail[s] = u
-            count[s] += 1
-        self._m_head = np.asarray(head, dtype=np.int64)
-        self._m_tail = np.asarray(tail, dtype=np.int64)
-        self._m_next = np.asarray(nxt, dtype=np.int64)
-        self._m_count = np.asarray(count, dtype=np.int64)
-        self._alive = self._m_count > 0
-        self._live_count = int(self._alive.sum())
-        self._free: List[int] = np.flatnonzero(~self._alive).tolist()
-        self._nbr: List["Set[int] | None"] = [
-            set() if self._alive[s] else None for s in range(n)
-        ]
-        self._arrays_cache: "tuple | None" = None
-
-    # ------------------------------------------------------------------
-    # structure accessors
-    # ------------------------------------------------------------------
-    @property
-    def num_nodes(self) -> int:
-        return self._n
-
-    @property
-    def num_supernodes(self) -> int:
-        return self._live_count
-
-    def supernodes(self) -> List[int]:
-        """Live supernode ids, ascending."""
-        return np.flatnonzero(self._alive).tolist()
-
-    def _require_live(self, supernode: int) -> None:
-        # Liveness is tracked by the adjacency slot: dead slots hold None.
-        if not 0 <= supernode < self._n or self._nbr[supernode] is None:
-            raise GraphFormatError(f"supernode {supernode} does not exist")
-
-    def members(self, supernode: int) -> np.ndarray:
-        return np.asarray(self.member_list(supernode), dtype=np.int64)
-
-    def member_list(self, supernode: int) -> List[int]:
-        """Member nodes of *supernode* in chain order (a fresh list)."""
-        self._require_live(supernode)
-        out: List[int] = []
-        nxt = self._m_next
-        u = int(self._m_head[supernode])
-        while u >= 0:
-            out.append(u)
-            u = int(nxt[u])
-        return out
-
-    def member_count(self, supernode: int) -> int:
-        self._require_live(supernode)
-        return int(self._m_count[supernode])
-
-    def superedge_neighbors(self, supernode: int) -> Set[int]:
-        neighbors = self._nbr[supernode] if 0 <= supernode < self._n else None
-        if neighbors is None:
-            raise GraphFormatError(f"supernode {supernode} does not exist")
-        return neighbors
-
-    def has_superedge(self, a: int, b: int) -> bool:
-        if not 0 <= a < self._n:
-            return False
-        neighbors = self._nbr[a]
-        return neighbors is not None and b in neighbors
-
-    def superedges(self) -> Iterator[Tuple[int, int]]:
-        """Iterate superedges as ``(a, b)`` with ``a <= b``, sorted."""
-        for a in np.flatnonzero(self._alive).tolist():
-            for b in sorted(self._nbr[a]):
-                if a <= b:
-                    yield a, b
-
-    def superedge_arrays(self) -> Tuple[np.ndarray, np.ndarray, "np.ndarray | None"]:
-        """Packed columnar superedges ``(lo, hi, weights)``, lexsorted.
-
-        Same contract as the base-class export, but cached until the next
-        mutation — the flat backend's :meth:`superedges` already iterates
-        in lexicographic order, so no sort is needed.
-        """
-        if self._arrays_cache is None:
-            lo: List[int] = []
-            hi: List[int] = []
-            for a, b in self.superedges():
-                lo.append(a)
-                hi.append(b)
-            lo_arr = np.asarray(lo, dtype=np.int64)
-            hi_arr = np.asarray(hi, dtype=np.int64)
-            if self._weights is not None:
-                w_arr = np.asarray(
-                    [self._weights.get((a, b), 1.0) for a, b in zip(lo, hi)],
-                    dtype=np.float64,
-                )
-            else:
-                w_arr = None
-            self._arrays_cache = (lo_arr, hi_arr, w_arr)
-        return self._arrays_cache
-
-    # ------------------------------------------------------------------
-    # mutation
-    # ------------------------------------------------------------------
-    def add_superedge(self, a: int, b: int, *, weight: "float | None" = None) -> None:
-        if (
-            not 0 <= a < self._n
-            or not 0 <= b < self._n
-            or self._nbr[a] is None
-            or self._nbr[b] is None
-        ):
-            raise GraphFormatError(f"superedge endpoints {a}, {b} must be live supernodes")
-        neighbors = self._nbr[a]
-        if b not in neighbors:
-            neighbors.add(b)
-            self._nbr[b].add(a)
-            self._num_superedges += 1
-            self._arrays_cache = None
-        if self._weights is not None:
-            self._weights[_canonical(a, b)] = 1.0 if weight is None else float(weight)
-            self._arrays_cache = None
-
-    def remove_superedge(self, a: int, b: int) -> None:
-        if not 0 <= a < self._n:
-            return
-        neighbors = self._nbr[a]
-        if neighbors is not None and b in neighbors:
-            neighbors.discard(b)
-            self._nbr[b].discard(a)
-            self._num_superedges -= 1
-            self._arrays_cache = None
-            if self._weights is not None:
-                self._weights.pop(_canonical(a, b), None)
-
-    def merge_supernodes(self, a: int, b: int) -> Tuple[int, Set[int]]:
-        if a == b:
-            raise GraphFormatError("cannot merge a supernode with itself")
-        if (
-            not 0 <= a < self._n
-            or not 0 <= b < self._n
-            or self._nbr[a] is None
-            or self._nbr[b] is None
-        ):
-            raise GraphFormatError(f"merge endpoints {a}, {b} must be live supernodes")
-        members_b = self.member_list(b)
-        nbr = self._nbr
-        na, nb = nbr[a], nbr[b]
-        former = (na | nb) - {a, b}
-        dropped = len(na) + len(nb) - (1 if b in na else 0)
-        weights = self._weights
-        for x in na:
-            if x != a and x != b:
-                nbr[x].discard(a)
-            if weights is not None:
-                weights.pop(_canonical(a, x), None)
-        for x in nb:
-            if x != a and x != b:
-                nbr[x].discard(b)
-            if weights is not None:
-                weights.pop(_canonical(b, x), None)
-        na.clear()
-        nbr[b] = None
-        self._num_superedges -= dropped
-
-        self._m_next[self._m_tail[a]] = self._m_head[b]
-        self._m_tail[a] = self._m_tail[b]
-        self._m_count[a] += self._m_count[b]
-        self._m_head[b] = self._m_tail[b] = -1
-        self._m_count[b] = 0
-        self.supernode_of[members_b] = a
-        self._alive[b] = False
-        self._live_count -= 1
-        self._free.append(b)
-        self._arrays_cache = None
-        return a, former
-
-    # ------------------------------------------------------------------
-    # diagnostics
-    # ------------------------------------------------------------------
-    def check_invariants(self) -> None:
-        seen = np.zeros(self.num_nodes, dtype=bool)
         live = np.flatnonzero(self._alive).tolist()
         if len(live) != self._live_count:
             raise GraphFormatError(f"live count {self._live_count} != bitmap count {len(live)}")
+        for dead in np.flatnonzero(~self._alive).tolist():
+            if self._members[dead] is not None:
+                raise GraphFormatError(f"members for dead supernode {dead}")
+            if self._nbr[dead] is not None:
+                raise GraphFormatError(f"adjacency for dead supernode {dead}")
         for supernode in live:
-            members = self.member_list(supernode)
+            members = self._members[supernode]
             if not members:
                 raise GraphFormatError(f"supernode {supernode} is empty")
-            if len(members) != int(self._m_count[supernode]):
-                raise GraphFormatError(f"member chain of {supernode} disagrees with its count")
             for u in members:
                 if seen[u]:
                     raise GraphFormatError(f"node {u} appears in two supernodes")
@@ -786,11 +525,6 @@ class FlatSummaryGraph(SummaryGraph):
                     raise GraphFormatError(f"supernode_of[{u}] inconsistent")
         if not seen.all():
             raise GraphFormatError("partition does not cover all nodes")
-        for dead in self._free:
-            if self._alive[dead]:
-                raise GraphFormatError(f"free-list contains live supernode {dead}")
-            if self._nbr[dead] is not None:
-                raise GraphFormatError(f"adjacency for dead supernode {dead}")
         count = 0
         for a in live:
             neighbors = self._nbr[a]
@@ -804,3 +538,9 @@ class FlatSummaryGraph(SummaryGraph):
                     count += 1
         if count != self._num_superedges:
             raise GraphFormatError(f"superedge count {self._num_superedges} != recount {count}")
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"SummaryGraph(|V|={self.num_nodes}, |S|={self.num_supernodes}, "
+            f"|P|={self._num_superedges}, weighted={self.is_weighted})"
+        )

@@ -96,16 +96,11 @@ def _parse_id(token: str, num_nodes: int, path: str, lineno: int, what: str) -> 
     return value
 
 
-def load_summary(
-    path: "str | os.PathLike[str]", graph: Graph, *, backend: str = "dict"
-) -> SummaryGraph:
+def load_summary(path: "str | os.PathLike[str]", graph: Graph) -> SummaryGraph:
     """Read a summary of *graph* from *path*.
 
     The input graph must be supplied separately (the summary stores only
-    the partition and superedges, as in Eq. 3's size accounting).  The
-    *backend* keyword selects the storage backend of the loaded summary;
-    the on-disk format is backend-agnostic, so a summary saved from either
-    backend loads into either.
+    the partition and superedges, as in Eq. 3's size accounting).
 
     The file is untrusted input: malformed headers, non-numeric tokens,
     out-of-range or negative ids, and doubly-assigned nodes all raise
@@ -186,7 +181,6 @@ def load_summary(
             assignment,
             superedges,
             weighted=weighted,
-            backend=backend,
             validate=True,
         )
     except GraphFormatError as exc:
@@ -211,16 +205,12 @@ def load_summary_binary(
     path: "str | os.PathLike[str]",
     graph: "Graph | None" = None,
     *,
-    backend: str = "mapped",
     verify: bool = True,
 ) -> SummaryGraph:
-    """Read a binary summary store from *path*.
+    """Read a binary summary store from *path* as a zero-copy read-only view.
 
-    Convenience re-export of :func:`repro.store.load_summary_binary`:
-    ``backend="mapped"`` (default) returns a zero-copy read-only view,
-    ``"dict"``/``"flat"`` materialize the same mutable structures
-    :func:`load_summary` builds from the text format.
+    Convenience re-export of :func:`repro.store.load_summary_binary`.
     """
     from repro.store import load_summary_binary as _load
 
-    return _load(path, graph, backend=backend, verify=verify)
+    return _load(path, graph, verify=verify)

@@ -165,8 +165,6 @@ def build_summary_for_method(
     alpha: float = 1.25,
     t_max: int = 20,
     seed: int = 0,
-    backend: str = "flat",
-    cost_cache: str = "incremental",
     engine: str = "batch",
 ) -> Tuple[SummaryGraph, float, float]:
     """Summarize *graph* with *method* at requested compression *ratio*.
@@ -179,10 +177,9 @@ def build_summary_for_method(
     :func:`_calibrated_baseline`).  Raises :class:`MethodSkipped` for
     baselines above their o.o.t node budget.
 
-    *backend* / *cost_cache* / *engine* select the shared merge engine's
-    storage backend, cost-model strategy, and merge-evaluation engine for
-    PeGaSus and SSumM (the weighted baselines do not run the merge engine
-    and ignore them).
+    *engine* selects the shared merge-evaluation engine for PeGaSus and
+    SSumM (the weighted baselines do not run the merge engine and ignore
+    it).
     """
     limit = OOT_NODE_LIMITS.get(method)
     if limit is not None and graph.num_nodes > limit:
@@ -193,8 +190,6 @@ def build_summary_for_method(
             alpha=alpha,
             t_max=t_max,
             seed=seed,
-            backend=backend,
-            cost_cache=cost_cache,
             engine=engine,
         )
         summary = summarize(
@@ -206,8 +201,6 @@ def build_summary_for_method(
             compression_ratio=ratio,
             t_max=t_max,
             seed=seed,
-            backend=backend,
-            cost_cache=cost_cache,
             engine=engine,
         ).summary
     elif method == "saags":

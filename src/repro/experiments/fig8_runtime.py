@@ -41,7 +41,7 @@ class RuntimeRow:
 
 def _runtime_point(shared, point) -> RuntimeRow:
     """Build and time one (dataset, method) group (runs in a pool worker)."""
-    per_dataset, ratio, scale, backend, cost_cache, engine = shared
+    per_dataset, ratio, scale, engine = shared
     name, method = point
     graph, queries = per_dataset[name]
     try:
@@ -52,8 +52,6 @@ def _runtime_point(shared, point) -> RuntimeRow:
             targets=queries,
             t_max=scale.t_max,
             seed=scale.seed,
-            backend=backend,
-            cost_cache=cost_cache,
             engine=engine,
         )
     except MethodSkipped:
@@ -85,16 +83,14 @@ def run(
     methods: Sequence[str] = METHODS,
     ratio: float = 0.5,
     scale: "ExperimentScale | None" = None,
-    backend: str = "flat",
-    cost_cache: str = "incremental",
     engine: str = "batch",
     workers: "int | None" = None,
 ) -> List[RuntimeRow]:
     """Time summarization plus HOP/RWR query answering per method.
 
-    *backend* / *cost_cache* / *engine* select the merge engine for PeGaSus and SSumM
-    (see :mod:`repro.core.summary` / :mod:`repro.core.costs`); the bench
-    wrapper exposes them as its ``--backend`` axis.  The (dataset, method)
+    *engine* selects the merge-evaluation engine for PeGaSus and SSumM (see
+    :mod:`repro.core.batch`); the bench wrapper exposes it as its
+    ``--engine`` axis.  The (dataset, method)
     groups are independent and fan out over *workers* processes (default:
     ``scale.workers``); note per-group timings measure the group's own
     work, but on a saturated pool they contend for cores, so cross-method
@@ -112,5 +108,5 @@ def run(
         _runtime_point,
         points,
         workers=workers,
-        shared=(per_dataset, ratio, scale, backend, cost_cache, engine),
+        shared=(per_dataset, ratio, scale, engine),
     )

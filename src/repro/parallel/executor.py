@@ -45,6 +45,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
+import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Callable, Iterable, List, Optional, Sequence
 
@@ -65,6 +67,9 @@ _SESSION_SHARED: Any = None
 
 #: Sentinel distinguishing "no shared= argument" from an explicit ``None``.
 _UNSET = object()
+
+#: Seconds between a session worker's checks that its parent is alive.
+_PARENT_POLL_S = 0.5
 
 
 def resolve_workers(workers: "int | None") -> int:
@@ -109,10 +114,26 @@ def _run_task(task: Any) -> Any:
     return _WORKER_FN(_WORKER_SHARED, task)
 
 
+def _exit_when_orphaned(parent: int) -> None:
+    """Exit this worker once its parent process is gone.
+
+    A pool worker whose parent is SIGKILLed never sees EOF on the call
+    queue — it inherited that pipe's write end — so it would sleep on it
+    forever.  Re-parenting changes ``getppid()``, which this loop polls.
+    """
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
 def _init_session_worker(shared: Any) -> None:
-    """Session-pool initializer: install the session payload once."""
+    """Session-pool initializer: install the session payload once, and
+    start the watchdog that ends the worker if its parent dies."""
     global _SESSION_SHARED
     _SESSION_SHARED = shared
+    threading.Thread(
+        target=_exit_when_orphaned, args=(os.getppid(),), name="orphan-watchdog", daemon=True
+    ).start()
 
 
 def _run_session_task(item: Any) -> Any:

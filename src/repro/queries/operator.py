@@ -95,7 +95,8 @@ class ReconstructedOperator:
         sizes = np.bincount(self._compact, minlength=k).astype(np.float64)
 
         # The lexsorted columnar export keeps the operator — and hence every
-        # query answer — numerically identical across storage backends.
+        # query answer — independent of set iteration order and identical
+        # between in-RAM and memory-mapped summaries.
         lo, hi, weights = summary.superedge_arrays()
         lo_pos = np.searchsorted(order, lo)
         hi_pos = np.searchsorted(order, hi)

@@ -19,9 +19,9 @@ instant leaves a recoverable directory: whatever manifest is visible
 names only files that were fully durable when it was published.
 
 :func:`recover_host` rebuilds byte-identical serving state: summaries
-are memory-mapped back (the columnar record is the same export that
-pins cross-backend query equivalence), the streaming
-:class:`~repro.store.DeltaLog` is replayed, and each machine's residual
+are memory-mapped back (the columnar record is the same
+``superedge_arrays()`` export every query answer is a function of), the
+streaming :class:`~repro.store.DeltaLog` is replayed, and each machine's residual
 correction list is re-filtered from its durable cursor — the exact
 computation :meth:`~repro.streaming.summarizer.StreamingSummarizer.residual_for`
 performs incrementally, so recovered answers match an uninterrupted

@@ -10,8 +10,8 @@ micro-batches, without re-pickling them per batch.
 arrays that fully determine its query behavior:
 
 * summary source → ``(supernode_of, lo, hi[, weights])`` — the same
-  lexsorted columnar export that already makes query answers
-  backend-identical (``SummaryGraph.superedge_arrays``);
+  lexsorted columnar export every query answer is computed from
+  (``SummaryGraph.superedge_arrays``);
 * graph source → its CSR ``(indptr, indices)``.
 
 The arrays are packed once into a :class:`~repro.parallel.shm.SharedArrayPack`
@@ -30,10 +30,10 @@ built **once per worker per machine**, not once per batch.
 
 Determinism: the rebuilt summary reproduces the original's
 ``supernode_of`` and lexsorted superedge arrays bit for bit, and every
-query answer is a pure function of those arrays (pinned by the
-cross-backend equivalence suite), so served answers are byte-identical to
-``DistributedCluster.answer`` regardless of worker count, start method,
-or storage backend.
+query answer is a pure function of those arrays (pinned by the mapped
+store's round-trip suite), so served answers are byte-identical to
+``DistributedCluster.answer`` regardless of worker count or start
+method.
 """
 
 from __future__ import annotations

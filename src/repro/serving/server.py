@@ -41,8 +41,8 @@ continuously admitting service:
   they were flushed against, and nothing restarts.
 
 Every answer is byte-identical to ``cluster.answer(node, query_type)``,
-for any arrival interleaving, batch window, worker count, storage
-backend, hedging policy, and injected fault, and serving is
+for any arrival interleaving, batch window, worker count, hedging
+policy, and injected fault, and serving is
 communication-free: a query only ever touches the machine that owns its
 node.
 """

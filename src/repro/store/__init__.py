@@ -9,7 +9,7 @@ Public surface:
   graph persisted and reopened as zero-copy read-only memmap views;
 * :func:`save_summary_binary` / :func:`load_summary_binary` /
   :class:`MappedSummary` — the columnar summary-graph record, answering
-  queries byte-identically to the in-RAM backends without heap copies;
+  queries byte-identically to the in-RAM summary without heap copies;
 * :class:`DeltaLog` — LSM-style durable append segments + compaction for
   the streaming edge overlay.
 

@@ -9,12 +9,12 @@ routing — works on a store file without loading it onto the heap:
   arrays are views into the file mapping.  It passes every
   ``isinstance(source, Graph)`` dispatch and answers queries
   byte-identically to the graph it was saved from.
-* :class:`MappedSummary` is a read-only :class:`SummaryGraph` backend over
+* :class:`MappedSummary` is a read-only :class:`SummaryGraph` view over
   the columnar sections (``supernode_of``, lexsorted superedge columns,
   plus precomputed member/adjacency permutations).  Its
   ``superedge_arrays()`` returns the mapped columns — the exact bytes the
   in-RAM export produced — so RWR/PHP/HOP answers are byte-identical to
-  the original summary on either storage backend.  Mutation raises.
+  the original summary.  Mutation raises.
 
 The derived lookup permutations (members grouped by supernode, superedges
 re-sorted by their high endpoint) are computed **at save time** and stored
@@ -93,7 +93,7 @@ def load_graph(path: "str | os.PathLike[str]", *, verify: bool = True) -> Mapped
 # summaries
 # ----------------------------------------------------------------------
 class MappedSummary(SummaryGraph):
-    """Read-only summary-graph backend over mapped columnar sections.
+    """Read-only summary graph over mapped columnar sections.
 
     Constructed only by :func:`load_summary_binary`; the public surface
     is the :class:`SummaryGraph` API with every accessor answered from
@@ -104,8 +104,6 @@ class MappedSummary(SummaryGraph):
     store, else ``None`` — queries never need it (they read ``num_nodes``
     from the summary itself), only :meth:`compression_ratio` does.
     """
-
-    backend = "mapped"
 
     def __init__(self, *args, **kwargs):
         raise GraphFormatError(
@@ -290,7 +288,7 @@ class MappedSummary(SummaryGraph):
     def _read_only(self, operation: str):
         raise GraphFormatError(
             f"cannot {operation}: mapped summary {self.store_path!r} is read-only "
-            "(load with backend='dict' or 'flat' to mutate)"
+            "(load the text format with load_summary to mutate)"
         )
 
     def add_superedge(self, a: int, b: int, *, weight: "float | None" = None) -> None:
@@ -355,17 +353,16 @@ def save_summary_binary(
 ) -> None:
     """Write *summary* to *path* as a crash-atomic binary summary container.
 
-    Stores the backend-agnostic columnar form — the partition array and
-    the lexsorted superedge columns — plus the precomputed lookup
+    Stores the columnar form — the partition array and the lexsorted
+    superedge columns — plus the precomputed lookup
     permutations that make the mapped view O(log) per accessor.  With
     *include_graph* (default) the input graph's CSR rides along so the
     file is self-contained; builds that spill many summaries of the same
     graph pass ``include_graph=False`` and save the graph once.
 
-    The columnar form is identical across storage backends (it is the
-    same export that pins cross-backend query equivalence), so files
-    saved from ``dict``, ``flat``, or mapped summaries of the same
-    structure are byte-identical.
+    The columnar form is the summary's own ``superedge_arrays()`` export,
+    so files saved from in-RAM or mapped summaries of the same structure
+    are byte-identical.
     """
     lo, hi, weights = summary.superedge_arrays()
     supernode_of = np.ascontiguousarray(summary.supernode_of, dtype=np.int64)
@@ -407,46 +404,12 @@ def load_summary_binary(
     path: "str | os.PathLike[str]",
     graph: "Graph | None" = None,
     *,
-    backend: str = "mapped",
     verify: bool = True,
-) -> SummaryGraph:
-    """Read a summary container from *path*.
-
-    ``backend="mapped"`` (default) returns a zero-copy
+) -> MappedSummary:
+    """Read a summary container from *path* as a zero-copy
     :class:`MappedSummary` over the file mapping — no heap copies of the
-    arrays, read-only, byte-identical query answers.  ``"dict"`` /
-    ``"flat"`` materialize a mutable in-RAM :class:`SummaryGraph` exactly
-    as :func:`repro.core.summary_io.load_summary` would from the text
-    format; they need the input graph (supplied or embedded in the file).
+    arrays, read-only, byte-identical query answers.
     """
     with probe("store.load_summary"):
         container = open_store(path, kind=SUMMARY_KIND, verify=verify)
-        mapped = MappedSummary._from_container(container, graph)
-    if backend == "mapped":
-        return mapped
-    if backend not in ("dict", "flat"):
-        raise GraphFormatError(
-            f"unknown summary backend {backend!r}; choose 'mapped', 'dict' or 'flat'"
-        )
-    base_graph = mapped.graph
-    if base_graph is None:
-        raise GraphFormatError(
-            f"{container.path}: materializing backend={backend!r} needs the input graph; "
-            "pass graph= or save with include_graph=True"
-        )
-    lo, hi, weights = mapped.superedge_arrays()
-    if mapped.is_weighted:
-        superedges = zip(lo.tolist(), hi.tolist(), weights.tolist())
-    else:
-        superedges = ((a, b, None) for a, b in zip(lo.tolist(), hi.tolist()))
-    try:
-        return SummaryGraph.from_parts(
-            base_graph,
-            mapped.supernode_of,
-            superedges,
-            weighted=mapped.is_weighted,
-            backend=backend,
-            validate=True,
-        )
-    except GraphFormatError as exc:
-        raise GraphFormatError(f"{container.path}: {exc}") from None
+        return MappedSummary._from_container(container, graph)

@@ -38,8 +38,8 @@ Determinism contract (pinned by ``tests/streaming/``):
   ``delta.materialize()`` with the same pinned assignment, config, and
   seed — summaries, sizes, and served answers alike.
 * Between refreshes, answers are a deterministic function of
-  ``(stream prefix, refresh history)`` — identical at any worker count
-  and storage backend, with residual topology exactly
+  ``(stream prefix, refresh history)`` — identical at any worker count,
+  with residual topology exactly
   ``Ĝ_summary ∪ streamed edges``.
 """
 

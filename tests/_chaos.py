@@ -23,7 +23,7 @@ import os
 import time
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import current_process
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 
 def consume_token(path: str) -> bool:
@@ -183,10 +183,49 @@ def kill_server(proc) -> None:
     Note the orphaned lane workers: forked pool children hold dup'd
     accepted-socket fds, so the TCP connections do NOT see EOF when the
     parent dies — exactly the mid-frame hang the client-side request
-    timeout exists for.  The workers themselves exit once the pool's
-    call-queue pipe breaks.
+    timeout exists for.  The workers never see EOF on the pool's call
+    queue either (they hold its write end); each one exits when the
+    watchdog thread started by the session-pool initializer
+    (:mod:`repro.parallel.executor`) sees it was re-parented.
     """
     proc.kill()
     proc.wait(timeout=10)
     if proc.stdout is not None:
         proc.stdout.close()
+
+
+def _proc_field(pid: int, field: str) -> "str | None":
+    """One field of ``/proc/<pid>/status``, or ``None`` if *pid* is gone."""
+    try:
+        with open(f"/proc/{pid}/status", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith(field + ":"):
+                    return line.split()[1]
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+    return None
+
+
+def child_pids(proc) -> List[int]:
+    """Pids of the direct children of a spawned server (its lane workers)."""
+    parent = str(proc.pid)
+    return [
+        int(entry)
+        for entry in os.listdir("/proc")
+        if entry.isdigit() and _proc_field(int(entry), "PPid") == parent
+    ]
+
+
+def surviving(pids: List[int], *, timeout_s: float = 5.0) -> List[int]:
+    """Wait up to *timeout_s* for *pids* to exit; return those still running.
+
+    A pid counts as exited once it is gone or a zombie (``State: Z``): an
+    orphan re-parented to an init that does not reap keeps its zombie
+    entry after exiting.
+    """
+    deadline = time.monotonic() + timeout_s
+    while True:
+        alive = [pid for pid in pids if _proc_field(pid, "State") not in (None, "Z")]
+        if not alive or time.monotonic() >= deadline:
+            return alive
+        time.sleep(0.05)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.core import SummaryGraph
 from repro.graph import Graph, barabasi_albert, connected_caveman, planted_partition
+from repro.store import load_graph, load_summary_binary, save_graph, save_summary_binary
 
 
 @pytest.fixture
@@ -69,3 +73,27 @@ def caveman() -> Graph:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(params=["ram", "mapped"])
+def stored(request, tmp_path):
+    """A callable handing a summary or graph back in one of its two storages.
+
+    ``"ram"`` returns the source itself; ``"mapped"`` saves it to the
+    binary store and reopens it zero-copy, the read-only form that spilled
+    clusters and recovered checkpoints answer queries from.  Query
+    contracts must hold on both.
+    """
+    if request.param == "ram":
+        return lambda source: source
+    paths = (tmp_path / f"source-{index}.store" for index in itertools.count())
+
+    def reopen(source):
+        path = next(paths)
+        if isinstance(source, SummaryGraph):
+            save_summary_binary(source, path)
+            return load_summary_binary(path)
+        save_graph(source, path)
+        return load_graph(path)
+
+    return reopen

@@ -253,15 +253,13 @@ def _reference_drop_order(model):
 class TestDropOrderVectorized:
     """The lexsort drop order is pinned bit-for-bit to the Python sort."""
 
-    @pytest.mark.parametrize("backend", ["dict", "flat"])
-    def test_matches_reference_identity_summary(self, sbm_medium, backend):
+    def test_matches_reference_identity_summary(self, sbm_medium):
         weights = PersonalizedWeights(sbm_medium, [0, 3], alpha=1.5)
-        summary = SummaryGraph(sbm_medium, backend=backend)
+        summary = SummaryGraph(sbm_medium)
         model = CostModel(summary, weights)
         assert model.superedge_drop_order() == _reference_drop_order(model)
 
-    @pytest.mark.parametrize("backend", ["dict", "flat"])
-    def test_matches_reference_after_merges(self, backend):
+    def test_matches_reference_after_merges(self):
         from repro.core import PegasusConfig, summarize
         from repro.graph import barabasi_albert
 
@@ -270,7 +268,7 @@ class TestDropOrderVectorized:
             graph,
             targets=[0],
             compression_ratio=0.6,
-            config=PegasusConfig(seed=1, t_max=4, backend=backend),
+            config=PegasusConfig(seed=1, t_max=4),
         )
         model = CostModel(result.summary, result.weights)
         order = model.superedge_drop_order()

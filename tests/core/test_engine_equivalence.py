@@ -6,26 +6,18 @@ identical** merges and summaries for the same seed — same RNG consumption
 (speculative draws are rewound on merge), same first-occurrence pair
 dedup, bit-identical float arithmetic, same first-wins argmax, and the
 same rejected scores recorded on the threshold.  The checks here are
-therefore *exact* (``==``), across storage backends × objectives ×
-threshold policies × generator families, plus a determinism regression
-(same seed ⇒ byte-identical summaries twice on the batch engine).
-
-The profitability gate normally routes short-row groups to the scalar
-loop; ``force_batch`` removes it so the vectorized path is exercised even
-on the small graphs used here (the default-gate path is covered too —
-any gate setting must yield the same bits).
+therefore *exact* (``==``), across objectives × threshold policies ×
+generator families, plus a determinism regression (same seed ⇒
+byte-identical summaries twice on the batch engine).
 """
 
 from __future__ import annotations
-
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.core.batch as batch_module
 from repro.core import (
     AdaptiveThreshold,
     BatchCostEvaluator,
@@ -37,7 +29,6 @@ from repro.core import (
 )
 from repro.core.merge import merge_groups, merge_within_group
 from repro.core.summary_io import save_summary
-from repro.errors import GraphFormatError
 from repro.graph import (
     barabasi_albert,
     connected_caveman,
@@ -60,11 +51,6 @@ GRAPH_FAMILIES = {
     ),
     "ws": lambda n, seed: watts_strogatz(n, 3, 0.1, seed=seed),
 }
-
-
-def force_batch():
-    """Disable the profitability gate so every window vectorizes."""
-    return mock.patch.object(batch_module, "DEFAULT_MIN_BATCH_ELEMENTS", 0)
 
 
 def summarize_on(graph, engine, *, targets=None, ratio=0.4, **config_kwargs):
@@ -95,18 +81,15 @@ def assert_summaries_identical(left: SummaryGraph, right: SummaryGraph) -> None:
 
 def assert_equivalent_run(graph, *, targets=None, ratio=0.4, **config_kwargs):
     scalar = summarize_on(graph, "scalar", targets=targets, ratio=ratio, **config_kwargs)
-    with force_batch():
-        batch = summarize_on(graph, "batch", targets=targets, ratio=ratio, **config_kwargs)
-    gated = summarize_on(graph, "batch", targets=targets, ratio=ratio, **config_kwargs)
+    batch = summarize_on(graph, "batch", targets=targets, ratio=ratio, **config_kwargs)
     # The runs must replay merge-for-merge, not just end at the same place.
-    for other in (batch, gated):
-        assert scalar.iterations == other.iterations
-        assert scalar.total_merges == other.total_merges
-        assert scalar.dropped_superedges == other.dropped_superedges
-        assert scalar.budget_met == other.budget_met
-        assert scalar.size_trajectory == other.size_trajectory
-        assert scalar.theta_trajectory == other.theta_trajectory
-        assert_summaries_identical(scalar.summary, other.summary)
+    assert scalar.iterations == batch.iterations
+    assert scalar.total_merges == batch.total_merges
+    assert scalar.dropped_superedges == batch.dropped_superedges
+    assert scalar.budget_met == batch.budget_met
+    assert scalar.size_trajectory == batch.size_trajectory
+    assert scalar.theta_trajectory == batch.theta_trajectory
+    assert_summaries_identical(scalar.summary, batch.summary)
     return scalar, batch
 
 
@@ -114,10 +97,9 @@ class TestSummarizeEquivalence:
     """Full Alg. 1 runs produce identical summaries on both engines."""
 
     @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
-    @pytest.mark.parametrize("backend", ["dict", "flat"])
-    def test_default_config(self, family, backend):
+    def test_default_config(self, family):
         graph = GRAPH_FAMILIES[family](120, 3)
-        assert_equivalent_run(graph, targets=[0, 1], seed=4, t_max=8, backend=backend)
+        assert_equivalent_run(graph, targets=[0, 1], seed=4, t_max=8)
 
     @pytest.mark.parametrize(
         "alpha,targets", [(1.0, None), (1.25, [0, 5]), (2.0, [3])]
@@ -138,12 +120,9 @@ class TestSummarizeEquivalence:
         )
 
     @pytest.mark.parametrize("objective", ["relative", "absolute"])
-    @pytest.mark.parametrize("backend", ["dict", "flat"])
-    def test_objective_ablation(self, objective, backend):
+    def test_objective_ablation(self, objective):
         graph = planted_partition(160, 4, avg_degree_in=6.0, avg_degree_out=1.0, seed=2)
-        assert_equivalent_run(
-            graph, targets=[0], objective=objective, seed=1, t_max=6, backend=backend
-        )
+        assert_equivalent_run(graph, targets=[0], objective=objective, seed=1, t_max=6)
 
     def test_tight_budget_exercises_sparsification(self):
         graph = connected_caveman(8, 6)
@@ -159,23 +138,10 @@ class TestSummarizeEquivalence:
     def test_saved_bytes_identical(self, tmp_path):
         graph = barabasi_albert(180, 3, seed=9)
         scalar = summarize_on(graph, "scalar", targets=[2], ratio=0.4, seed=5)
-        with force_batch():
-            batch = summarize_on(graph, "batch", targets=[2], ratio=0.4, seed=5)
+        batch = summarize_on(graph, "batch", targets=[2], ratio=0.4, seed=5)
         assert summary_bytes(scalar.summary, tmp_path, "scalar") == summary_bytes(
             batch.summary, tmp_path, "batch"
         )
-
-    def test_rebuild_cache_degrades_to_scalar(self):
-        """engine='batch' with cost_cache='rebuild' has no block rows to
-        gather and must silently run the scalar loop — identical bits."""
-        graph = barabasi_albert(120, 3, seed=1)
-        rebuild_scalar = summarize_on(
-            graph, "scalar", targets=[0], seed=2, cost_cache="rebuild"
-        )
-        rebuild_batch = summarize_on(
-            graph, "batch", targets=[0], seed=2, cost_cache="rebuild"
-        )
-        assert_summaries_identical(rebuild_scalar.summary, rebuild_batch.summary)
 
     @SETTINGS
     @given(
@@ -185,11 +151,8 @@ class TestSummarizeEquivalence:
         run_seed=st.integers(min_value=0, max_value=2**31 - 1),
         alpha=st.sampled_from([1.0, 1.25, 1.75]),
         ratio=st.sampled_from([0.3, 0.5]),
-        backend=st.sampled_from(["dict", "flat"]),
     )
-    def test_property_random_graphs(
-        self, family, num_nodes, graph_seed, run_seed, alpha, ratio, backend
-    ):
+    def test_property_random_graphs(self, family, num_nodes, graph_seed, run_seed, alpha, ratio):
         graph = GRAPH_FAMILIES[family](num_nodes, graph_seed)
         targets = None if alpha == 1.0 else [graph_seed % max(graph.num_nodes, 1)]
         assert_equivalent_run(
@@ -199,29 +162,23 @@ class TestSummarizeEquivalence:
             ratio=ratio,
             seed=run_seed,
             t_max=5,
-            backend=backend,
         )
 
 
 class TestMergeGroupsEquivalence:
     """Direct merge-loop equivalence, independent of the Alg. 1 driver."""
 
-    @pytest.mark.parametrize("backend", ["dict", "flat"])
-    def test_windowed_groups_match_scalar(self, backend):
+    def test_windowed_groups_match_scalar(self):
         graph = barabasi_albert(160, 4, seed=6)
         results = []
         for engine in ("scalar", "batch"):
-            summary = SummaryGraph(graph, backend=backend)
+            summary = SummaryGraph(graph)
             weights = PersonalizedWeights.uniform(graph)
             model = CostModel(summary, weights)
             rng = np.random.default_rng(11)
             groups = [np.arange(0, 40), np.arange(40, 44), np.arange(44, 90)]
             threshold = AdaptiveThreshold(beta=0.1, initial=0.2)
-            evaluator = (
-                BatchCostEvaluator(model, min_batch_elements=0)
-                if engine == "batch"
-                else None
-            )
+            evaluator = BatchCostEvaluator(model) if engine == "batch" else None
             stats = merge_groups(
                 model, groups, threshold, rng, evaluator=evaluator
             )
@@ -236,13 +193,9 @@ class TestMergeGroupsEquivalence:
         graph = connected_caveman(4, 6)
         outputs = []
         for engine in ("scalar", "batch"):
-            summary = SummaryGraph(graph, backend="flat")
+            summary = SummaryGraph(graph)
             model = CostModel(summary, PersonalizedWeights.uniform(graph))
-            evaluator = (
-                BatchCostEvaluator(model, min_batch_elements=0)
-                if engine == "batch"
-                else None
-            )
+            evaluator = BatchCostEvaluator(model) if engine == "batch" else None
             stats = merge_within_group(
                 model,
                 np.arange(12),
@@ -259,14 +212,10 @@ class TestMergeGroupsEquivalence:
         graph = barabasi_albert(120, 5, seed=8)
         streams = []
         for engine in ("scalar", "batch"):
-            summary = SummaryGraph(graph, backend="flat")
+            summary = SummaryGraph(graph)
             model = CostModel(summary, PersonalizedWeights.uniform(graph))
             rng = np.random.default_rng(21)
-            evaluator = (
-                BatchCostEvaluator(model, min_batch_elements=0)
-                if engine == "batch"
-                else None
-            )
+            evaluator = BatchCostEvaluator(model) if engine == "batch" else None
             merge_groups(
                 model,
                 [np.arange(0, 60), np.arange(60, 120)],
@@ -283,14 +232,10 @@ class TestMergeGroupsEquivalence:
         graph = connected_caveman(4, 5)
         outputs = []
         for engine in ("scalar", "batch"):
-            summary = SummaryGraph(graph, backend="flat")
+            summary = SummaryGraph(graph)
             summary.add_superedge(0, 10)  # edgeless block
             model = CostModel(summary, PersonalizedWeights.uniform(graph))
-            evaluator = (
-                BatchCostEvaluator(model, min_batch_elements=0)
-                if engine == "batch"
-                else None
-            )
+            evaluator = BatchCostEvaluator(model) if engine == "batch" else None
             merge_groups(
                 model,
                 [np.arange(0, 10)],
@@ -305,17 +250,11 @@ class TestMergeGroupsEquivalence:
 
 
 class TestEvaluatorContract:
-    def test_requires_incremental_cache(self, sbm_medium):
-        summary = SummaryGraph(sbm_medium)
-        model = CostModel(summary, PersonalizedWeights.uniform(sbm_medium), cache="rebuild")
-        with pytest.raises(GraphFormatError):
-            BatchCostEvaluator(model)
-
     def test_scores_match_scalar_bitwise(self, sbm_medium):
         """evaluate_scores columns equal evaluate_merge's outputs exactly."""
-        summary = SummaryGraph(sbm_medium, backend="flat")
+        summary = SummaryGraph(sbm_medium)
         model = CostModel(summary, PersonalizedWeights(sbm_medium, [0], alpha=1.5))
-        evaluator = BatchCostEvaluator(model, min_batch_elements=0)
+        evaluator = BatchCostEvaluator(model)
         rng = np.random.default_rng(0)
         a_ids = rng.integers(0, sbm_medium.num_nodes, size=64)
         b_ids = (a_ids + 1 + rng.integers(0, sbm_medium.num_nodes - 1, size=64)) % (
@@ -330,9 +269,9 @@ class TestEvaluatorContract:
             assert plan.relative_delta == relative[k]
 
     def test_apply_merge_keeps_mirrors_in_sync(self, sbm_medium):
-        summary = SummaryGraph(sbm_medium, backend="flat")
+        summary = SummaryGraph(sbm_medium)
         model = CostModel(summary, PersonalizedWeights.uniform(sbm_medium))
-        evaluator = BatchCostEvaluator(model, min_batch_elements=0)
+        evaluator = BatchCostEvaluator(model)
         plan = model.evaluate_merge(0, 1)
         union = evaluator.apply_merge(plan)
         # Scores computed after the merge still match the scalar engine.
@@ -348,15 +287,12 @@ class TestEvaluatorContract:
 class TestDeterminism:
     """Same seed ⇒ byte-identical summaries, run to run, on the batch engine."""
 
-    @pytest.mark.parametrize("backend", ["dict", "flat"])
-    def test_repeat_runs_byte_identical(self, tmp_path, backend):
+    def test_repeat_runs_byte_identical(self, tmp_path):
         graph = barabasi_albert(200, 3, seed=11)
         blobs = []
         for repeat in range(2):
-            result = summarize_on(
-                graph, "batch", targets=[0, 7], ratio=0.4, seed=13, backend=backend
-            )
-            blobs.append(summary_bytes(result.summary, tmp_path, f"{backend}-{repeat}"))
+            result = summarize_on(graph, "batch", targets=[0, 7], ratio=0.4, seed=13)
+            blobs.append(summary_bytes(result.summary, tmp_path, f"run-{repeat}"))
         assert blobs[0] == blobs[1]
 
     def test_seed_changes_output(self):

@@ -109,7 +109,7 @@ def assert_pairs_bitwise_equal(model: CostModel, evaluator: BatchCostEvaluator, 
 
 
 def fresh_engine(graph: Graph, mode: int):
-    summary = SummaryGraph(graph, backend="flat")
+    summary = SummaryGraph(graph)
     weights = make_weights(graph, mode)
     model = CostModel(summary, weights)
     return model, BatchCostEvaluator(model)

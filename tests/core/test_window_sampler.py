@@ -117,7 +117,7 @@ class TestWindow:
 
 def run_merges(rng, engine):
     graph = barabasi_albert(160, 4, seed=6)
-    summary = SummaryGraph(graph, backend="flat")
+    summary = SummaryGraph(graph)
     model = CostModel(summary, PersonalizedWeights.uniform(graph))
     threshold = AdaptiveThreshold(beta=0.1, initial=0.2)
     evaluator = BatchCostEvaluator(model) if engine == "batch" else None

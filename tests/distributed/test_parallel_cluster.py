@@ -60,14 +60,14 @@ class TestParallelSummaryCluster:
                 par.source, tmp_path, f"par{par.machine_id}"
             )
 
-    def test_flat_backend_builds_in_parallel(self, graph, tmp_path):
+    def test_two_machine_builds_in_parallel(self, graph, tmp_path):
         budget = 0.5 * graph.size_in_bits()
         clusters = [
             build_summary_cluster(
                 graph,
                 2,
                 budget,
-                config=PegasusConfig(seed=1, t_max=5, backend="flat"),
+                config=PegasusConfig(seed=1, t_max=5),
                 workers=workers,
             )
             for workers in (1, 2)

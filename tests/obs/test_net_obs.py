@@ -44,7 +44,7 @@ def clusters(graph):
             graph,
             4,
             0.5 * graph.size_in_bits(),
-            config=PegasusConfig(seed=i, t_max=8, backend="flat"),
+            config=PegasusConfig(seed=i, t_max=8),
         )
         for i, name in enumerate(TENANTS)
     }

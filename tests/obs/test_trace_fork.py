@@ -36,7 +36,7 @@ pytestmark = pytest.mark.filterwarnings("error::ResourceWarning")
 @pytest.fixture(scope="module")
 def cluster():
     graph = planted_partition(120, 4, avg_degree_in=8.0, avg_degree_out=1.0, seed=11)
-    config = PegasusConfig(seed=1, t_max=8, backend="flat")
+    config = PegasusConfig(seed=1, t_max=8)
     return build_summary_cluster(graph, 4, 0.5 * graph.size_in_bits(), config=config)
 
 

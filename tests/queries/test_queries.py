@@ -1,4 +1,8 @@
-"""Tests for RWR, HOP, PHP, and neighborhood queries (Appendix A)."""
+"""Tests for RWR, HOP, PHP, and neighborhood queries (Appendix A).
+
+Tests that take the ``stored`` fixture run twice: on the source in RAM and
+on its memory-mapped reload from the binary store.
+"""
 
 from __future__ import annotations
 
@@ -26,8 +30,8 @@ class TestNeighbors:
     def test_graph_neighbors_exact(self, ba_small):
         assert np.array_equal(approximate_neighbors(ba_small, 4), ba_small.neighbors(4))
 
-    def test_identity_summary_neighbors_exact(self, ba_small):
-        summary = SummaryGraph(ba_small)
+    def test_identity_summary_neighbors_exact(self, ba_small, stored):
+        summary = stored(SummaryGraph(ba_small))
         for u in (0, 7, 31):
             assert np.array_equal(approximate_neighbors(summary, u), ba_small.neighbors(u))
 
@@ -37,9 +41,9 @@ class TestNeighbors:
 
 
 class TestRwr:
-    def test_scores_sum_to_one(self, summarized):
+    def test_scores_sum_to_one(self, summarized, stored):
         graph, summary = summarized
-        for source in (graph, summary):
+        for source in (stored(graph), stored(summary)):
             scores = rwr_scores(source, 0)
             assert scores.sum() == pytest.approx(1.0)
             assert scores.min() >= 0.0
@@ -54,15 +58,15 @@ class TestRwr:
         slow = rwr_scores_reference(two_cliques, 0)
         assert np.allclose(fast, slow, atol=1e-8)
 
-    def test_matches_reference_on_summary(self, summarized):
-        _, summary = summarized
+    def test_matches_reference_on_summary(self, summarized, stored):
+        summary = stored(summarized[1])
         fast = rwr_scores(summary, 3)
         slow = rwr_scores_reference(summary, 3)
         assert np.allclose(fast, slow, atol=1e-8)
 
-    def test_identity_summary_equals_exact(self, ba_small):
+    def test_identity_summary_equals_exact(self, ba_small, stored):
         exact = rwr_scores(ba_small, 0)
-        via_summary = rwr_scores(SummaryGraph(ba_small), 0)
+        via_summary = rwr_scores(stored(SummaryGraph(ba_small)), 0)
         assert np.allclose(exact, via_summary, atol=1e-10)
 
     def test_restart_validation(self, triangle):
@@ -89,26 +93,26 @@ class TestHop:
     def test_exact_on_graph(self, ba_small):
         assert np.array_equal(hop_distances(ba_small, 0), bfs_distances(ba_small, 0))
 
-    def test_identity_summary_equals_exact(self, ba_small):
+    def test_identity_summary_equals_exact(self, ba_small, stored):
         exact = bfs_distances(ba_small, 3)
-        approx = hop_distances(SummaryGraph(ba_small), 3, unreachable="raw")
+        approx = hop_distances(stored(SummaryGraph(ba_small)), 3, unreachable="raw")
         assert np.array_equal(exact, approx)
 
-    def test_summary_matches_reconstruction_bfs(self, summarized):
-        _, summary = summarized
+    def test_summary_matches_reconstruction_bfs(self, summarized, stored):
+        summary = stored(summarized[1])
         recon = summary.reconstruct()
         for q in (0, 10, 77):
             quotient = hop_distances(summary, q, unreachable="raw")
             direct = bfs_distances(recon, q)
             assert np.array_equal(quotient, direct)
 
-    def test_self_loop_home_supernode(self, two_cliques):
+    def test_self_loop_home_supernode(self, two_cliques, stored):
         summary = SummaryGraph(two_cliques)
         for b in (1, 2, 3):
             summary.merge_supernodes(0, b)
         summary.add_superedge(0, 0)
         summary.add_superedge(0, 4)
-        dist = hop_distances(summary, 0, unreachable="raw")
+        dist = hop_distances(stored(summary), 0, unreachable="raw")
         assert dist[0] == 0
         assert dist[1] == dist[2] == dist[3] == 1  # via the self-loop
         assert dist[4] == 1
@@ -127,10 +131,12 @@ class TestHop:
         with pytest.raises(QueryError):
             hop_distances(triangle, 0, unreachable="zero")
 
-    def test_weighted_summary_zero_weight_edges_absent(self, two_cliques):
+    def test_weighted_summary_zero_weight_edges_absent(self, two_cliques, stored):
         assignment = np.asarray([0, 0, 0, 0, 1, 1, 1, 1])
-        summary = SummaryGraph.from_partition(
-            two_cliques, assignment, weighted=True, superedge_rule="all_blocks"
+        summary = stored(
+            SummaryGraph.from_partition(
+                two_cliques, assignment, weighted=True, superedge_rule="all_blocks"
+            )
         )
         dist = hop_distances(summary, 0, unreachable="raw")
         # The bridge block (density 1/16, but present) makes every member of
@@ -140,9 +146,9 @@ class TestHop:
 
 
 class TestPhp:
-    def test_query_node_is_one(self, summarized):
+    def test_query_node_is_one(self, summarized, stored):
         graph, summary = summarized
-        for source in (graph, summary):
+        for source in (stored(graph), stored(summary)):
             scores = php_scores(source, 7)
             assert scores[7] == pytest.approx(1.0)
             assert np.all(scores <= 1.0) and np.all(scores >= 0.0)
@@ -152,8 +158,8 @@ class TestPhp:
         slow = php_scores_reference(two_cliques, 1)
         assert np.allclose(fast, slow, atol=1e-8)
 
-    def test_matches_reference_on_summary(self, summarized):
-        _, summary = summarized
+    def test_matches_reference_on_summary(self, summarized, stored):
+        summary = stored(summarized[1])
         fast = php_scores(summary, 2)
         slow = php_scores_reference(summary, 2)
         assert np.allclose(fast, slow, atol=1e-8)

@@ -19,7 +19,7 @@ import socket
 
 import pytest
 
-from _chaos import kill_server, spawn_server, trickle_frame
+from _chaos import child_pids, kill_server, spawn_server, surviving, trickle_frame
 from repro.core import PegasusConfig
 from repro.distributed import build_summary_cluster
 from repro.serving import NetClient, NetServer, ResilientClient, TenantConfig, TenantHost
@@ -156,12 +156,20 @@ class TestKillServer:
         proc, seen_port = spawn_server(argv)
         assert seen_port == port
         try:
-            asyncio.run(self._drive(proc, port, state_dir, argv))
+            asyncio.run(self._drive(proc, port, state_dir, argv, workers))
         finally:
             if proc.poll() is None:
                 kill_server(proc)
 
-    async def _drive(self, proc, port: int, state_dir: str, argv) -> None:
+    @staticmethod
+    def _kill_and_reap(proc, workers: int) -> None:
+        """SIGKILL the server; none of its lane workers may outlive it."""
+        lanes = child_pids(proc)
+        assert lanes or workers == 1, "pooled server has no lane workers to check"
+        kill_server(proc)
+        assert surviving(lanes) == [], "lane workers outlived their SIGKILLed server"
+
+    async def _drive(self, proc, port: int, state_dir: str, argv, workers: int) -> None:
         from repro.resilience import recover_host
 
         client = await ResilientClient.connect(
@@ -174,7 +182,7 @@ class TestKillServer:
             ]
             _pin_wire(await client.stats())  # mid-load, pre-crash
             await asyncio.gather(*inflight)
-            kill_server(proc)
+            self._kill_and_reap(proc, workers)
 
             # Restart from the durable state dir on the same port; the
             # resilient client reconnects and keeps getting byte-identical
@@ -191,4 +199,4 @@ class TestKillServer:
                 assert stats["tenant0"]["answered"] >= 8
                 assert client.connects >= 2  # the crash really severed us
             finally:
-                kill_server(restarted)
+                self._kill_and_reap(restarted, workers)

@@ -2,7 +2,8 @@
 
 Pins the PR-3 guarantees: (a) every answer served by ``QueryServer`` is
 byte-identical to ``DistributedCluster.answer(node, query_type)`` for any
-arrival interleaving, worker count, batch window, and storage backend;
+arrival interleaving, worker count, batch window, and machine storage
+(in RAM or spilled to memory-mapped store files);
 (b) duplicate query nodes get one answer per *request* (unlike the
 dict-returning batch APIs); (c) admission control bounds memory —
 ``submit`` backpressures and ``submit_nowait`` sheds load; (d) serving
@@ -22,6 +23,7 @@ from repro.distributed import build_subgraph_cluster, build_summary_cluster
 from repro.errors import QueryError, ServingError
 from repro.graph import planted_partition
 from repro.serving import QUERY_TYPES, QueryServer, serve_queries
+from repro.store import MappedSummary
 
 pytestmark = pytest.mark.filterwarnings("error::ResourceWarning")
 
@@ -31,10 +33,15 @@ def graph():
     return planted_partition(160, 4, avg_degree_in=8.0, avg_degree_out=1.0, seed=2)
 
 
-@pytest.fixture(scope="module", params=["dict", "flat"])
-def summary_cluster(request, graph):
-    config = PegasusConfig(seed=1, t_max=8, backend=request.param)
-    return build_summary_cluster(graph, 4, 0.5 * graph.size_in_bits(), config=config)
+@pytest.fixture(scope="module", params=["ram", "spilled"])
+def summary_cluster(request, graph, tmp_path_factory):
+    """Machine summaries held in RAM, or spilled to store files that the
+    serving workers memory-map themselves."""
+    config = PegasusConfig(seed=1, t_max=8)
+    spill_dir = tmp_path_factory.mktemp("spill") if request.param == "spilled" else None
+    return build_summary_cluster(
+        graph, 4, 0.5 * graph.size_in_bits(), config=config, spill_dir=spill_dir
+    )
 
 
 @pytest.fixture(scope="module")
@@ -358,12 +365,14 @@ class TestLifecycle:
 
     def test_worker_pool_and_shared_memory_active(self, summary_cluster):
         """With workers > 1 a persistent pool is up and the machine arrays
-        live in shared memory, and stopping releases both."""
+        live in shared memory, and stopping releases both.  Spilled
+        machines ship only their store paths, so nothing is packed."""
+        spilled = all(isinstance(m.source, MappedSummary) for m in summary_cluster.machines)
 
         async def _probe():
             async with QueryServer(summary_cluster, workers=2) as server:
                 assert server._executor.started and not server._executor.inline
-                assert server.uses_shared_memory
+                assert server.uses_shared_memory == (not spilled)
                 return await server.submit(0, "rwr")
 
         answer = asyncio.run(_probe())

@@ -3,8 +3,7 @@
 Pins the acceptance contract of the persistent store: a summary saved to
 the binary container and reopened via ``np.memmap`` answers rwr / hop /
 php queries **byte-identically** to the in-RAM summary it was saved from,
-on both storage backends, and text ↔ binary ↔ text conversion loses
-nothing.
+weighted or not, and text ↔ binary ↔ text conversion loses nothing.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import BACKENDS, PegasusConfig, SummaryGraph, summarize
+from repro.core import PegasusConfig, SummaryGraph, summarize
 from repro.core.summary_io import (
     load_summary,
     load_summary_binary,
@@ -30,12 +29,19 @@ def graph():
     return barabasi_albert(250, 3, seed=7)
 
 
-@pytest.fixture(scope="module", params=list(BACKENDS))
+@pytest.fixture(scope="module", params=["pegasus", "weighted"])
 def summary(request, graph):
+    """A budgeted PeGaSus summary, or a weighted one whose superedges carry
+    block densities (the store's optional weights column)."""
+    if request.param == "weighted":
+        assignment = np.arange(graph.num_nodes) % 10
+        return SummaryGraph.from_partition(
+            graph, assignment, weighted=True, superedge_rule="all_blocks"
+        )
     result = summarize(
         graph,
         budget_bits=0.5 * graph.size_in_bits(),
-        config=PegasusConfig(seed=4, backend=request.param),
+        config=PegasusConfig(seed=4),
     )
     return result.summary
 
@@ -131,15 +137,28 @@ class TestSummaryStore:
             MappedSummary(summary.graph)  # only _from_container may build one
 
     def test_materialize_back(self, summary, tmp_path):
+        """The mapped columns are enough to rebuild a mutable summary."""
         path = tmp_path / "s.store"
         save_summary_binary(summary, path)
-        for backend in BACKENDS:
-            loaded = load_summary_binary(path, backend=backend)
-            assert type(loaded).__name__ != "MappedSummary"
-            assert np.array_equal(
-                np.asarray(loaded.supernode_of), np.asarray(summary.supernode_of)
-            )
-            assert sorted(loaded.superedges()) == sorted(summary.superedges())
+        mapped = load_summary_binary(path)
+        lo, hi, weights = mapped.superedge_arrays()
+        weight_list = [None] * lo.size if weights is None else weights.tolist()
+        loaded = SummaryGraph.from_parts(
+            mapped.graph,
+            mapped.supernode_of,
+            zip(lo.tolist(), hi.tolist(), weight_list),
+            weighted=weights is not None,
+            validate=True,
+        )
+        assert not isinstance(loaded, MappedSummary)
+        assert loaded.is_weighted == summary.is_weighted
+        assert np.array_equal(
+            np.asarray(loaded.supernode_of), np.asarray(summary.supernode_of)
+        )
+        assert sorted(loaded.superedges()) == sorted(summary.superedges())
+        if summary.is_weighted:
+            for a, b in summary.superedges():
+                assert loaded.superedge_weight(a, b) == summary.superedge_weight(a, b)
 
     def test_weighted_summary(self, graph, tmp_path):
         # A coarse weighted partition: 10 supernodes, density-weighted blocks.
@@ -163,19 +182,19 @@ class TestTextBinaryText:
         binary = tmp_path / "s.store"
         text2 = tmp_path / "s2.txt"
         save_summary(summary, text1)
-        from_text = load_summary(text1, graph, backend="flat")
+        from_text = load_summary(text1, graph)
         save_summary_binary(from_text, binary)
         mapped = load_summary_binary(binary)
         save_summary(mapped, text2)  # text writer works on mapped summaries
         assert text1.read_text() == text2.read_text()
-        final = load_summary(text2, graph, backend="dict")
+        final = load_summary(text2, graph)
         assert np.array_equal(
             np.asarray(final.supernode_of), np.asarray(summary.supernode_of)
         )
         assert sorted(final.superedges()) == sorted(summary.superedges())
 
     def test_identity_summary(self, graph, tmp_path):
-        summary = SummaryGraph(graph, backend="flat")
+        summary = SummaryGraph(graph)
         path = tmp_path / "id.store"
         save_summary_binary(summary, path)
         mapped = load_summary_binary(path)

@@ -3,7 +3,8 @@
 The pins that make hot-swap serving trustworthy:
 
 * with no residual edges, every query path produces byte-identical
-  output to the bare summary (operator arrays, hop BFS, neighbors);
+  output to the bare summary (operator arrays, hop BFS, neighbors),
+  whether that summary is held in RAM or memory-mapped;
 * residual answers equal the literal Alg. 4-driven reference
   implementations run on the residual reconstruction;
 * with a lossless base summary, residual answers at any prefix are the
@@ -23,6 +24,7 @@ from repro.queries.hop import hop_distances_reference
 from repro.queries.neighbors import approximate_neighbors
 from repro.queries.php import php_scores_reference
 from repro.queries.rwr import rwr_scores_reference
+from repro.store import load_summary_binary, save_summary_binary
 from repro.streaming import GraphDelta, ResidualSource, correction_bits_per_edge
 
 
@@ -31,12 +33,19 @@ def stream_graph():
     return planted_partition(90, 3, avg_degree_in=7.0, avg_degree_out=1.0, seed=4)
 
 
-@pytest.fixture(scope="module", params=["dict", "flat"])
-def lossy_summary(request, stream_graph):
-    config = PegasusConfig(seed=2, t_max=6, backend=request.param)
-    return summarize(
+@pytest.fixture(scope="module", params=["ram", "mapped"])
+def lossy_summary(request, stream_graph, tmp_path_factory):
+    """The base summary, in RAM or memory-mapped from the binary store —
+    recovery overlays residual corrections on the mapped form."""
+    config = PegasusConfig(seed=2, t_max=6)
+    summary = summarize(
         stream_graph, targets=[0, 1], compression_ratio=0.5, config=config
     ).summary
+    if request.param == "ram":
+        return summary
+    path = tmp_path_factory.mktemp("residual") / "base.store"
+    save_summary_binary(summary, path)
+    return load_summary_binary(path)
 
 
 def _fresh_edges(summary, rng, count=12):

@@ -4,15 +4,15 @@ Pins the tentpole guarantees of the streaming subsystem:
 
 * **Refresh equivalence** — after refreshing its stale machines at *any*
   stream prefix, under *any* earlier refresh cadence and worker count,
-  the streaming cluster is byte-identical to a from-scratch
-  ``build_summary_cluster`` on the materialized graph with the same
-  pinned assignment, config, and seed: same saved summaries, same
-  machine memory accounting, same answers for every query type.
+  with or without a durable delta log, the streaming cluster is
+  byte-identical to a from-scratch ``build_summary_cluster`` on the
+  materialized graph with the same pinned assignment, config, and seed:
+  same saved summaries, same machine memory accounting, same answers for
+  every query type.
 * **Path independence** — interleaving partial refreshes of arbitrary
   machine subsets never changes the final refreshed state.
 * **Determinism** — at every prefix (refreshed or residual-corrected),
-  answers are identical across runs, worker counts, and storage
-  backends.
+  answers are identical across runs and worker counts.
 * **Hot-swap serving** — a live ``QueryServer`` tracks every swap:
   served answers stay byte-identical to the synchronous
   ``cluster.answer`` path between arbitrary ingests/refreshes, in-flight
@@ -31,6 +31,7 @@ from repro.core.summary_io import save_summary
 from repro.distributed import build_summary_cluster
 from repro.graph import Graph, planted_partition
 from repro.serving import QueryServer
+from repro.store import DeltaLog
 from repro.streaming import StreamingSummarizer
 
 QUERY_TYPES = ("rwr", "hop", "php")
@@ -77,18 +78,21 @@ def _assert_cluster_equals_reference(streaming, reference, tmp_path, tag):
 
 
 class TestRefreshEquivalence:
-    @pytest.mark.parametrize("backend", ["dict", "flat"])
+    @pytest.mark.parametrize("log", ["volatile", "durable"])
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize(
         "cadence",
         ["every-batch", "drift-auto", "final-only"],
     )
     def test_streamed_then_refreshed_equals_from_scratch(
-        self, stream_setup, tmp_path, backend, workers, cadence
+        self, stream_setup, tmp_path, log, workers, cadence
     ):
+        """With a durable delta log, every ingest is also appended to disk
+        and every refresh compacts it; neither may change the summaries."""
         _, base, stream = stream_setup
-        config = PegasusConfig(seed=1, t_max=5, backend=backend)
+        config = PegasusConfig(seed=1, t_max=5)
         budget = 0.5 * base.size_in_bits()
+        log_dir = tmp_path / "log" if log == "durable" else None
         streaming = StreamingSummarizer(
             base,
             3,
@@ -97,6 +101,7 @@ class TestRefreshEquivalence:
             seed=1,
             workers=workers,
             drift_threshold=0.0 if cadence == "every-batch" else 0.05,
+            log_dir=log_dir,
         )
         mode = "none" if cadence == "final-only" else "auto"
         for lo in range(0, stream.shape[0], 40):
@@ -112,6 +117,9 @@ class TestRefreshEquivalence:
         )
         _assert_cluster_equals_reference(streaming, reference, tmp_path, cadence)
         streaming.cluster.assert_communication_free()
+        if log_dir is not None:
+            recovered, _ = DeltaLog.recover(log_dir)
+            assert recovered.materialize() == streaming.delta.materialize()
 
     def test_equivalence_at_every_prefix_with_zero_threshold(
         self, stream_setup, tmp_path
@@ -201,24 +209,6 @@ class TestDeterminism:
         parallel = run(4)
         assert first == again
         assert first == parallel
-
-    def test_backends_agree_at_every_prefix(self, stream_setup):
-        _, base, stream = stream_setup
-        budget = 0.5 * base.size_in_bits()
-        nodes = _probe_nodes(base, count=5)
-
-        def run(backend):
-            config = PegasusConfig(seed=6, t_max=4, backend=backend)
-            streaming = StreamingSummarizer(
-                base, 2, budget, config=config, seed=6, drift_threshold=0.08
-            )
-            trace = []
-            for lo in range(0, stream.shape[0], 50):
-                streaming.ingest(stream[lo : lo + 50])
-                trace.append(_answers(streaming.cluster, nodes))
-            return trace
-
-        assert run("dict") == run("flat")
 
 
 class TestHotSwapServing:

@@ -57,10 +57,10 @@ def test_bench_main_smoke(module_name, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("module_name", ["bench_fig8_runtime", "bench_fig6_scalability"])
-def test_backend_axis_smoke(module_name):
-    """The two engine-axis benches accept --backend flat in smoke mode."""
+def test_engine_axis_smoke(module_name):
+    """The two engine-axis benches accept --engine batch in smoke mode."""
     module = importlib.import_module(module_name)
-    assert module.main(["--smoke", "--backend", "flat"]) == 0
+    assert module.main(["--smoke", "--engine", "batch"]) == 0
 
 
 def test_unknown_flag_rejected():
