@@ -32,6 +32,7 @@ from repro.obs.profile import (
     count,
     disable_profiling,
     enable_profiling,
+    observe,
     probe,
     profiling_enabled,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "harvest_worker_metrics",
     "log_spaced_bounds",
     "new_trace_id",
+    "observe",
     "probe",
     "profiling_enabled",
     "quantile_from_sample",

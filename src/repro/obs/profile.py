@@ -12,7 +12,9 @@ the instrumentation can live inside kernels without a measurable tax
 (the engine-equivalence suites run with it in place).  Enabled, each
 probe records into ``repro_phase_seconds{phase=...}`` on the chosen
 registry (default: the process-wide one), whose histogram count doubles
-as a call counter.
+as a call counter.  :func:`count` and :func:`observe` record event
+counters and value histograms (e.g. the query solvers' iteration
+counts) under the same switch.
 
 Serving workers inherit the switch through the blueprint payload: a
 server built with an :class:`~repro.obs.ObsConfig` ships
@@ -25,7 +27,7 @@ captured and harvested back per batch.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict, Sequence
 
 from repro.obs.registry import MetricsRegistry, get_registry
 
@@ -33,6 +35,7 @@ __all__ = [
     "count",
     "disable_profiling",
     "enable_profiling",
+    "observe",
     "probe",
     "profiling_enabled",
 ]
@@ -110,3 +113,17 @@ def count(name: str, amount: float = 1.0, **labels: str) -> None:
         return
     registry: MetricsRegistry = _state["registry"] or get_registry()  # type: ignore[assignment]
     registry.counter(name, "Instrumented hot-path event counter", **labels).inc(amount)
+
+
+def observe(name: str, value: float, *, bounds: Sequence[float], **labels: str) -> None:
+    """Record *value* into a profiling histogram (no-op unless profiling is on).
+
+    *bounds* fixes the family's buckets on first touch, like
+    :meth:`~repro.obs.registry.MetricsRegistry.histogram`.
+    """
+    if not _state["enabled"]:
+        return
+    registry: MetricsRegistry = _state["registry"] or get_registry()  # type: ignore[assignment]
+    registry.histogram(
+        name, "Instrumented hot-path distribution", bounds=bounds, **labels
+    ).observe(value)

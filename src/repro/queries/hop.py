@@ -20,7 +20,7 @@ from repro.core.summary import SummaryGraph
 from repro.errors import QueryError
 from repro.graph.graph import Graph
 from repro.graph.traversal import bfs_distances
-from repro.queries.operator import QuerySource
+from repro.queries.operator import QuerySource, as_residual_source, check_query_node
 
 _UNREACHABLE_MODES = ("longest", "raw")
 
@@ -147,8 +147,7 @@ def hop_distances_reference(
     from repro.queries.neighbors import approximate_neighbors
 
     num_nodes = source.num_nodes
-    if not 0 <= query < num_nodes:
-        raise QueryError(f"query node {query} out of range")
+    query = check_query_node(query, num_nodes)
     dist = np.full(num_nodes, -1, dtype=np.int64)
     dist[query] = 0
     frontier = [query]
@@ -181,18 +180,13 @@ def hop_distances(source: QuerySource, query: int, *, unreachable: str = "longes
     if unreachable not in _UNREACHABLE_MODES:
         raise QueryError(f"unreachable must be one of {_UNREACHABLE_MODES}")
     if isinstance(source, Graph):
-        dist = bfs_distances(source, query)
+        bfs = bfs_distances
     elif isinstance(source, SummaryGraph):
-        if not 0 <= query < source.num_nodes:
-            raise QueryError(f"query node {query} out of range")
-        dist = _summary_bfs(source, query)
+        bfs = _summary_bfs
     else:
-        from repro.queries.operator import as_residual_source
-
         residual = as_residual_source(source)
         if residual is None:
             raise QueryError(f"unsupported query source: {type(source).__name__}")
-        if not 0 <= query < residual.num_nodes:
-            raise QueryError(f"query node {query} out of range")
-        dist = _residual_bfs(residual, query)
+        source, bfs = residual, _residual_bfs
+    dist = bfs(source, check_query_node(query, source.num_nodes))
     return _fill_unreachable(dist, unreachable)

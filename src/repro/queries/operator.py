@@ -8,9 +8,13 @@ can be computed **in supernode space** without materializing ``Ĝ``:
 
 where ``X_B = Σ_{v∈B} x_v`` and ``m_AB`` is the block density (1 for
 unweighted summaries, stored-count/pairs for weighted ones).  This makes a
-power-iteration step ``O(|V| + |P|)`` instead of ``O(|Ê|)`` — the reason
-queries on sparse PeGaSus summaries are fast in Fig. 8 while queries on the
-dense baseline summaries are not.
+solver step ``O(|V| + |P|)`` instead of ``O(|Ê|)`` — the reason queries on
+sparse PeGaSus summaries are fast in Fig. 8 while queries on the dense
+baseline summaries are not.
+
+Both RWR and PHP reduce to one symmetric positive definite system
+``(D − w·Â)_SS x_S = b_S`` over this operator, solved by
+:func:`_solve_damped`.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ import numpy as np
 from repro.core.summary import SummaryGraph
 from repro.errors import QueryError
 from repro.graph.graph import Graph
+from repro.obs.profile import count, observe
+from repro.obs.registry import DEFAULT_SIZE_BOUNDS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.streaming.residual import ResidualSource
@@ -30,6 +36,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: layer's ``ResidualSource`` joins as a forward reference so the module
 #: never imports it at runtime (no import cycle).
 QuerySource = Union[Graph, SummaryGraph, "ResidualSource"]
+
+
+def check_query_node(query: object, num_nodes: int) -> int:
+    """*query* as a node id of a source with *num_nodes* nodes.
+
+    The one node check every query kernel runs, on every source type: a
+    non-integral or out-of-range node raises :class:`QueryError`.
+    """
+    if not isinstance(query, (int, np.integer)):
+        raise QueryError(f"query node must be an integer, got {query!r}")
+    if not 0 <= query < num_nodes:
+        raise QueryError(f"query node {query} out of range [0, {num_nodes})")
+    return int(query)
 
 
 def as_residual_source(source: object):
@@ -177,3 +196,60 @@ class ReconstructedOperator:
                 self._extra_heads, weights=x[self._extra_tails], minlength=self.num_nodes
             )
         return result
+
+
+def _solve_damped(
+    op: ReconstructedOperator,
+    damping: float,
+    rhs: np.ndarray,
+    active: np.ndarray,
+    *,
+    tolerance: float,
+    max_iterations: int,
+    query: str,
+) -> np.ndarray:
+    """Solve ``(D − damping·Â)_SS x_S = rhs_S`` on the nodes ``S = active``.
+
+    ``D`` is the diagonal of :meth:`ReconstructedOperator.degrees` and
+    ``0 < damping < 1``.  ``Â`` is symmetric with a zero diagonal and row
+    sums ``D``, so on positive-degree nodes the matrix is strictly
+    diagonally dominant with a positive diagonal: symmetric positive
+    definite.  Conjugate gradients with the Jacobi preconditioner ``D_S``
+    then iterates on ``I − damping·D^{-1/2} Â D^{-1/2}``, whose spectrum
+    lies in ``[1 − damping, 1 + damping]``.
+
+    Every node of *active* must have positive degree.  Vectors keep one
+    entry per node; a zero preconditioner off ``S`` keeps the iterate
+    there at 0, so the restriction costs no gather.  The solve stops once
+    the relative preconditioned residual ``‖r‖_{D⁻¹} / ‖rhs‖_{D⁻¹}`` is at
+    most *tolerance*, or after *max_iterations* operator products,
+    returning the last iterate either way.  Each solve records its
+    iteration count in ``repro_solver_iterations{query}`` and a miss in
+    ``repro_solver_unconverged_total{query}`` (no-ops unless profiling is
+    on).
+    """
+    degrees = op.degrees()
+    inverse = np.zeros(op.num_nodes, dtype=np.float64)
+    np.divide(1.0, degrees, out=inverse, where=active)
+    solution = np.zeros(op.num_nodes, dtype=np.float64)
+    residual = np.array(rhs, dtype=np.float64)
+    direction = inverse * residual
+    rz = float(residual @ direction)
+    # rhs_S = 0 (an isolated query) is solved by x = 0 before any product.
+    stop = tolerance * tolerance * rz
+    converged = rz <= stop
+    iterations = 0
+    while not converged and iterations < max_iterations:
+        product = degrees * direction - damping * op.matvec(direction)
+        step = rz / float(direction @ product)
+        solution += step * direction
+        residual -= step * product
+        preconditioned = inverse * residual
+        rz_next = float(residual @ preconditioned)
+        iterations += 1
+        converged = rz_next <= stop
+        direction = preconditioned + (rz_next / rz) * direction
+        rz = rz_next
+    observe("repro_solver_iterations", iterations, bounds=DEFAULT_SIZE_BOUNDS, query=query)
+    count("repro_solver_unconverged_total", 0.0 if converged else 1.0, query=query)
+    return solution

@@ -15,6 +15,7 @@ from repro.graph import Graph, bfs_distances
 from repro.queries import approximate_neighbors, hop_distances, php_scores, rwr_scores
 from repro.queries.php import php_scores_reference
 from repro.queries.rwr import rwr_scores_reference
+from repro.streaming import ResidualSource
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +178,24 @@ class TestPhp:
         g = Graph.from_edges(4, [(0, 1)])
         scores = php_scores(g, 0)
         assert scores[2] == 0.0
+
+
+class TestQueryNodeValidation:
+    """Every kernel rejects a bad query node with ``QueryError`` on every source."""
+
+    @pytest.mark.parametrize("node", [-1, "n", 1.5])
+    @pytest.mark.parametrize("kind", ["graph", "summary", "residual"])
+    @pytest.mark.parametrize("kernel", [rwr_scores, php_scores, hop_distances])
+    def test_rejects_bad_node(self, kernel, kind, node, path4):
+        source = {
+            "graph": path4,
+            "summary": SummaryGraph(path4),
+            "residual": ResidualSource(SummaryGraph(path4), [(0, 3)]),
+        }[kind]
+        if node == "n":
+            node = source.num_nodes
+        with pytest.raises(QueryError):
+            kernel(source, node)
 
 
 class TestAccuracyImprovesWithBudget:
