@@ -1053,7 +1053,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument("--max-batch", type=int, default=8, help="flush a machine batch at this size")
     serve_cmd.add_argument(
-        "--max-wait-ms", type=float, default=2.0, help="micro-batch arrival window in milliseconds"
+        "--max-wait-ms",
+        type=float,
+        default=2.0,
+        help="cap in milliseconds on how long a batch waits behind its machine's busy lane "
+        "(a batch for an idle lane goes out at once)",
     )
     serve_cmd.add_argument(
         "--max-pending", type=int, default=1024, help="admission-queue bound (backpressure beyond it)"
@@ -1100,7 +1104,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch", type=int, default=8, help="flush a machine batch at this size"
     )
     serve_net_cmd.add_argument(
-        "--max-wait-ms", type=float, default=2.0, help="micro-batch arrival window in milliseconds"
+        "--max-wait-ms",
+        type=float,
+        default=2.0,
+        help="cap in milliseconds on how long a batch waits behind its machine's busy lane "
+        "(a batch for an idle lane goes out at once)",
     )
     serve_net_cmd.add_argument(
         "--hedge-ms",

@@ -1,9 +1,10 @@
 """Process-parallel execution for the reproduction's fan-out stages.
 
-One class, one contract: :class:`ParallelExecutor` runs independent
-deterministic tasks over a worker pool with ordered result collection, so
-any consumer's output is byte-identical at any worker count (``workers=1``
-runs inline and is the reference path).  Consumers:
+Two executors, one determinism contract: output is byte-identical at any
+worker count, and ``workers=1`` runs inline as the reference path.
+
+:class:`ParallelExecutor` runs independent deterministic tasks over a
+throwaway pool with ordered result collection (``map``).  Consumers:
 
 * :func:`repro.distributed.pipeline.build_summary_cluster` /
   :func:`~repro.distributed.pipeline.build_subgraph_cluster` — the ``m``
@@ -12,9 +13,13 @@ runs inline and is the reference path).  Consumers:
   batch query serving with per-machine batching;
 * :func:`repro.experiments.common.sweep` — experiment points of
   Figs. 5/6/8/9/11/12 fan out across datasets × methods × parameters;
-* :class:`repro.serving.QueryServer` — the asyncio serving front end
-  holds a *session* pool (``with executor: ...``) and ships the
-  per-machine arrays once per worker via :mod:`repro.parallel.shm`.
+* :class:`repro.streaming.StreamingSummarizer` — machine refreshes.
+
+:class:`LaneExecutor` pins each task to one of ``n`` pre-forked workers,
+each on its own pipe (``submit(fn, task, lane=...)``).
+:class:`repro.serving.QueryServer` and
+:class:`repro.serving.TenantHost` serve on it, with the per-machine
+arrays shipped once per worker via :mod:`repro.parallel.shm`.
 
 The build-path consumers additionally ship the immutable input graph
 zero-copy through :mod:`repro.parallel.graphship`, so ``spawn`` workers
@@ -37,4 +42,5 @@ __all__ = [
     "attach_arrays",
     "derive_seed",
     "resolve_workers",
+    "restore_graphs",
 ]

@@ -1,54 +1,245 @@
-"""Sticky-affinity worker lanes with death detection and re-spawn.
+"""Sticky-affinity worker lanes: one pre-forked worker per lane, one pipe each.
 
-The serving pool of PR 3 was one :class:`~concurrent.futures.ProcessPoolExecutor`
-shared by every machine's micro-batches.  That shape has two production
-problems the network serving tier must fix:
+Serving pins each machine's batches to one lane (``lane = machine_id %
+lanes``), so a machine's reconstruction operator is built once, on the
+worker that owns it, and a worker death breaks exactly one lane.
 
-* **Cache duplication.**  The pool scheduler places batches on arbitrary
-  workers, so over time *every* worker rebuilds *every* machine's
-  reconstruction operator — ``workers × machines`` operator caches where
-  ``machines`` would do.  :class:`LaneExecutor` carves the pool into
-  single-worker **lanes** and lets the caller pin each machine's batches
-  to one lane (``lane = machine_id % lanes``), so an operator cache is
-  built once per machine, on the lane that owns it.
-* **Blast radius and recovery.**  When a worker of a shared pool dies,
-  the whole pool is broken and every in-flight batch fails.  With lanes,
-  a death breaks exactly one lane; :meth:`submit` detects the broken
-  lane and **re-spawns** it transparently (a fresh single-worker pool,
-  session payload re-installed via the initializer), so the failover
-  layer above only has to re-dispatch the batches that were actually
-  lost.
+**Lanes.**  Each lane is one worker process started at :meth:`~LaneExecutor.start`
+that loops recv → run → send on its own duplex :func:`multiprocessing.Pipe`.
+The session payload (``shared=``) is installed once per worker, as the
+process's start argument: inherited under ``fork``, pickled once under
+``spawn``.  Forking eagerly matters in a serving process: a worker forked
+later would inherit the accepted sockets open at that moment.
+
+**Replies.**  The parent starts no threads.  A running event loop reads
+each lane's pipe with ``loop.add_reader``, registered when a task is
+submitted inside that loop; the loop's own thread then resolves the
+futures.  Without a loop, ``future.result(timeout)`` and
+``future.exception(timeout)`` read the lane's pipe themselves.
+Nothing else completes a future: ``concurrent.futures.wait`` does not.
+The executor is not thread-safe; submit and wait from one thread.
+
+**One task in the pipe.**  A lane holds at most one task in its pipe;
+later tasks wait in a parent-side FIFO and go out as the previous reply
+arrives.  The worker is therefore reading whenever the parent writes, so
+the parent never blocks on a send while the worker blocks sending a
+large reply.
+
+**Death.**  EOF on a lane's pipe means its worker died: every future of
+that lane, queued ones included, fails with
+:class:`~concurrent.futures.process.BrokenProcessPool`, and the next
+:meth:`~LaneExecutor.submit` re-spawns the lane.  The caller re-dispatches;
+this class owns placement and lifecycle, not retry policy.  EOF seen by
+a worker means its parent died, and the worker exits.  That EOF arrives
+only because each forked worker closes every lane's parent end it
+inherited.
 
 ``workers=1`` (or ``None``) is the inline reference path: no processes,
 tasks run immediately in the caller, and submitted futures come back
 already resolved — byte-identical to the pooled lanes by the same
 argument as :class:`~repro.parallel.executor.ParallelExecutor`.
-
-Futures returned by :meth:`submit` fail with
-:class:`concurrent.futures.process.BrokenProcessPool` when their lane's
-worker dies mid-task; the caller re-dispatches (the lane itself is
-healed lazily by the next :meth:`submit`).  That division of labor keeps
-this class free of retry policy: it only owns placement and lifecycle.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import Future, ProcessPoolExecutor
+import asyncio
+import pickle
+import select
+import time
+import traceback
+import weakref
+from collections import deque
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, List, Optional
+from typing import Any, Deque, List, Optional, Tuple
 
-from repro.parallel.executor import (
-    TaskFn,
-    _init_session_worker,
-    _run_session_task,
-    _UNSET,
-    resolve_workers,
-)
+from repro.parallel.executor import TaskFn, default_context, resolve_workers
+
+#: Sentinel distinguishing "no shared= argument" from an explicit ``None``.
+_UNSET = object()
+
+#: The parent end of every lane pipe opened in this process, by any
+#: executor.  A forked worker closes them all: a sibling holding one open
+#: would keep that lane's worker from ever seeing its parent's death.
+_PARENT_ENDS: "weakref.WeakSet" = weakref.WeakSet()
+
+
+def _lane_main(conn, shared: Any) -> None:
+    """A lane worker: run tasks from *conn* until the parent hangs up."""
+    for end in list(_PARENT_ENDS):
+        end.close()
+    while True:
+        try:
+            fn, use_session, payload, task = conn.recv()
+        except (EOFError, OSError):
+            return  # the parent closed the pipe, or died
+        try:
+            reply = (True, fn(shared if use_session else payload, task))
+        except BaseException as exc:  # noqa: BLE001 - shipped to the caller's future
+            exc.add_note("".join(traceback.format_exception(exc)).rstrip())
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except (EOFError, OSError):
+            return
+        except Exception as exc:  # noqa: BLE001 - the reply does not pickle
+            conn.send((False, pickle.PicklingError(f"lane reply could not be pickled: {exc!r}")))
+
+
+class _Lane:
+    """One worker process, the parent end of its pipe, and its task FIFO."""
+
+    def __init__(self, context, shared: Any):
+        conn, child_end = context.Pipe(duplex=True)
+        _PARENT_ENDS.add(conn)
+        try:
+            # Daemonic: at interpreter exit, multiprocessing terminates a
+            # worker whose executor was never shut down instead of joining
+            # it forever (the parent still holds its pipe open then).
+            self.process = context.Process(
+                target=_lane_main, args=(child_end, shared), name="repro-lane", daemon=True
+            )
+            self.process.start()
+        except BaseException:
+            conn.close()
+            raise
+        finally:
+            child_end.close()
+        self.conn = conn
+        self.fd = conn.fileno()
+        self._readable = select.poll()
+        self._readable.register(self.fd, select.POLLIN)
+        self._exited = select.poll()
+        self._exited.register(self.process.sentinel, select.POLLIN)
+        #: The future whose task is in the pipe (at most one).
+        self.running: "Optional[Future]" = None
+        #: Tasks waiting for the pipe, oldest first.
+        self.backlog: "Deque[Tuple[Future, Any]]" = deque()
+        self.loop: "Optional[asyncio.AbstractEventLoop]" = None
+        self.dead = False
+
+    def alive(self) -> bool:
+        """Whether the lane can take work.  Reads the process sentinel, so
+        a worker reaped elsewhere (``os.waitpid``) still reads as dead."""
+        return not self.dead and not self._exited.poll(0)
+
+    def watch(self) -> None:
+        """Let the running event loop, if any, read this lane's replies."""
+        try:
+            loop = asyncio.get_running_loop()
+        except RuntimeError:
+            return
+        if loop is self.loop or self.dead:
+            return
+        self._unwatch()
+        loop.add_reader(self.fd, self.on_readable)
+        self.loop = loop
+
+    def _unwatch(self) -> None:
+        if self.loop is not None and not self.loop.is_closed():
+            self.loop.remove_reader(self.fd)
+        self.loop = None
+
+    def put(self, future: Future, item: Any) -> None:
+        self.backlog.append((future, item))
+        self._feed()
+
+    def _feed(self) -> None:
+        """Send the oldest waiting task if the pipe is free."""
+        while self.running is None and self.backlog and not self.dead:
+            future, item = self.backlog.popleft()
+            if not future.set_running_or_notify_cancel():
+                continue  # cancelled while it waited
+            self.running = future
+            try:
+                self.conn.send(item)
+            except OSError:
+                self.die()
+            except Exception as exc:  # noqa: BLE001 - the task does not pickle
+                self.running = None
+                future.set_exception(exc)
+
+    def on_readable(self) -> None:
+        """Event-loop reader: take the reply (or EOF) off the pipe."""
+        if not self.dead and self._readable.poll(0):
+            self._receive()
+
+    def _receive(self) -> None:
+        try:
+            data = self.conn.recv_bytes()
+        except (EOFError, OSError):
+            self.die()
+            return
+        future, self.running = self.running, None
+        self._feed()  # the worker starts the next task while callbacks run
+        try:
+            ok, value = pickle.loads(data)
+        except Exception as exc:  # noqa: BLE001 - a reply that does not unpickle
+            ok, value = False, exc
+        if ok:
+            future.set_result(value)
+        else:
+            future.set_exception(value)
+
+    def wait_for(self, future: Future, timeout: "float | None") -> None:
+        """Read this lane's pipe until *future* is done or *timeout* passes."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not future.done() and not self.dead:
+            wait_ms = None
+            if deadline is not None:
+                wait_ms = max(0.0, deadline - time.monotonic()) * 1000.0
+            if self._readable.poll(wait_ms):
+                self._receive()
+            elif wait_ms is not None:
+                return
+
+    def die(self) -> None:
+        """Fail every future of this lane and close its pipe (idempotent)."""
+        if self.dead:
+            return
+        self.dead = True
+        self._unwatch()
+        self.conn.close()
+        futures = [future for future, _ in self.backlog]
+        if self.running is not None:
+            futures.insert(0, self.running)
+        self.running = None
+        self.backlog.clear()
+        error = BrokenProcessPool("a lane worker died before its tasks completed")
+        for future in futures:
+            if not future.done():
+                future.set_exception(error)
+
+    def stop(self, *, drain: bool) -> None:
+        """Retire the lane: finish (*drain*) or fail its tasks, end the
+        worker, and reap it."""
+        if drain:
+            while self.running is not None:
+                self.wait_for(self.running, None)
+        self.die()  # closing the pipe ends an idle worker
+        if not drain and not self._exited.poll(0):
+            self.process.kill()
+        self.process.join()
+
+
+class _LaneFuture(Future):
+    """A pooled task's future; waiting on it outside a loop reads its lane."""
+
+    def __init__(self, lane: _Lane):
+        super().__init__()
+        self._lane = lane
+
+    def result(self, timeout=None):
+        self._lane.wait_for(self, timeout)
+        return super().result(timeout=0)
+
+    def exception(self, timeout=None):
+        self._lane.wait_for(self, timeout)
+        return super().exception(timeout=0)
 
 
 class LaneExecutor:
-    """``n`` single-worker pools with caller-controlled task placement.
+    """``n`` single-worker lanes with caller-controlled task placement.
 
     Parameters
     ----------
@@ -57,11 +248,14 @@ class LaneExecutor:
         :func:`~repro.parallel.executor.resolve_workers` (``1``/``None``
         = inline, ``0``/negative = one lane per core).
     mp_context:
-        Optional :mod:`multiprocessing` context shared by every lane.
+        Optional :mod:`multiprocessing` context for the workers
+        (default: ``fork`` where available, else ``spawn``).
     shared:
-        Session payload installed in each lane worker at (re-)spawn via
-        the pool initializer — exactly once per worker process, shipped
-        again automatically when a dead lane is re-spawned.
+        Session payload installed in each lane worker when it starts —
+        once per worker process, again in a re-spawned one.
+    standby:
+        Keep one extra worker forked and ready, so a re-spawn promotes
+        it instead of starting a cold process.
 
     Use :meth:`start` / :meth:`shutdown` (or a ``with`` block) around a
     serving session.  :meth:`submit` places one task on one lane.
@@ -78,8 +272,8 @@ class LaneExecutor:
         self.workers = resolve_workers(workers)
         self._mp_context = mp_context
         self._shared = shared
-        self._pools: "List[Optional[ProcessPoolExecutor]]" = []
-        self._standby: "Optional[ProcessPoolExecutor]" = None
+        self._lanes: "List[_Lane]" = []
+        self._standby: "Optional[_Lane]" = None
         self._keep_standby = bool(standby)
         self._started = False
         self.respawns = 0
@@ -103,50 +297,39 @@ class LaneExecutor:
         """Number of placement lanes (1 when inline)."""
         return max(1, self.workers)
 
-    def _context(self):
-        if self._mp_context is not None:
-            return self._mp_context
-        import multiprocessing
-
-        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        return multiprocessing.get_context(method)
-
-    def _spawn(self) -> ProcessPoolExecutor:
-        pool = ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=self._context(),
-            initializer=_init_session_worker,
-            initargs=(self._shared,),
-        )
-        # Force the worker fork NOW rather than at first submit.  A lazy
-        # fork in a serving process captures whatever socket fds exist at
-        # that moment (accepted connections included), keeping those TCP
-        # connections alive from the OS's view after the parent closes
-        # them.  Eager spawning also front-loads the session install.
-        pool.submit(os.getpid)
-        return pool
+    def _spawn(self) -> _Lane:
+        return _Lane(default_context(self._mp_context), self._shared)
 
     def start(self) -> "LaneExecutor":
-        """Spawn every lane (no-op pools when inline); raises if started."""
+        """Fork every lane's worker (none when inline); raises if started."""
         if self._started:
             raise RuntimeError("LaneExecutor already started")
         if not self.inline:
-            self._pools = [self._spawn() for _ in range(self.workers)]
-            if self._keep_standby:
-                self._standby = self._spawn()
+            try:
+                for _ in range(self.workers):
+                    self._lanes.append(self._spawn())
+                if self._keep_standby:
+                    self._standby = self._spawn()
+            except BaseException:
+                self.shutdown(wait=False)
+                raise
         self._started = True
         return self
 
     def shutdown(self, *, wait: bool = True) -> None:
-        """Tear every lane down (idempotent)."""
-        pools, self._pools = self._pools, []
-        standby, self._standby = self._standby, None
+        """Tear every lane down (idempotent).
+
+        ``wait=True`` lets queued and running tasks finish first;
+        ``wait=False`` fails them with ``BrokenProcessPool`` and kills
+        the workers.  Either way every worker is reaped before return.
+        """
+        lanes, self._lanes = self._lanes, []
+        if self._standby is not None:
+            lanes.append(self._standby)
+            self._standby = None
         self._started = False
-        if standby is not None:
-            standby.shutdown(wait=wait)
-        for pool in pools:
-            if pool is not None:
-                pool.shutdown(wait=wait)
+        for lane in lanes:
+            lane.stop(drain=wait)
 
     def __enter__(self) -> "LaneExecutor":
         return self.start()
@@ -157,83 +340,61 @@ class LaneExecutor:
     # ------------------------------------------------------------------
     # placement
     # ------------------------------------------------------------------
-    def _lane_pool(self, lane: int) -> ProcessPoolExecutor:
-        """The live pool for *lane*, re-spawning a dead or broken one."""
-        lane %= self.lanes
-        pool = self._pools[lane]
-        if pool is not None and not getattr(pool, "_broken", False):
-            return pool
-        if pool is not None:
-            pool.shutdown(wait=False)
-        self.respawns += 1
-        pool = self._take_replacement()
-        self._pools[lane] = pool
-        return pool
+    def _live_lane(self, lane: int) -> _Lane:
+        """The lane's worker, re-spawned first if it died."""
+        index = lane % self.lanes
+        if not self._lanes[index].alive():
+            self._replace(index)
+        return self._lanes[index]
 
-    def _take_replacement(self) -> ProcessPoolExecutor:
-        """A fresh pool for a dead lane: the warm standby when armed
-        (zero-gap — the replacement worker is already forked and has the
-        session installed), else a cold spawn.  Re-arms the standby
-        eagerly either way when standby mode is on."""
-        pool = self._standby
-        if pool is not None and not getattr(pool, "_broken", False):
-            self._standby = self._spawn() if self._keep_standby else None
-            self.standby_promotions += 1
-            return pool
-        if self._keep_standby:
-            self._standby = self._spawn()
-        return self._spawn()
+    def _replace(self, index: int) -> None:
+        """Swap in a fresh worker for lane *index*: the warm standby when
+        one is armed and alive (re-armed right away), else a cold spawn.
+        The old worker's tasks fail with ``BrokenProcessPool``."""
+        old = self._lanes[index]
+        try:
+            standby, self._standby = self._standby, None
+            if standby is not None and standby.alive():
+                self._lanes[index] = standby
+                self.standby_promotions += 1
+            else:
+                if standby is not None:
+                    standby.stop(drain=False)
+                self._lanes[index] = self._spawn()
+            self.respawns += 1
+            if self._keep_standby:
+                self._standby = self._spawn()
+        finally:
+            # Last: failing the old futures runs their callbacks, and a
+            # callback that submits again must find the new worker here.
+            old.stop(drain=False)
 
     def respawn_lane(self, lane: int) -> None:
-        """Force-replace one lane's pool (used after a detected death)."""
+        """Force-replace one lane's worker (used after a detected death)."""
         if self.inline or not self._started:
             return
-        lane %= self.lanes
-        pool = self._pools[lane]
-        self._pools[lane] = None
-        if pool is not None:
-            pool.shutdown(wait=False)
-        self._pools[lane] = self._take_replacement()
-        self.respawns += 1
+        self._replace(lane % self.lanes)
 
     def lane_health(self) -> "List[bool]":
-        """Liveness per lane: pool up, not broken, worker pid responsive.
+        """Liveness per lane, read from each worker's process sentinel.
 
         The supervisor's heartbeat source.  Inline mode reports a single
         healthy lane (the caller itself).  A lane whose worker died
         while idle shows unhealthy *before* any submit trips over it —
-        that is the whole point: proactive detection instead of paying a
-        ``BrokenProcessPool`` on a live request.
+        proactive detection instead of paying a ``BrokenProcessPool`` on
+        a live request.
         """
         if self.inline:
             return [True]
-        health: "List[bool]" = []
-        for pool in self._pools:
-            if pool is None or getattr(pool, "_broken", False):
-                health.append(False)
-                continue
-            processes = getattr(pool, "_processes", None) or {}
-            alive = True
-            for pid in list(processes.keys()):
-                try:
-                    os.kill(pid, 0)
-                except (ProcessLookupError, PermissionError):
-                    alive = False
-                    break
-            health.append(alive)
-        return health
+        return [lane.alive() for lane in self._lanes]
 
     def lane_pids(self) -> "List[List[int]]":
-        """Best-effort worker pids per lane (empty sublists when inline).
+        """Worker pid per lane, one-element lists (empty when inline).
 
-        Exposed for fault injection: chaos tests SIGKILL a real worker
-        process and assert the tier above recovers.
+        Exposed for fault injection and resource accounting: chaos tests
+        SIGKILL a real worker process and assert the tier above recovers.
         """
-        pids: "List[List[int]]" = []
-        for pool in self._pools:
-            processes = getattr(pool, "_processes", None) if pool is not None else None
-            pids.append(sorted(processes.keys()) if processes else [])
-        return pids
+        return [[lane.process.pid] for lane in self._lanes]
 
     def submit(
         self, fn: TaskFn, task: Any, *, lane: int = 0, shared: Any = _UNSET
@@ -242,13 +403,12 @@ class LaneExecutor:
 
         *lane* is taken modulo the lane count, so callers can pass a
         stable key (a machine id) directly.  Omitting *shared* uses the
-        session payload installed in the lane's worker (shipped once per
-        worker process); an explicit *shared* is shipped with this task —
-        the multi-tenant path, where one executor serves several
-        blueprints and each batch names its own.  A lane found broken at
-        submission time is re-spawned first; a worker dying *after*
-        submission surfaces as ``BrokenProcessPool`` on the returned
-        future, and re-dispatching is the caller's call.
+        session payload installed in the lane's worker; an explicit
+        *shared* is shipped with this task — the multi-tenant path, where
+        one executor serves several blueprints and each batch names its
+        own.  A lane found dead at submission is re-spawned first; a
+        worker dying *after* submission surfaces as ``BrokenProcessPool``
+        on the returned future, and re-dispatching is the caller's call.
         """
         if not self._started:
             raise RuntimeError("LaneExecutor is not started")
@@ -261,11 +421,8 @@ class LaneExecutor:
             except BaseException as exc:  # noqa: BLE001 - mirrored into the future
                 future.set_exception(exc)
             return future
-        item = (fn, use_session, payload, task)
-        try:
-            return self._lane_pool(lane).submit(_run_session_task, item)
-        except BrokenProcessPool:
-            # The lane broke between the health check and the submit
-            # (worker died while idle); heal once and retry.
-            self.respawn_lane(lane)
-            return self._pools[lane % self.lanes].submit(_run_session_task, item)
+        worker = self._live_lane(lane)
+        future = _LaneFuture(worker)
+        worker.watch()
+        worker.put(future, (fn, use_session, payload, task))
+        return future

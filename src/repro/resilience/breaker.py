@@ -119,16 +119,20 @@ class CircuitBreaker:
     # ------------------------------------------------------------------
     # protocol: allow() before the call, record_*() after
     # ------------------------------------------------------------------
+    def admits(self) -> bool:
+        """Whether :meth:`allow` would admit a call now.  Only looks: it
+        uses up no half-open probe and counts no rejection."""
+        state = self.state
+        return state == CLOSED or (state == HALF_OPEN and self._probes_left > 0)
+
     def allow(self) -> bool:
         """Whether a call may proceed right now (consumes a half-open probe)."""
-        state = self.state
-        if state == CLOSED:
-            return True
-        if state == HALF_OPEN and self._probes_left > 0:
+        if not self.admits():
+            self.rejections += 1
+            return False
+        if self._state == HALF_OPEN:
             self._probes_left -= 1
-            return True
-        self.rejections += 1
-        return False
+        return True
 
     def record_success(self) -> None:
         """Note a successful call; a half-open success closes the breaker."""

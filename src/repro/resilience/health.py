@@ -1,11 +1,12 @@
-"""Lane supervision: heartbeat worker pids, respawn proactively.
+"""Lane supervision: heartbeat lane workers, respawn proactively.
 
 PR 7's lane executor heals *lazily*: a dead lane is only replaced when
-the next batch submit trips over the broken pool, so the first request
-after a worker death always pays the failure.  :class:`LaneSupervisor`
-closes that gap: an asyncio loop heartbeats every lane's worker pid
-(``os.kill(pid, 0)`` — no signal delivered, just liveness) on a short
-interval and respawns unhealthy lanes *before* traffic finds them.
+the next batch submit trips over it, so the first request after a
+worker death always pays the failure.  :class:`LaneSupervisor` closes
+that gap: an asyncio loop heartbeats every lane's worker (its process
+sentinel, which also reads a zombie or a worker reaped elsewhere as
+dead) on a short interval and respawns unhealthy lanes *before* traffic
+finds them.
 Combined with the executor's warm standby (``LaneExecutor(standby=True)``)
 a respawn promotes an already-forked worker, so failover leaves no
 cold-start gap at all.
@@ -103,7 +104,7 @@ class LaneSupervisor:
             if self._metrics is not None:
                 self._metrics.gauge(
                     "repro_lane_state",
-                    "Lane liveness (1 = worker pid responsive, 0 = down).",
+                    "Lane liveness (1 = worker process running, 0 = down).",
                     lane=str(lane),
                 ).set(LANE_UP if health[lane] else LANE_DOWN)
         return health

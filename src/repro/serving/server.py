@@ -10,9 +10,14 @@ continuously admitting service:
   :class:`~repro.errors.ServingError` (load shedding); either way the
   server's memory footprint is bounded.
 * **Micro-batching** — a dispatcher coroutine drains the queue and groups
-  requests per owning machine.  A machine's batch is flushed when it
-  reaches ``max_batch`` requests or when its oldest request has waited
-  ``max_wait_ms`` — the classic latency/throughput dial.
+  requests per owning machine.  Dispatch is *work-conserving*: after each
+  drain, a machine's batch goes out at once if this server has no batch
+  in flight on that machine's lane.  Behind a busy lane the batch keeps
+  filling until the lane's last copy replies (the completion flushes the
+  lane's waiting machines), it reaches ``max_batch`` requests, or its
+  oldest request has waited ``max_wait_ms`` — a cap, so requests queued
+  behind a stuck lane still reach the hedge path.  An idle server never
+  waits on a timer; load still forms batches.
 * **Execution** — flushed batches go to a
   :class:`~repro.parallel.lanes.LaneExecutor` whose workers hold the
   cluster's machines rebuilt from shared memory
@@ -28,8 +33,9 @@ continuously admitting service:
   first copy to finish delivers; the loser is cancelled and its result
   discarded — every request resolves exactly once (dedup is pinned by
   the chaos suite), so a slow machine stops dragging the p99 tail.
-* **Failover** — a worker dying mid-batch surfaces as
-  ``BrokenProcessPool`` on that batch's future.  The server re-dispatches
+* **Failover** — a worker dying mid-batch closes its lane's pipe, and
+  the EOF surfaces as ``BrokenProcessPool`` on that batch's future (and
+  on every batch queued behind it on that lane).  The server re-dispatches
   the batch (up to ``max_redispatch`` times) onto a freshly re-spawned
   lane; clients never see the death, only the answer.
 * **Per-request futures** — every submission gets its own future, so
@@ -205,9 +211,10 @@ class QueryServer:
     max_batch:
         Flush a machine's batch at this many requests.
     max_wait_ms:
-        Flush a machine's batch when its oldest request has waited this
-        long (the micro-batch arrival window).  ``0`` flushes every
-        dispatch cycle — minimum latency, minimum batching.
+        Cap on how long a batch waits behind its machine's busy lane:
+        at this age it is flushed into the busy lane anyway.  A batch
+        whose lane is idle goes out at once, whatever the cap.  ``0``
+        never holds a batch back.
     max_pending:
         Bound on admitted-but-undispatched requests (the admission
         queue).  Full queue ⇒ ``submit`` backpressures, ``submit_nowait``
@@ -356,6 +363,12 @@ class QueryServer:
         self._blueprint: "ClusterBlueprint | None" = None
         self._inflight: "set[asyncio.Future]" = set()
         self._outstanding: "Set[_Request]" = set()
+        # Work-conserving dispatch state: requests held per machine, each
+        # held batch's flush cap (loop time), and this server's batch
+        # copies in flight per lane.
+        self._pending: Dict[int, List[_Request]] = {}
+        self._caps: Dict[int, float] = {}
+        self._busy: Dict[int, int] = {}
         self._updates: Dict[int, Dict] = {}
         # In-flight batch copies per (machine_id, version): a superseded
         # update's shm block is retired when its count returns to zero.
@@ -490,6 +503,7 @@ class QueryServer:
         self._updates = {}
         self._update_refs = {}
         self._outstanding = set()
+        self._pending, self._caps, self._busy = {}, {}, {}
         self._running = True
         self._accepting = True
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
@@ -699,27 +713,27 @@ class QueryServer:
     # dispatch
     # ------------------------------------------------------------------
     async def _dispatch_loop(self) -> None:
-        pending: Dict[int, List[_Request]] = {}
         try:
-            await self._dispatch(pending)
+            await self._dispatch()
         except BaseException as error:
             # The dispatcher must never die silently with requests parked
             # in its buffers: fail them so clients unblock, then let
             # stop() handle teardown.
-            for batch in pending.values():
+            for batch in self._pending.values():
                 for request in batch:
                     self._fail_request(request, error)
-            pending.clear()
+            self._pending.clear()
+            self._caps.clear()
             raise
 
-    async def _dispatch(self, pending: Dict[int, List[_Request]]) -> None:
+    async def _dispatch(self) -> None:
         loop = asyncio.get_running_loop()
-        deadlines: Dict[int, float] = {}
+        pending, caps = self._pending, self._caps
         stopping = False
         while True:
             timeout: "float | None" = None
-            if deadlines:
-                timeout = max(0.0, min(deadlines.values()) - loop.time())
+            if caps:
+                timeout = max(0.0, min(caps.values()) - loop.time())
             try:
                 item = await asyncio.wait_for(self._queue.get(), timeout)
             except asyncio.TimeoutError:
@@ -734,29 +748,45 @@ class QueryServer:
                     batch = pending.setdefault(request.machine_id, [])
                     batch.append(request)
                     if len(batch) == 1:
-                        deadlines[request.machine_id] = loop.time() + self._max_wait
+                        caps[request.machine_id] = loop.time() + self._max_wait
                     if len(batch) >= self._max_batch:
-                        self._flush(request.machine_id, pending, deadlines)
+                        self._flush(request.machine_id)
                 try:
                     item = self._queue.get_nowait()
                 except asyncio.QueueEmpty:
                     break
+            # Work-conserving: a machine whose lane this server leaves
+            # idle goes out now; behind a busy lane it waits for the
+            # lane's reply (_on_copy_replied), a full batch, or its cap.
             now = loop.time()
-            for machine_id in [m for m, d in deadlines.items() if d <= now or stopping]:
-                self._flush(machine_id, pending, deadlines)
+            for machine_id in list(pending):
+                if machine_id in pending and (
+                    stopping
+                    or caps[machine_id] <= now
+                    or not self._busy.get(self._lane_slot(machine_id))
+                ):
+                    self._flush(machine_id)
             if stopping:
-                for machine_id in list(pending):
-                    self._flush(machine_id, pending, deadlines)
                 return
 
-    def _flush(
-        self,
-        machine_id: int,
-        pending: Dict[int, List[_Request]],
-        deadlines: Dict[int, float],
-    ) -> None:
-        batch = pending.pop(machine_id, None)
-        deadlines.pop(machine_id, None)
+    def _lane_slot(self, machine_id: int) -> int:
+        """The executor lane a machine's primary copy would go to now."""
+        return self._lane_for(machine_id, hedged=False, peek=True) % self._executor.lanes
+
+    def _on_copy_replied(self, slot: int) -> None:
+        """A batch copy left lane *slot*; once this server has none left
+        there, the machines waiting on that lane go out at once."""
+        remaining = self._busy.get(slot, 0) - 1
+        if remaining > 0:
+            self._busy[slot] = remaining
+            return
+        self._busy.pop(slot, None)
+        for machine_id in [m for m in self._pending if self._lane_slot(m) == slot]:
+            self._flush(machine_id)
+
+    def _flush(self, machine_id: int) -> None:
+        batch = self._pending.pop(machine_id, None)
+        self._caps.pop(machine_id, None)
         if not batch:
             return
         # Shed work whose budget already ran out in the queue: the
@@ -818,7 +848,7 @@ class QueryServer:
                 self._hedge, self._fire_hedge, job
             )
 
-    def _lane_for(self, machine_id: int, *, hedged: bool) -> int:
+    def _lane_for(self, machine_id: int, *, hedged: bool, peek: bool = False) -> int:
         # Sticky affinity: one lane per machine, so its operator cache
         # lives on exactly one worker.  The hedge copy goes next door.
         preferred = self._lane_offset + machine_id + (1 if hedged else 0)
@@ -827,10 +857,14 @@ class QueryServer:
         # Breaker-aware: walk past lanes whose breaker is open (flapping
         # workers) to the nearest admitting lane.  All-open falls back to
         # the preferred lane — total outage beats refusing everything.
+        # A *peek* (a lookup that dispatches nothing) uses up no half-open
+        # probe: the probe belongs to the copy whose outcome the breaker
+        # records.
         lanes = self._executor.lanes
         for step in range(lanes):
             candidate = (preferred + step) % lanes
-            if self._breakers.allow(candidate):
+            breaker = self._breakers.get(candidate)
+            if breaker.admits() if peek else breaker.allow():
                 return candidate
         return preferred % lanes
 
@@ -869,6 +903,12 @@ class QueryServer:
                 for request in job.batch:
                     self._fail_request(request, error)
             return
+        if not self._executor.inline:
+            # The lane stays busy until the worker replies, even if this
+            # copy's asyncio wrapper is cancelled (a hedge loser) first.
+            slot = lane % self._executor.lanes
+            self._busy[slot] = self._busy.get(slot, 0) + 1
+            pool_future.add_done_callback(lambda _done: self._on_copy_replied(slot))
         wrapped = asyncio.ensure_future(asyncio.wrap_future(pool_future))
         self._inflight.add(wrapped)
         job.pending.add(wrapped)
@@ -893,7 +933,7 @@ class QueryServer:
                         request.trace.trace_id,
                         "hedge",
                         machine=job.machine_id,
-                        lane=self._lane_for(job.machine_id, hedged=True),
+                        lane=self._lane_for(job.machine_id, hedged=True, peek=True),
                     )
         self._dispatch_job(job, hedged=True)
 

@@ -56,6 +56,11 @@ class TenantConfig:
     raises :class:`~repro.errors.TenantError` immediately — quota
     rejections shed load, they do not backpressure.
 
+    ``max_batch`` / ``max_wait_ms`` shape the tenant server's
+    work-conserving dispatch: a machine's batch goes to an idle lane at
+    once, and behind a busy lane it waits at most ``max_wait_ms`` (a
+    cap) or until ``max_batch`` requests have gathered.
+
     ``deadline_ms`` / ``retry_policy`` flow through to the tenant's
     server (deadline budgets minted at submit; backoff-driven batch
     re-dispatch).  ``breaker`` arms a per-tenant **deadline-burn

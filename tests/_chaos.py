@@ -43,9 +43,9 @@ def _targets(spec: Dict[str, Any], machine_id: int) -> bool:
 def kill_worker(spec: Dict[str, Any], machine_id: int) -> None:
     """Die mid-batch, exactly once, on the targeted machine's lane.
 
-    In a real pool worker the process exits hard (``os._exit``), which
-    the lane's ``ProcessPoolExecutor`` surfaces as ``BrokenProcessPool``
-    on the batch future; on the inline path (no worker to kill) the same
+    In a real lane worker the process exits hard (``os._exit``); the
+    parent reads EOF on the lane's pipe and fails the batch future with
+    ``BrokenProcessPool``.  On the inline path (no worker to kill) the same
     exception is raised directly so the failover logic above sees the
     identical signal.
     """
@@ -180,13 +180,12 @@ def spawn_server(argv, *, timeout_s: float = 180.0):
 def kill_server(proc) -> None:
     """SIGKILL a spawned serving process — no goodbye frame, no cleanup.
 
-    Note the orphaned lane workers: forked pool children hold dup'd
+    Note the orphaned lane workers: forked lane workers hold dup'd
     accepted-socket fds, so the TCP connections do NOT see EOF when the
     parent dies — exactly the mid-frame hang the client-side request
-    timeout exists for.  The workers never see EOF on the pool's call
-    queue either (they hold its write end); each one exits when the
-    watchdog thread started by the session-pool initializer
-    (:mod:`repro.parallel.executor`) sees it was re-parented.
+    timeout exists for.  Each worker does see EOF on its own lane pipe
+    (every forked worker closes the parent ends it inherited), and
+    exits (:mod:`repro.parallel.lanes`).
     """
     proc.kill()
     proc.wait(timeout=10)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 
 import numpy as np
@@ -96,98 +95,6 @@ class TestParallelExecutor:
         assert sequential == parallel
 
 
-class TestSessionLifecycle:
-    """The persistent-pool (session) mode added for query serving."""
-
-    def test_context_manager_enter_exit(self):
-        executor = ParallelExecutor(workers=2)
-        assert not executor.started
-        with executor as entered:
-            assert entered is executor
-            assert executor.started
-        assert not executor.started
-
-    def test_pool_reused_across_map_calls(self):
-        """In a session one persistent pool's workers serve every call; in
-        one-shot mode no pool survives the call.  (Which pool member grabs
-        which task is scheduler's choice, so assert membership, not equal
-        PID sets.)"""
-        with ParallelExecutor(workers=2) as executor:
-            pool = executor._pool
-            first = set(executor.map(_pid_task, range(8)))
-            second = set(executor.map(_pid_task, range(8)))
-            assert executor._pool is pool
-            workers = set(pool._processes)  # filled lazily on first submit
-            assert first <= workers and second <= workers
-        assert os.getpid() not in first | second
-
-        one_shot = ParallelExecutor(workers=2)
-        one_shot.map(_pid_task, range(8))
-        assert one_shot._pool is None
-
-    def test_session_results_match_one_shot(self):
-        tasks = list(range(10))
-        expected = ParallelExecutor(workers=1).map(_square, tasks, shared=3)
-        with ParallelExecutor(workers=3) as executor:
-            assert executor.map(_square, tasks, shared=3) == expected
-
-    def test_exception_mid_task_leaves_pool_usable(self):
-        with ParallelExecutor(workers=2) as executor:
-            pool = executor._pool
-            with pytest.raises(ValueError, match="task 2 exploded"):
-                executor.map(_fail_on_two, [0, 1, 2, 3])
-            # Same pool object, still producing correct parallel results.
-            assert executor._pool is pool
-            assert executor.map(_square, [1, 2, 3], shared=2) == [2, 8, 18]
-            assert os.getpid() not in executor.map(_pid_task, range(8))
-
-    @pytest.mark.parametrize("method", ["fork", "spawn"])
-    def test_clean_shutdown_under_start_method(self, method):
-        if method not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"{method} unavailable")
-        executor = ParallelExecutor(workers=2, mp_context=multiprocessing.get_context(method))
-        with executor:
-            assert executor.map(_square, [1, 2, 3], shared=2) == [2, 8, 18]
-        assert not executor.started
-        # After shutdown the executor drops back to one-shot mode...
-        assert executor.map(_square, [2], shared=5) == [20]
-        # ...and can start a fresh session.
-        with executor:
-            assert executor.map(_square, [3], shared=1) == [9]
-
-    def test_double_start_rejected(self):
-        with ParallelExecutor(workers=2) as executor:
-            with pytest.raises(RuntimeError, match="already started"):
-                executor.start()
-
-    def test_shutdown_without_start_is_noop(self):
-        ParallelExecutor(workers=2).shutdown()
-
-    def test_workers_one_session_runs_inline(self):
-        with ParallelExecutor(workers=1, shared=7) as executor:
-            assert executor.map(_pid_task, [0, 1]) == [os.getpid()] * 2
-            assert executor.map(_square, [2]) == [28]  # session shared reaches fn
-
-    def test_session_shared_installed_once(self):
-        with ParallelExecutor(workers=2, shared=10) as executor:
-            assert executor.map(_square, [1, 2, 3]) == [10, 40, 90]
-            # An explicit per-call shared overrides the session payload.
-            assert executor.map(_square, [1, 2, 3], shared=2) == [2, 8, 18]
-
-    def test_submit_returns_future(self):
-        with ParallelExecutor(workers=2, shared=4) as executor:
-            assert executor.submit(_square, 3).result() == 36
-        inline = ParallelExecutor(workers=1, shared=4).submit(_square, 3)
-        assert inline.done() and inline.result() == 36
-
-    def test_submit_failure_lands_in_future(self):
-        for workers in (1, 2):
-            with ParallelExecutor(workers=workers) as executor:
-                future = executor.submit(_fail_on_two, 2)
-                with pytest.raises(ValueError, match="task 2 exploded"):
-                    future.result()
-
-
 def _read_pack(shared, task):
     arrays = attach_arrays(shared)
     return arrays[task].sum().item(), arrays[task].flags.writeable
@@ -214,8 +121,9 @@ class TestSharedArrayPack:
     def test_workers_read_without_reshipping(self):
         data = {"weights": np.arange(1000, dtype=np.float64)}
         with SharedArrayPack(data) as pack:
-            with ParallelExecutor(workers=2, shared=pack.descriptor) as executor:
-                results = executor.map(_read_pack, ["weights"] * 6)
+            results = ParallelExecutor(workers=2).map(
+                _read_pack, ["weights"] * 6, shared=pack.descriptor
+            )
         expected = data["weights"].sum().item()
         assert results == [(expected, False)] * 6
 

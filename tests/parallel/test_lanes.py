@@ -2,20 +2,33 @@
 
 The serving tiers above (`TenantHost`, `QueryServer` failover) treat
 `LaneExecutor` as a primitive; this suite pins the primitive itself:
-placement arithmetic, inline equivalence, lifecycle rules, and the
-broken-lane re-spawn path the chaos harness depends on.
+placement arithmetic, inline equivalence, lifecycle rules, the
+broken-lane re-spawn path the chaos harness depends on, and the pipe
+lanes' invariants (no parent thread, one task in a pipe, death fails
+every future of the lane, workers never outlive their parent).
 """
 
 from __future__ import annotations
 
+import asyncio
+import multiprocessing
 import os
+import pickle
 import signal
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import TimeoutError as FutureTimeout
+from pathlib import Path
 
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
+from _chaos import surviving
 from repro.parallel import LaneExecutor
-from repro.parallel.executor import _run_session_task  # noqa: F401 - fork-safety import
+
+_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def _echo_pid(shared, task):
@@ -24,6 +37,19 @@ def _echo_pid(shared, task):
 
 def _boom(shared, task):
     raise ValueError(f"boom:{task}")
+
+
+def _sleep(shared, seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def _blob(shared, size):
+    return b"x" * size
+
+
+def _lock(shared, task):
+    return threading.Lock()
 
 
 class TestLifecycle:
@@ -114,7 +140,133 @@ class TestDeathAndRespawn:
             # The other lane never noticed.
             assert executor.submit(_echo_pid, 9, lane=1).result(timeout=30)[2] == 9
 
+    def test_submit_from_a_failing_future_lands_on_the_replacement(self):
+        """``respawn_lane`` fails the old worker's futures, and their done
+        callbacks may submit to the same lane at once: the task must land
+        on the replacement, not on a second worker nobody tracks."""
+        before = {child.pid for child in multiprocessing.active_children()}
+        with LaneExecutor(2) as executor:
+            running = executor.submit(_sleep, 30.0, lane=0)
+            resubmitted = []
+            running.add_done_callback(
+                lambda _f: resubmitted.append(executor.submit(_echo_pid, 4, lane=0))
+            )
+            executor.respawn_lane(0)
+            with pytest.raises(BrokenProcessPool):
+                running.result(timeout=0)
+            assert executor.respawns == 1
+            pid, _, task = resubmitted[0].result(timeout=30)
+            assert task == 4 and pid == executor.lane_pids()[0][0]
+            children = {child.pid for child in multiprocessing.active_children()} - before
+            assert children == {pids[0] for pids in executor.lane_pids()}
+
     def test_respawn_lane_is_inline_noop(self):
         with LaneExecutor(1) as executor:
             executor.respawn_lane(0)
             assert executor.respawns == 0
+
+
+class TestPipeLanes:
+    def test_start_adds_no_thread_in_the_parent(self):
+        before = threading.active_count()
+        with LaneExecutor(2) as executor:
+            assert executor.submit(_echo_pid, 1, lane=1).result(timeout=30)[2] == 1
+            assert threading.active_count() == before
+
+    def test_one_task_in_the_pipe_the_rest_in_a_fifo(self):
+        with LaneExecutor(2) as executor:
+            first = executor.submit(_sleep, 0.3, lane=0)
+            queued = [executor.submit(_echo_pid, i, lane=0) for i in range(2)]
+            lane = executor._lanes[0]
+            assert lane.running is first
+            assert [future for future, _ in lane.backlog] == queued
+            assert [f.result(timeout=30)[2] for f in queued] == [0, 1]
+            assert first.done() and lane.running is None and not lane.backlog
+
+    def test_sync_result_without_a_loop_honours_its_timeout(self):
+        with pytest.raises(RuntimeError):
+            asyncio.get_running_loop()
+        with LaneExecutor(2) as executor:
+            future = executor.submit(_sleep, 0.5, lane=0)
+            with pytest.raises(FutureTimeout):
+                future.result(timeout=0.05)
+            assert future.result(timeout=30) == 0.5
+
+    def test_fifo_order_holds_behind_a_multi_mb_reply(self):
+        size = 8 * 1024 * 1024
+
+        async def _run():
+            with LaneExecutor(2) as executor:
+                order = []
+                futures = [executor.submit(_blob, size, lane=0)]
+                futures += [executor.submit(_echo_pid, i, lane=0) for i in range(3)]
+                for index, future in enumerate(futures):
+                    future.add_done_callback(lambda _f, index=index: order.append(index))
+                results = await asyncio.wait_for(
+                    asyncio.gather(*(asyncio.wrap_future(f) for f in futures)), 30
+                )
+                return order, results
+
+        order, results = asyncio.run(_run())
+        assert order == [0, 1, 2, 3]
+        assert len(results[0]) == size
+        assert [r[2] for r in results[1:]] == [0, 1, 2]
+
+    def test_unpicklable_result_raises_instead_of_hanging(self):
+        with LaneExecutor(2) as executor:
+            with pytest.raises(pickle.PicklingError, match="could not be pickled"):
+                executor.submit(_lock, None, lane=0).result(timeout=30)
+            assert executor.submit(_echo_pid, 5, lane=0).result(timeout=30)[2] == 5
+            assert executor.respawns == 0
+
+    def test_sigkill_fails_running_and_queued_futures(self):
+        with LaneExecutor(2) as executor:
+            victim = executor.lane_pids()[0][0]
+            running = executor.submit(_sleep, 30.0, lane=0)
+            queued = executor.submit(_echo_pid, 1, lane=0)
+            assert executor._lanes[0].running is running
+            os.kill(victim, signal.SIGKILL)
+            for future in (running, queued):
+                with pytest.raises(BrokenProcessPool):
+                    future.result(timeout=30)
+            pid, _, _ = executor.submit(_echo_pid, 2, lane=0).result(timeout=30)
+            assert pid != victim and executor.respawns == 1
+
+    def test_worker_reaped_elsewhere_reads_as_dead(self):
+        with LaneExecutor(2) as executor:
+            victim = executor.lane_pids()[0][0]
+            os.kill(victim, signal.SIGKILL)
+            os.waitpid(victim, 0)
+            assert executor.lane_health() == [False, True]
+            assert executor.submit(_echo_pid, 3, lane=0).result(timeout=30)[0] != victim
+            assert executor.lane_health() == [True, True]
+
+    def test_killed_parent_leaves_no_worker_alive(self):
+        script = (
+            "from repro.parallel import LaneExecutor\n"
+            "import time\n"
+            "executor = LaneExecutor(3).start()\n"
+            "print(*[p for lane in executor.lane_pids() for p in lane], flush=True)\n"
+            "time.sleep(120)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=_SRC)
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env
+        )
+        try:
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(workers) == 3
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+            parent.stdout.close()
+        assert surviving(workers, timeout_s=5.0) == []
+
+    def test_pool_runs_under_spawn(self):
+        context = multiprocessing.get_context("spawn")
+        with LaneExecutor(2, mp_context=context, shared="payload") as executor:
+            replies = [executor.submit(_echo_pid, i, lane=i).result(timeout=60) for i in (0, 1)]
+            processes = [lane.process for lane in executor._lanes]
+        assert len({pid for pid, _, _ in replies} | {os.getpid()}) == 3
+        assert [(shared, task) for _, shared, task in replies] == [("payload", 0), ("payload", 1)]
+        assert not any(process.is_alive() for process in processes)

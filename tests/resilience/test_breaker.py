@@ -70,6 +70,17 @@ class TestCircuitBreaker:
         assert breaker.state == "closed"
         assert breaker.allow()
 
+    def test_admits_looks_without_using_the_probe(self, clock):
+        breaker = _breaker(clock)
+        for _ in range(4):
+            breaker.record_failure()
+        assert not breaker.admits()
+        clock.advance_ms(1000.0)
+        assert breaker.admits() and breaker.admits()
+        assert breaker.allow()  # the probe is still there
+        assert not breaker.admits()
+        assert breaker.rejections == 0
+
     def test_half_open_probe_failure_reopens_with_fresh_cooldown(self, clock):
         breaker = _breaker(clock)
         for _ in range(4):

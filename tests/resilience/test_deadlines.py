@@ -167,6 +167,30 @@ class TestLaneBreakers:
 
         asyncio.run(_run())
 
+    def test_half_open_lane_recovers_through_dispatch(self, cluster):
+        """After the cooldown, the half-open probe goes to the dispatched
+        batch copy, whose success closes the breaker: the lookups that
+        decide whether a batch may go out use up no probe."""
+
+        async def _run():
+            from repro.resilience import BreakerBoard
+
+            board = BreakerBoard("lane", BreakerConfig(min_samples=1, open_ms=50.0))
+            async with QueryServer(
+                cluster, workers=2, max_wait_ms=1.0, breakers=board
+            ) as server:
+                machine = cluster.machine_for(0).machine_id
+                breaker = board.get(server._lane_for(machine, hedged=False) % 2)
+                breaker.record_failure()
+                assert breaker.state == "open"
+                await asyncio.sleep(0.1)
+                answer = await server.submit(0, "rwr")
+                assert answer.tobytes() == cluster.answer(0, "rwr").tobytes()
+                assert breaker.state == "closed"
+                assert breaker.rejections == 0
+
+        asyncio.run(_run())
+
 
 class TestTenantBreakers:
     def test_deadline_burn_opens_the_tenant_breaker(self, cluster, tmp_path):

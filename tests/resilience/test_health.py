@@ -18,9 +18,9 @@ def _kill_first_worker(executor) -> int:
     assert pids, "pooled lanes must expose worker pids"
     os.kill(pids[0], signal.SIGKILL)
     try:
-        os.waitpid(pids[0], 0)  # reap so the pid probe really fails
+        os.waitpid(pids[0], 0)  # reaped here, it must still read as dead
     except ChildProcessError:
-        pass  # the pool's own machinery got there first
+        pass  # already reaped
     return pids[0]
 
 

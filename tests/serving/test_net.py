@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import asyncio
 
-import numpy as np
 import pytest
 
 from repro.core import PegasusConfig
@@ -280,25 +279,38 @@ class TestFaultContainment:
 
         asyncio.run(_run())
 
-    def test_client_disconnect_cancels_only_its_requests(self, clusters):
+    def test_client_disconnect_cancels_only_its_requests(self, clusters, tmp_path):
         """Dropping a connection mid-flight: the dead client's admitted
         requests drain as ``cancelled`` (ledger stays balanced), and a
         concurrent client on the same tenant is untouched."""
+        acme = clusters["acme"]
+        doomed_nodes = [
+            n for n in range(acme.graph.num_nodes) if acme.machine_for(n).machine_id == 0
+        ][:5]
+        # The first machine-0 batch stalls in its lane worker (fire-once),
+        # so every doomed request is still pending when the connection dies.
+        chaos = {
+            "hook": "_chaos:delay_machine",
+            "machine": 0,
+            "delay_s": 0.5,
+            "token": str(tmp_path / "delay.token"),
+        }
 
         async def _run():
-            host, server = await _serving(clusters)
-            # Long batch window so the doomed requests are still pending
-            # when the connection dies.
+            host, server = await _serving(clusters, workers=2, chaos=chaos)
+            # Long cap so the doomed requests behind the busy lane stay
+            # parked in the batcher.
             await host.evict("acme", drain=True)
-            acme = clusters["acme"]
-            await host.add_tenant("acme", acme, config=TenantConfig(max_wait_ms=300.0))
+            await host.add_tenant("acme", acme, config=TenantConfig(max_wait_ms=60_000.0))
             try:
                 doomed = await NetClient.connect("127.0.0.1", server.port)
                 survivor = await NetClient.connect("127.0.0.1", server.port)
                 async with survivor:
-                    hanging = [
+                    hanging = [asyncio.ensure_future(doomed.query("acme", doomed_nodes[0], "rwr"))]
+                    await asyncio.sleep(0.05)  # flushed to the idle lane, stalled there
+                    hanging += [
                         asyncio.ensure_future(doomed.query("acme", n, "rwr"))
-                        for n in range(5)
+                        for n in doomed_nodes[1:]
                     ]
                     await asyncio.sleep(0.05)  # admitted server-side
                     doomed.abort()

@@ -154,6 +154,120 @@ class TestPerRequestSemantics:
         _assert_byte_identical(summary_cluster, queries, answers)
 
 
+def _machine_nodes(cluster, machine_id: int = 0):
+    return [n for n in range(cluster.graph.num_nodes) if cluster.machine_for(n).machine_id == machine_id]
+
+
+def _stall(tmp_path, delay_s: float):
+    """Chaos spec: the first machine-0 batch sleeps *delay_s* in its lane."""
+    return {
+        "hook": "_chaos:delay_machine",
+        "machine": 0,
+        "delay_s": delay_s,
+        "token": str(tmp_path / "stall.token"),
+    }
+
+
+class TestWorkConservingDispatch:
+    """A batch goes out at once on an idle lane; behind a busy lane it
+    waits for the lane's reply, a full batch, or the ``max_wait_ms`` cap."""
+
+    def test_lone_request_on_an_idle_lane_is_answered_promptly(self, summary_cluster):
+        async def _run():
+            async with QueryServer(summary_cluster, workers=2, max_wait_ms=60_000.0) as server:
+                return await asyncio.wait_for(server.submit(3, "rwr"), timeout=10.0)
+
+        answer = asyncio.run(_run())
+        assert answer.tobytes() == summary_cluster.answer(3, "rwr").tobytes()
+
+    def test_arrivals_behind_a_busy_lane_go_out_as_one_batch(self, summary_cluster, tmp_path):
+        nodes = _machine_nodes(summary_cluster)[:4]
+        queries = [(node, "php") for node in nodes]
+
+        async def _run():
+            async with QueryServer(
+                summary_cluster,
+                workers=2,
+                max_batch=8,
+                max_wait_ms=60_000.0,
+                chaos=_stall(tmp_path, 0.4),
+            ) as server:
+                first = server.submit_nowait(*queries[0])
+                await asyncio.sleep(0.05)  # flushed to the idle lane, stalled there
+                rest = [server.submit_nowait(n, t) for n, t in queries[1:]]
+                await asyncio.sleep(0.1)
+                assert server.stats.batches == 1  # parked behind the busy lane
+                answers = await asyncio.wait_for(asyncio.gather(first, *rest), 10.0)
+                return answers, server.stats
+
+        answers, stats = asyncio.run(_run())
+        assert stats.batches == 2 and stats.max_batch_size == 3
+        _assert_byte_identical(summary_cluster, queries, answers)
+
+    def test_cap_still_flushes_into_a_busy_lane(self, summary_cluster, tmp_path):
+        nodes = _machine_nodes(summary_cluster)[:2]
+
+        async def _run():
+            async with QueryServer(
+                summary_cluster, workers=2, max_wait_ms=20.0, chaos=_stall(tmp_path, 0.5)
+            ) as server:
+                first = server.submit_nowait(nodes[0], "rwr")
+                await asyncio.sleep(0.05)
+                second = server.submit_nowait(nodes[1], "rwr")
+                await asyncio.sleep(0.15)
+                # The cap fired while the first batch still stalls.
+                assert not first.done() and server.stats.batches == 2
+                return await asyncio.wait_for(asyncio.gather(first, second), 10.0)
+
+        answers = asyncio.run(_run())
+        _assert_byte_identical(summary_cluster, [(n, "rwr") for n in nodes], answers)
+
+    def test_cancelled_hedge_loser_keeps_its_lane_busy_until_it_replies(
+        self, summary_cluster, tmp_path
+    ):
+        nodes = _machine_nodes(summary_cluster)[:2]
+
+        async def _run():
+            loop = asyncio.get_running_loop()
+            async with QueryServer(
+                summary_cluster,
+                workers=2,
+                hedge_ms=30.0,
+                max_wait_ms=60_000.0,
+                chaos=_stall(tmp_path, 0.6),
+            ) as server:
+                start = loop.time()
+                # The primary stalls on lane 0; the hedge on lane 1 wins.
+                hedged = await asyncio.wait_for(server.submit(nodes[0], "hop"), 10.0)
+                assert server.stats.hedge_wins == 1
+                assert loop.time() - start < 0.5
+                # The cancelled primary still occupies lane 0, so the next
+                # machine-0 request waits for its reply, not for the cap.
+                follower = server.submit_nowait(nodes[1], "hop")
+                await asyncio.sleep(0.1)
+                assert server.stats.batches == 1 and not follower.done()
+                answer = await asyncio.wait_for(follower, 10.0)
+                assert loop.time() - start >= 0.55
+                return hedged, answer, server.stats
+
+        hedged, answer, stats = asyncio.run(_run())
+        assert stats.batches == 2
+        _assert_byte_identical(summary_cluster, [(n, "hop") for n in nodes], [hedged, answer])
+
+    def test_inline_path_groups_a_burst_per_machine(self, summary_cluster):
+        queries = [(node, "hop") for node in range(12)]
+        machines = {summary_cluster.machine_for(node).machine_id for node, _ in queries}
+
+        async def _run():
+            async with QueryServer(summary_cluster, workers=1, max_batch=64) as server:
+                answers = await asyncio.gather(*(server.submit(n, t) for n, t in queries))
+                return answers, server.stats
+
+        answers, stats = asyncio.run(_run())
+        assert stats.batches == len(machines)
+        _assert_byte_identical(summary_cluster, queries, answers)
+
+
 class TestAdmissionControl:
     def test_invalid_inputs_rejected_synchronously(self, summary_cluster):
         async def _run():

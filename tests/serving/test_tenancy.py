@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import asyncio
 
-import numpy as np
 import pytest
 
 from repro.core import PegasusConfig
@@ -197,26 +196,37 @@ class TestEviction:
 
         asyncio.run(_run())
 
-    def test_cancelling_eviction_mid_batch_keeps_ledger_balanced(self, clusters):
+    def test_cancelling_eviction_mid_batch_keeps_ledger_balanced(self, clusters, tmp_path):
         """Eviction with drain=False while requests are mid-flight: clients
         see CancelledError, late batch results are discarded on arrival,
         and ``admitted == answered + failed + cancelled`` still holds."""
+        acme = clusters["acme"]
+        nodes = [n for n in range(acme.graph.num_nodes) if acme.machine_for(n).machine_id == 0]
+        # The first machine-0 batch stalls in its lane worker (fire-once).
+        chaos = {
+            "hook": "_chaos:delay_machine",
+            "machine": 0,
+            "delay_s": 1.0,
+            "token": str(tmp_path / "delay.token"),
+        }
 
         async def _run():
-            async with TenantHost(workers=1) as host:
+            async with TenantHost(workers=2, chaos=chaos) as host:
                 await host.add_tenant(
                     "acme",
-                    clusters["acme"],
-                    # Long window: requests are admitted and batched but
-                    # not yet flushed when the eviction lands.
+                    acme,
+                    # Long cap: requests behind the busy lane stay parked
+                    # in the batcher until the lane frees.
                     config=TenantConfig(max_wait_ms=60_000.0),
                 )
                 await host.add_tenant("globex", clusters["globex"])
-                futures = [
+                futures = [asyncio.ensure_future(host.submit("acme", nodes[0], "rwr"))]
+                await asyncio.sleep(0.01)  # flushed to the idle lane, stalled there
+                futures += [
                     asyncio.ensure_future(host.submit("acme", node, "rwr"))
-                    for node in range(6)
+                    for node in nodes[1:6]
                 ]
-                await asyncio.sleep(0.01)  # admitted, parked in the batcher
+                await asyncio.sleep(0.01)  # admitted, parked behind the busy lane
                 stats = await host.evict("acme", drain=False)
                 results = await asyncio.gather(*futures, return_exceptions=True)
                 assert all(isinstance(r, asyncio.CancelledError) for r in results)
