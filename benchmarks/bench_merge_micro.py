@@ -27,7 +27,7 @@ import contextlib
 import time
 
 import numpy as np
-from _util import bench_main, emit_table, fmt
+from _util import bench_main, emit_table
 
 from repro.core import BatchCostEvaluator, CostModel, PersonalizedWeights, SummaryGraph
 from repro.core import batch as batch_module

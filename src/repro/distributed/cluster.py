@@ -17,7 +17,6 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.core.summary import SummaryGraph
 from repro.errors import PartitionError, QueryError
 from repro.graph.graph import Graph
 from repro.parallel import ParallelExecutor

@@ -13,7 +13,7 @@ answered without communication (asserted on every cluster).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

@@ -25,7 +25,7 @@ cost-identical to the uninstrumented tier.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.obs.http import MetricsHTTPServer
 from repro.obs.profile import (

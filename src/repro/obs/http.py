@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Optional
 
 from repro.errors import ServingError
 from repro.obs.registry import MetricsRegistry

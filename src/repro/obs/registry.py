@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 __all__ = [
     "Counter",

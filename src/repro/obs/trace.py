@@ -44,7 +44,7 @@ import time
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List
 
 __all__ = ["Span", "Tracer", "TraceHandle", "new_trace_id"]
 

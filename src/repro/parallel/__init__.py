@@ -13,13 +13,16 @@ throwaway pool with ordered result collection (``map``).  Consumers:
   batch query serving with per-machine batching;
 * :func:`repro.experiments.common.sweep` — experiment points of
   Figs. 5/6/8/9/11/12 fan out across datasets × methods × parameters;
-* :class:`repro.streaming.StreamingSummarizer` — machine refreshes.
+* :class:`repro.streaming.StreamingSummarizer` — the construction build
+  and refreshes with no pooled server attached.
 
 :class:`LaneExecutor` pins each task to one of ``n`` pre-forked workers,
 each on its own pipe (``submit(fn, task, lane=...)``).
 :class:`repro.serving.QueryServer` and
 :class:`repro.serving.TenantHost` serve on it, with the per-machine
-arrays shipped once per worker via :mod:`repro.parallel.shm`.
+arrays shipped once per worker via :mod:`repro.parallel.shm`; an
+attached :class:`~repro.streaming.StreamingSummarizer` sends each
+refresh's lane shares to it.
 
 The build-path consumers additionally ship the immutable input graph
 zero-copy through :mod:`repro.parallel.graphship`, so ``spawn`` workers

@@ -70,6 +70,15 @@ def resolve_workers(workers: "int | None") -> int:
     return workers
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, or the core
+    count where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def default_context(mp_context=None):
     """*mp_context*, or ``fork`` where available and ``spawn`` elsewhere."""
     if mp_context is not None:

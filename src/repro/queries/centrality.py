@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.summary import SummaryGraph
 from repro.errors import QueryError
 from repro.graph.graph import Graph
 from repro.queries.neighbors import approximate_neighbors

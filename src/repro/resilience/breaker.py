@@ -134,6 +134,12 @@ class CircuitBreaker:
             self._probes_left -= 1
         return True
 
+    def release(self) -> None:
+        """Give back the half-open probe of an admitted call that never
+        ran (cancelled before it reached the resource)."""
+        if self.state == HALF_OPEN:
+            self._probes_left = min(self._probes_left + 1, self.config.half_open_probes)
+
     def record_success(self) -> None:
         """Note a successful call; a half-open success closes the breaker."""
         self._outcomes.append(True)

@@ -34,12 +34,12 @@ import asyncio
 import itertools
 import socket
 import time
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Set
 
 import numpy as np
 
 from repro import errors as _errors
-from repro.errors import CodecError, FrameError, ProtocolError, ReproError, ServingError
+from repro.errors import CodecError, ProtocolError, ReproError, ServingError
 from repro.obs import ObsConfig
 from repro.resilience.policy import Deadline, RetryPolicy
 from repro.serving.protocol import (

@@ -461,6 +461,11 @@ class QueryServer:
         return self._cluster
 
     @property
+    def executor(self) -> "LaneExecutor | None":
+        """The lane executor batches go to (``None`` before :meth:`start`)."""
+        return self._executor
+
+    @property
     def uses_shared_memory(self) -> bool:
         """Whether machine arrays actually live in shared memory."""
         return self._blueprint is not None and self._blueprint.uses_shared_memory
@@ -903,6 +908,13 @@ class QueryServer:
                 for request in job.batch:
                     self._fail_request(request, error)
             return
+        if self._breakers is not None:
+            # Fed from the lane future, which completes even when this
+            # copy's asyncio wrapper is cancelled (a hedge loser): every
+            # dispatched copy reports to its lane's breaker exactly once,
+            # before the lane's waiting machines are flushed below.
+            breaker = self._breakers.get(lane % max(1, self._executor.lanes))
+            pool_future.add_done_callback(lambda done: self._feed_breaker(breaker, done))
         if not self._executor.inline:
             # The lane stays busy until the worker replies, even if this
             # copy's asyncio wrapper is cancelled (a hedge loser) first.
@@ -917,6 +929,20 @@ class QueryServer:
                 done, job, key, hedged, lane=lane, attempt=attempt, t_dispatch=t_dispatch
             )
         )
+
+    def _feed_breaker(self, breaker, done) -> None:
+        """One batch copy's lane outcome: worker deaths are lane failures;
+        application errors are not (the lane computed fine).  A copy
+        cancelled before it reached the worker tells nothing and gives
+        back the probe it may have spent."""
+        if done.cancelled():
+            breaker.release()
+            return
+        error = done.exception()
+        if error is None:
+            breaker.record_success()
+        elif self._retryable(error):
+            breaker.record_failure()
 
     def _fire_hedge(self, job: _BatchJob) -> None:
         """Hedge deadline passed: duplicate the batch onto the next lane."""
@@ -970,14 +996,6 @@ class QueryServer:
         obs_payload = None
         if answers is not None and self._ospec is not None:
             answers, obs_payload = answers
-        if self._breakers is not None and not done.cancelled():
-            # Feed the lane's breaker: worker deaths are lane failures;
-            # application errors are not (the lane computed fine).
-            breaker = self._breakers.get(lane % max(1, self._executor.lanes))
-            if error is None:
-                breaker.record_success()
-            elif self._retryable(error):
-                breaker.record_failure()
         if self._obs is not None:
             self._note_copy_done(
                 job,

@@ -18,11 +18,15 @@ keeps that cluster *live* under an append-only edge stream:
    the corrections, and the machine is marked for refresh.
 3. **Refresh** — :meth:`StreamingSummarizer.refresh` re-runs the
    per-machine summarization of Alg. 3 on the **materialized** graph for
-   exactly the drifted machines, fanned out over a
-   :class:`~repro.parallel.ParallelExecutor` with zero-copy graph
-   shipping, and hot-swaps the new summaries into the cluster — and into
-   an attached :class:`~repro.serving.QueryServer` — between
-   micro-batches, without dropping in-flight requests.
+   exactly the drifted machines and hot-swaps the new summaries into the
+   cluster — and into an attached :class:`~repro.serving.QueryServer` —
+   between micro-batches, without dropping in-flight requests.  The
+   machines are independent, so the refresh splits them: attached to a
+   server with pre-forked lanes, the refreshing process computes the
+   first share itself while up to ``min(lanes, usable CPUs − 1,
+   machines − 1)`` of the server's warm lanes compute one contiguous
+   share each; otherwise they fan out over a
+   :class:`~repro.parallel.ParallelExecutor` of ``workers`` processes.
 
 Determinism contract (pinned by ``tests/streaming/``):
 
@@ -33,7 +37,7 @@ Determinism contract (pinned by ``tests/streaming/``):
   incrementally from the stale summary — so the post-refresh state is a
   pure function of the stream prefix.  After refreshing all stale
   machines at **any** prefix, under **any** earlier refresh cadence and
-  worker count, the cluster is byte-identical to
+  worker count or lane split, the cluster is byte-identical to
   :func:`~repro.distributed.pipeline.build_summary_cluster` on
   ``delta.materialize()`` with the same pinned assignment, config, and
   seed — summaries, sizes, and served answers alike.
@@ -46,6 +50,7 @@ Determinism contract (pinned by ``tests/streaming/``):
 from __future__ import annotations
 
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -57,10 +62,16 @@ from repro.distributed.pipeline import Partitioner, _resolve_parts, _summary_mac
 from repro.errors import StreamingError
 from repro.graph.graph import Graph
 from repro.obs.profile import count as _obs_count, probe
-from repro.parallel import ParallelExecutor
+from repro.parallel import ParallelExecutor, resolve_workers
+from repro.parallel.executor import usable_cpus
 from repro.parallel.graphship import GraphShipment
 from repro.streaming.delta import GraphDelta
 from repro.streaming.residual import ResidualSource, uncovered_edges
+
+
+def _summary_share_task(shared, tasks) -> List[Machine]:
+    """A lane's share of a refresh: its machines, built in task order."""
+    return [_summary_machine_task(shared, task) for task in tasks]
 
 
 @dataclass
@@ -102,6 +113,9 @@ class RefreshReport:
 
     machine_ids: "List[int]"
     seconds: float = 0.0
+    #: The machines computed on the attached server's lanes; the rest
+    #: ran in this process (or a throwaway pool, when detached).
+    on_lanes: "List[int]" = field(default_factory=list)
 
 
 class StreamingSummarizer:
@@ -129,11 +143,15 @@ class StreamingSummarizer:
         larger values trade staleness of the merge structure for fewer
         re-summarizations.  Must be non-negative.
     workers:
-        Process-pool size for refresh fan-outs (``1`` = inline reference
-        path; results are byte-identical at any count).
+        Process-pool size for the construction build and for refreshes
+        with no pooled server attached (``1`` = inline reference path;
+        results are byte-identical at any count).  Attached to a server
+        with pre-forked lanes, a refresh splits its machines between
+        this process and those lanes instead (see the module docstring).
     use_shared_memory:
-        Ship the materialized graph to refresh workers through shared
-        memory (as in the build pipeline).
+        Ship the graph to ``workers`` processes through shared memory (as
+        in the build pipeline).  A lane's refresh share carries its graph
+        pickled.
     log_dir:
         Durable write-ahead logging: every ingested batch is appended to
         a :class:`~repro.store.DeltaLog` in this directory (crash-atomic
@@ -228,7 +246,8 @@ class StreamingSummarizer:
         """Forward every subsequent source swap to *server* (hot swap).
 
         *server* is a running :class:`~repro.serving.QueryServer` built on
-        :attr:`cluster`.  Detach with :meth:`detach`.
+        :attr:`cluster`.  While attached, refreshes also borrow its warm
+        lanes.  Detach with :meth:`detach`.
         """
         self._server = server
 
@@ -409,7 +428,7 @@ class StreamingSummarizer:
             return RefreshReport(machine_ids=[], seconds=time.perf_counter() - started)
         materialized = self.delta.materialize()
         tasks = [(machine_id, self._states[machine_id].part) for machine_id in ids]
-        machines = self._build_machines(materialized, tasks)
+        machines, on_lanes = self._rebuild_machines(materialized, tasks)
         cursor = self.delta.num_pending
         for machine in machines:
             state = self._states[machine.machine_id]
@@ -438,4 +457,66 @@ class StreamingSummarizer:
             self.log.compact(
                 self.delta, min(state.cursor for state in self._states.values())
             )
-        return RefreshReport(machine_ids=ids, seconds=time.perf_counter() - started)
+        return RefreshReport(
+            machine_ids=ids, seconds=time.perf_counter() - started, on_lanes=on_lanes
+        )
+
+    def _rebuild_machines(
+        self, graph: Graph, tasks: "List[Tuple[int, np.ndarray]]"
+    ) -> "Tuple[List[Machine], List[int]]":
+        """Re-summarize *tasks* for a refresh; returns the machines in
+        task order and the ids of those computed on a lane.
+
+        Attached to a server with pooled lanes, this process computes the
+        first contiguous share inline while each of ``k`` lanes computes
+        one more.  A lane's share goes out as one task: a lane holds one
+        task in its pipe and the next goes out only when this process
+        reads the reply, so per-machine tasks would leave the lane idle
+        while this process computes its own share.  The graph is pickled
+        into each lane task, so nothing stays behind in the worker.  A
+        lane whose worker dies hands its share back to this process.
+        Every share runs the task function of
+        :func:`~repro.distributed.pipeline.build_summary_cluster`, so the
+        split never shows in the result.  With ``k = 0`` the refresh fans
+        out like the construction build.
+        """
+        executor = self._server.executor if self._server is not None else None
+        lanes = 0
+        if executor is not None and executor.started and not executor.inline:
+            lanes = min(executor.lanes, usable_cpus() - 1, len(tasks) - 1)
+        if lanes <= 0:
+            pooled = resolve_workers(self.workers) > 1 and len(tasks) > 1
+            _obs_count(
+                "repro_stream_refresh_machines_total",
+                len(tasks),
+                where="pool" if pooled else "parent",
+            )
+            return self._build_machines(graph, tasks), []
+        shared = (graph, self.budget_bits, self.config)
+        shares = [
+            [tasks[index] for index in part]
+            for part in np.array_split(np.arange(len(tasks)), lanes + 1)
+        ]
+        futures = [
+            executor.submit(_summary_share_task, share, lane=lane, shared=shared)
+            for lane, share in enumerate(shares[1:])
+        ]
+        machines = _summary_share_task(shared, shares[0])
+        on_lanes: List[int] = []
+        for share, future in zip(shares[1:], futures):
+            try:
+                # result() reads the lane's pipe itself (an event loop
+                # running this refresh is blocked): the reply of a read
+                # batch sent ahead of the share reaches its callbacks on
+                # the way.
+                built = future.result()
+            except BrokenProcessPool:
+                built = _summary_share_task(shared, share)
+            else:
+                on_lanes.extend(machine_id for machine_id, _ in share)
+            machines.extend(built)
+        _obs_count(
+            "repro_stream_refresh_machines_total", len(tasks) - len(on_lanes), where="parent"
+        )
+        _obs_count("repro_stream_refresh_machines_total", len(on_lanes), where="lane")
+        return machines, on_lanes

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import SummaryGraph
 from repro.errors import GraphFormatError
-from repro.graph import Graph
 
 
 class TestIdentityInitialization:

@@ -8,7 +8,6 @@ import pytest
 from repro.core import PegasusConfig, SummaryGraph, summarize
 from repro.core.summary_io import load_summary, save_summary
 from repro.errors import GraphFormatError
-from repro.graph import Graph
 
 
 def test_roundtrip_identity(two_cliques, tmp_path):

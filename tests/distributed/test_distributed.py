@@ -14,7 +14,7 @@ from repro.distributed import (
     build_summary_cluster,
 )
 from repro.errors import BudgetError, PartitionError, QueryError
-from repro.graph import Graph, planted_partition
+from repro.graph import planted_partition
 
 
 @pytest.fixture(scope="module")

@@ -25,7 +25,7 @@ from repro.distributed import build_summary_cluster
 from repro.errors import ServingError
 from repro.graph import planted_partition
 from repro.obs import MetricsHTTPServer, MetricsRegistry, ObsConfig, Tracer
-from repro.serving import QUERY_TYPES, NetClient, NetServer, TenantConfig, TenantHost
+from repro.serving import QUERY_TYPES, NetClient, NetServer, TenantHost
 
 pytestmark = pytest.mark.filterwarnings("error::ResourceWarning")
 

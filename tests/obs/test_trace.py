@@ -101,9 +101,9 @@ class TestSink:
             handle = tracer.begin("query")
             tracer.record(handle.trace_id, "queue", 0.001, machine=0)
             handle.finish()
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert [l["name"] for l in lines] == ["queue", "total"]
-        assert all(l["trace_id"] == handle.trace_id for l in lines)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [line["name"] for line in lines] == ["queue", "total"]
+        assert all(line["trace_id"] == handle.trace_id for line in lines)
         assert lines[0]["meta"] == {"machine": 0}
 
     def test_sink_appends_and_close_is_idempotent(self, tmp_path):

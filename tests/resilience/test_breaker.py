@@ -81,6 +81,20 @@ class TestCircuitBreaker:
         assert not breaker.admits()
         assert breaker.rejections == 0
 
+    def test_release_gives_back_an_unused_probe(self, clock):
+        breaker = _breaker(clock)
+        breaker.release()  # closed: nothing to give back
+        for _ in range(4):
+            breaker.record_failure()
+        clock.advance_ms(1000.0)
+        assert breaker.allow()
+        assert not breaker.admits()
+        breaker.release()  # the admitted call was cancelled before it ran
+        assert breaker.admits()
+        breaker.release()  # never more probes than the config grants
+        assert breaker.allow() and not breaker.admits()
+        assert breaker.state == "half_open"
+
     def test_half_open_probe_failure_reopens_with_fresh_cooldown(self, clock):
         breaker = _breaker(clock)
         for _ in range(4):

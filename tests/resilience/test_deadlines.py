@@ -191,6 +191,37 @@ class TestLaneBreakers:
 
         asyncio.run(_run())
 
+    def test_cancelled_hedge_loser_reports_to_its_lane_breaker(self, cluster):
+        """The hedge copy spends its lane's half-open probe at dispatch.
+        When the primary wins, the copy's asyncio wrapper is cancelled,
+        but the lane future still completes, and its outcome closes the
+        breaker: the lane rejoins rotation."""
+
+        async def _run():
+            from repro.resilience import BreakerBoard
+
+            machine = cluster.machine_for(0).machine_id
+            chaos = {"hook": "_chaos:slow_lane", "machine": machine, "delay_s": 0.3}
+            board = BreakerBoard("lane", BreakerConfig(min_samples=1, open_ms=50.0))
+            async with QueryServer(
+                cluster, workers=2, max_wait_ms=1.0, hedge_ms=50.0, breakers=board,
+                chaos=chaos,
+            ) as server:
+                breaker = board.get(server._lane_for(machine, hedged=True, peek=True) % 2)
+                breaker.record_failure()
+                assert breaker.state == "open"
+                await asyncio.sleep(0.1)  # cooled down: half-open, one probe
+                answer = await server.submit(0, "rwr")
+                assert answer.tobytes() == cluster.answer(0, "rwr").tobytes()
+                assert (server.stats.hedged, server.stats.hedge_wins) == (1, 0)
+                loop = asyncio.get_running_loop()
+                give_up = loop.time() + 5.0
+                while not breaker.admits() and loop.time() < give_up:
+                    await asyncio.sleep(0.02)  # the loser finishes on its lane
+                assert breaker.state == "closed"
+
+        asyncio.run(_run())
+
 
 class TestTenantBreakers:
     def test_deadline_burn_opens_the_tenant_breaker(self, cluster, tmp_path):

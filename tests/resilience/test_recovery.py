@@ -18,7 +18,6 @@ from repro.core import PegasusConfig
 from repro.errors import GraphFormatError, RecoveryError
 from repro.resilience import HostState, doctor_report, recover_host
 from repro.serving import QUERY_TYPES
-from repro.store import DeltaLog
 from repro.streaming import StreamingSummarizer
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core import PegasusConfig, SummaryGraph, summarize
 from repro.errors import GraphFormatError
-from repro.graph import Graph, planted_partition
+from repro.graph import planted_partition
 from repro.queries import hop_distances, php_scores, rwr_scores
 from repro.queries.hop import hop_distances_reference
 from repro.queries.neighbors import approximate_neighbors

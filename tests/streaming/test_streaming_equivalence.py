@@ -17,11 +17,18 @@ Pins the tentpole guarantees of the streaming subsystem:
   served answers stay byte-identical to the synchronous
   ``cluster.answer`` path between arbitrary ingests/refreshes, in-flight
   requests are never dropped, and serving stays communication-free.
+* **Refresh on the warm lanes** — attached to a pooled server, a refresh
+  splits its machines between this process and the server's lanes; the
+  split never shows in the summaries, a lane's death hands its share
+  back, and reads already on the lane are answered on the way.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -30,7 +37,9 @@ from repro.core import PegasusConfig
 from repro.core.summary_io import save_summary
 from repro.distributed import build_summary_cluster
 from repro.graph import Graph, planted_partition
-from repro.serving import QueryServer
+from repro.obs import MetricsRegistry, disable_profiling, enable_profiling, samples_for
+from repro.serving import QueryServer, TenantHost
+from repro.serving.blueprint import serve_batch_task
 from repro.store import DeltaLog
 from repro.streaming import StreamingSummarizer
 
@@ -363,3 +372,268 @@ class TestHotSwapServing:
             asyncio.run(run())
         assert set(blueprint._SESSIONS) == sessions_before
         assert set(shm._ATTACHED) == attached_before
+
+
+def _usable_cpus(monkeypatch, count):
+    """Pin the CPU count the refresh split sees (its affinity mask)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _lane_tasks(monkeypatch, executor):
+    """Record the task function of every submit to *executor*."""
+    sent = []
+    submit = executor.submit
+
+    def spy(fn, task, **kwargs):
+        sent.append(fn)
+        return submit(fn, task, **kwargs)
+
+    monkeypatch.setattr(executor, "submit", spy)
+    return sent
+
+
+def _reference(streaming, budget, config):
+    return build_summary_cluster(
+        streaming.delta.materialize(),
+        streaming.num_machines,
+        budget,
+        assignment=streaming.assignment,
+        config=config,
+    )
+
+
+def _ledger_balances(stats):
+    return stats.admitted == stats.answered + stats.failed + stats.cancelled + stats.shed
+
+
+class TestRefreshOnWarmLanes:
+    """Refreshes attached to a pooled server: the parent computes the
+    first share, lanes ``0 .. k-1`` one share each, where ``k = min(lanes,
+    usable CPUs - 1, machines - 1)``."""
+
+    @pytest.mark.parametrize("host", ["server", "tenant-host"])
+    def test_every_refresh_equals_from_scratch(self, stream_setup, tmp_path, monkeypatch, host):
+        _, base, stream = stream_setup
+        _usable_cpus(monkeypatch, 2)
+        config = PegasusConfig(seed=12, t_max=4)
+        budget = 0.5 * base.size_in_bits()
+        streaming = StreamingSummarizer(
+            base, 4, budget, config=config, seed=12, drift_threshold=0.0
+        )
+        chunks = np.array_split(stream, 4)
+
+        async def run():
+            async with contextlib.AsyncExitStack() as stack:
+                if host == "server":
+                    server = await stack.enter_async_context(
+                        QueryServer(streaming.cluster, workers=2)
+                    )
+                else:
+                    tenants = await stack.enter_async_context(TenantHost(workers=2))
+                    await tenants.add_tenant("stream", streaming.cluster)
+                    server = tenants.server("stream")
+                streaming.attach(server)
+                try:
+                    for index, chunk in enumerate(chunks[:-1]):
+                        report = streaming.ingest(chunk)
+                        assert report.refreshed == [0, 1, 2, 3]
+                        _assert_cluster_equals_reference(
+                            streaming, _reference(streaming, budget, config), tmp_path, f"p{index}"
+                        )
+                    streaming.ingest(chunks[-1], refresh="none")
+                    report = streaming.refresh()
+                    nodes = _probe_nodes(base, count=4)
+                    served = await asyncio.gather(
+                        *(server.submit(node, qt) for node in nodes for qt in QUERY_TYPES)
+                    )
+                    return report, [answer.tobytes() for answer in served], server.stats
+                finally:
+                    streaming.detach()
+
+        report, served, stats = asyncio.run(run())
+        # Two CPUs: one lane takes the second half of the machines.
+        assert report.machine_ids == [0, 1, 2, 3]
+        assert report.on_lanes == [2, 3]
+        reference = _reference(streaming, budget, config)
+        _assert_cluster_equals_reference(streaming, reference, tmp_path, "final")
+        assert served == _answers(reference, _probe_nodes(base, count=4))
+        assert stats.failed == 0 and _ledger_balances(stats)
+
+    def test_three_cpus_use_both_lanes_and_count_where(self, stream_setup, tmp_path, monkeypatch):
+        _, base, stream = stream_setup
+        _usable_cpus(monkeypatch, 3)
+        config = PegasusConfig(seed=13, t_max=4)
+        budget = 0.5 * base.size_in_bits()
+        streaming = StreamingSummarizer(
+            base, 4, budget, config=config, seed=13, drift_threshold=1e9
+        )
+        registry = MetricsRegistry()
+
+        async def run():
+            async with QueryServer(streaming.cluster, workers=2) as server:
+                streaming.attach(server)
+                try:
+                    streaming.ingest(stream[:60], refresh="none")
+                    enable_profiling(registry)
+                    try:
+                        return streaming.refresh()
+                    finally:
+                        disable_profiling()
+                finally:
+                    streaming.detach()
+
+        report = asyncio.run(run())
+        # Shares [0, 1] | [2] | [3]: the parent and both lanes.
+        assert report.on_lanes == [2, 3]
+        counted = {
+            sample["labels"]["where"]: sample["value"]
+            for sample in samples_for(registry.snapshot(), "repro_stream_refresh_machines_total")
+        }
+        assert counted == {"parent": 2.0, "lane": 2.0}
+        _assert_cluster_equals_reference(
+            streaming, _reference(streaming, budget, config), tmp_path, "three"
+        )
+
+    @pytest.mark.parametrize("case", ["one-cpu", "one-machine"])
+    def test_no_lane_task_without_a_split(self, stream_setup, tmp_path, monkeypatch, case):
+        _, base, stream = stream_setup
+        _usable_cpus(monkeypatch, 1 if case == "one-cpu" else 2)
+        config = PegasusConfig(seed=14, t_max=4)
+        budget = 0.5 * base.size_in_bits()
+        streaming = StreamingSummarizer(
+            base, 3, budget, config=config, seed=14, drift_threshold=1e9
+        )
+
+        async def run():
+            async with QueryServer(streaming.cluster, workers=2) as server:
+                streaming.attach(server)
+                sent = _lane_tasks(monkeypatch, server.executor)
+                try:
+                    streaming.ingest(stream, refresh="none")
+                    report = streaming.refresh(None if case == "one-cpu" else [1])
+                    answer = await server.submit(0, "rwr")
+                    return report, sent, answer
+                finally:
+                    streaming.detach()
+
+        report, sent, answer = asyncio.run(run())
+        assert report.on_lanes == []
+        assert sent and set(sent) == {serve_batch_task}  # reads only
+        assert answer.tobytes() == streaming.cluster.answer(0, "rwr").tobytes()
+        if case == "one-cpu":
+            _assert_cluster_equals_reference(
+                streaming, _reference(streaming, budget, config), tmp_path, case
+            )
+
+    def test_lane_killed_holding_its_share_hands_it_back(
+        self, stream_setup, tmp_path, monkeypatch
+    ):
+        """SIGKILL the refresh lane's worker once it holds its share: the
+        parent computes that share too, the lane re-spawns for the next
+        read, and serving never notices."""
+        import repro.streaming.summarizer as summarizer_module
+
+        _, base, stream = stream_setup
+        _usable_cpus(monkeypatch, 2)
+        config = PegasusConfig(seed=15, t_max=4)
+        budget = 0.5 * base.size_in_bits()
+        streaming = StreamingSummarizer(
+            base, 4, budget, config=config, seed=15, drift_threshold=1e9
+        )
+        nodes = [int(machine.part_nodes[0]) for machine in streaming.cluster.machines]
+
+        async def run():
+            async with QueryServer(streaming.cluster, workers=2) as server:
+                streaming.attach(server)
+                try:
+                    await asyncio.gather(*(server.submit(node, "hop") for node in nodes))
+                    victim = server.executor.lane_pids()[0][0]
+                    built = []
+                    task_fn = summarizer_module._summary_machine_task
+
+                    def parent_task(shared, task):
+                        # The lane task went out before the parent's own
+                        # share, so the worker holds it now.
+                        if not built:
+                            os.kill(victim, signal.SIGKILL)
+                        built.append(task[0])
+                        return task_fn(shared, task)
+
+                    monkeypatch.setattr(summarizer_module, "_summary_machine_task", parent_task)
+                    streaming.ingest(stream, refresh="none")
+                    report = streaming.refresh()
+                    served = await asyncio.gather(
+                        *(server.submit(node, qt) for node in nodes for qt in QUERY_TYPES)
+                    )
+                    expected = [
+                        streaming.cluster.answer(node, qt).tobytes()
+                        for node in nodes
+                        for qt in QUERY_TYPES
+                    ]
+                    assert [answer.tobytes() for answer in served] == expected
+                    assert all(server.executor.lane_health())
+                    assert server.executor.lane_pids()[0][0] != victim
+                    return report, built, server.executor.respawns, server.stats
+                finally:
+                    streaming.detach()
+
+        report, built, respawns, stats = asyncio.run(run())
+        assert report.machine_ids == [0, 1, 2, 3]
+        assert report.on_lanes == []
+        assert built == [0, 1, 2, 3]  # the lane's share, handed back
+        assert respawns == 1
+        assert stats.failed == 0 and stats.redispatches == 0
+        assert _ledger_balances(stats) and stats.admitted == stats.answered
+        _assert_cluster_equals_reference(
+            streaming, _reference(streaming, budget, config), tmp_path, "killed"
+        )
+
+    def test_read_in_the_lane_pipe_is_answered_during_the_refresh(
+        self, stream_setup, tmp_path, monkeypatch
+    ):
+        """A read batch already in the refresh lane's pipe when the
+        refresh starts: the parent reads its reply while it waits for the
+        lane's share, and the answer is the one from the generation the
+        batch was flushed against."""
+        _, base, stream = stream_setup
+        _usable_cpus(monkeypatch, 2)
+        config = PegasusConfig(seed=16, t_max=4)
+        budget = 0.5 * base.size_in_bits()
+        streaming = StreamingSummarizer(
+            base, 4, budget, config=config, seed=16, drift_threshold=1e9
+        )
+        node = int(streaming.cluster.machines[0].part_nodes[0])  # machine 0 → lane 0
+        slow = {"hook": "repro.serving.blueprint:chaos_delay", "machine": 0, "delay_s": 0.2}
+
+        async def run():
+            async with QueryServer(streaming.cluster, workers=2, chaos=slow) as server:
+                streaming.attach(server)
+                try:
+                    before = streaming.cluster.answer(node, "rwr").tobytes()
+                    pending = server.submit_nowait(node, "rwr")
+
+                    async def flushed():
+                        while not server._busy:
+                            await asyncio.sleep(0)
+
+                    await asyncio.wait_for(flushed(), 10.0)
+                    assert server._busy == {0: 1}  # the batch is in lane 0's pipe
+                    streaming.ingest(stream, refresh="none")
+                    report = streaming.refresh()
+                    # Resolved on lane 0 inside the refresh, before the
+                    # event loop ran again.
+                    assert server._busy == {}
+                    answered = (await pending).tobytes()
+                    after = (await server.submit(node, "rwr")).tobytes()
+                    return report, before, answered, after, server.stats
+                finally:
+                    streaming.detach()
+
+        report, before, answered, after, stats = asyncio.run(run())
+        assert report.on_lanes == [2, 3]
+        assert answered == before
+        assert after == streaming.cluster.answer(node, "rwr").tobytes()
+        assert stats.failed == 0 and _ledger_balances(stats)
+        _assert_cluster_equals_reference(
+            streaming, _reference(streaming, budget, config), tmp_path, "pipe"
+        )

@@ -11,7 +11,6 @@ exercised here — smoke mode only proves the scripts still run end to end.
 from __future__ import annotations
 
 import importlib
-import sys
 from pathlib import Path
 
 import pytest

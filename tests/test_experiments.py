@@ -171,9 +171,10 @@ class TestDrivers:
 
     def test_fig6_workers_equivalent_workload(self):
         kwargs = dict(node_fractions=(0.6, 1.0), target_modes=("100",), scale=TINY)
-        keys = lambda rows: [
-            (r.graph_name, r.target_mode, r.num_nodes, r.num_edges) for r in rows
-        ]
+
+        def keys(rows):
+            return [(r.graph_name, r.target_mode, r.num_nodes, r.num_edges) for r in rows]
+
         assert keys(fig6_scalability.run(workers=1, **kwargs)) == keys(
             fig6_scalability.run(workers=2, **kwargs)
         )
