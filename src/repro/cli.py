@@ -1144,8 +1144,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--retry-policy",
         default=None,
         help=(
-            "batch redispatch policy, e.g. 'attempts=4,base_ms=5,cap_ms=500,"
-            "jitter=0.3' ('none' disables retries)"
+            "redispatch policy for a batch whose lane worker died, e.g. "
+            "'attempts=4,base_ms=5,cap_ms=500,jitter=0.3' ('none' disables "
+            "retries; default: attempts=3,base_ms=0,jitter=0, re-sent at once up to twice)"
         ),
     )
     serve_net_cmd.add_argument(

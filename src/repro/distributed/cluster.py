@@ -168,14 +168,15 @@ class DistributedCluster:
             # machine.  Ship the serving layer's array reduction instead:
             # workers rebuild each machine from its determining arrays
             # (shared memory where available) and build its operator once.
-            from repro.serving.blueprint import ClusterBlueprint, serve_batch_task
+            from repro.serving.blueprint import BatchTask, ClusterBlueprint, serve_batch_task
 
             tasks = [
-                (machine_id, [(node, query_type) for node in groups[machine_id]])
+                BatchTask(machine_id, [(node, query_type, None) for node in groups[machine_id]])
                 for machine_id in order
             ]
             with ClusterBlueprint(self) as blueprint:
-                batches = executor.map(serve_batch_task, tasks, shared=blueprint.payload)
+                replies = executor.map(serve_batch_task, tasks, shared=blueprint.payload)
+            batches = [reply.answers for reply in replies]
         else:
             inline_tasks = [(self.machines[machine_id], groups[machine_id]) for machine_id in order]
             batches = executor.map(_machine_batch_task, inline_tasks, shared=query_type)

@@ -18,12 +18,13 @@ serving stack takes: pass one to
 :class:`~repro.serving.server.QueryServer`,
 :class:`~repro.serving.tenancy.TenantHost`, or
 :class:`~repro.serving.net.NetServer` and metrics/tracing light up end
-to end — ``None`` (the default) keeps every code path byte- and
-cost-identical to the uninstrumented tier.
+to end.  ``None`` (the default) traces nothing, and a query server then
+keeps its ledger in a private registry.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from typing import Any, Dict
 
@@ -82,12 +83,13 @@ __all__ = [
 class ObsConfig:
     """One knob for the serving stack: which registry/tracer to record into.
 
-    ``registry=None`` disables metrics, ``tracer=None`` disables
+    ``registry=None`` keeps a query server's metrics in a private
+    registry (and disables the net tier's), ``tracer=None`` disables
     tracing; ``tenant`` labels every metric the holder records (the
     multi-tenant host stamps each tenant's server with its name).
     ``profile_workers`` ships the profiling switch to lane workers so
     worker-side probes (store loads, operator builds) record and are
-    harvested back per batch.
+    harvested back per batch into ``registry``.
     """
 
     registry: "MetricsRegistry | None" = None
@@ -124,3 +126,21 @@ def harvest_worker_metrics() -> Dict[str, Any]:
     batch is re-dispatched and re-measured).
     """
     return get_registry().harvest_delta(_WORKER_HARVEST_CURSOR)
+
+
+def _forget_inherited_metrics() -> None:
+    """Give a forked child an empty default registry and harvest cursor.
+
+    A lane worker forked after traffic (a respawn) would otherwise
+    harvest the parent's metrics it inherited, and the parent would count
+    them twice — its serving ledger included, when the serving registry
+    is the process-wide one.
+    """
+    # Re-initialized rather than reset(): a registry lock some parent
+    # thread held at fork time would stay held in the child.
+    get_registry().__init__()
+    _WORKER_HARVEST_CURSOR.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_inherited_metrics)

@@ -16,9 +16,9 @@ as a call counter.  :func:`count` and :func:`observe` record event
 counters and value histograms (e.g. the query solvers' iteration
 counts) under the same switch.
 
-Serving workers inherit the switch through the blueprint payload: a
-server built with an :class:`~repro.obs.ObsConfig` ships
-``{"profile": True}`` and :func:`~repro.serving.blueprint.serve_batch_task`
+Serving workers inherit the switch through the batch task: a server
+given an :class:`~repro.obs.ObsConfig` with a registry sets the task's
+``profile`` field and :func:`~repro.serving.blueprint.serve_batch_task`
 enables profiling in the worker before the first machine rebuild, so
 store loads and operator builds that happen *inside a lane worker* are
 captured and harvested back per batch.

@@ -20,7 +20,13 @@ per-tenant quotas and ledgers), and :class:`~repro.serving.net.NetServer`
 length-prefixed codec of :mod:`repro.serving.protocol`).
 """
 
-from repro.serving.blueprint import ClusterBlueprint, release_session_task, serve_batch_task
+from repro.serving.blueprint import (
+    BatchReply,
+    BatchTask,
+    ClusterBlueprint,
+    release_session_task,
+    serve_batch_task,
+)
 from repro.serving.net import NetClient, NetServer, ResilientClient
 from repro.serving.protocol import (
     MAX_FRAME_BYTES,
@@ -40,6 +46,8 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "QUERY_TYPES",
+    "BatchReply",
+    "BatchTask",
     "ClusterBlueprint",
     "FrameDecoder",
     "MessageCodec",

@@ -38,17 +38,21 @@ method.
 
 from __future__ import annotations
 
+import os
+import time
 import uuid
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.core.summary import SummaryGraph
 from repro.distributed.cluster import DistributedCluster, Machine
 from repro.errors import ServingError
 from repro.graph.graph import Graph
 from repro.parallel.shm import SharedArrayPack, attach_arrays, detach_arrays
 from repro.queries.operator import as_residual_source
+from repro.resilience.policy import deadline_expired
 
 
 def _export_summary(summary: SummaryGraph, prefix: str, arrays: Dict[str, np.ndarray]) -> None:
@@ -419,88 +423,81 @@ def chaos_delay(spec: Dict[str, Any], machine_id: int) -> None:
     installed CLI).  ``machine`` limits the stall to one machine's lane;
     ``delay_s`` is the per-batch sleep.
     """
-    import time
-
     machine = spec.get("machine")
     if machine is None or int(machine) == machine_id:
         time.sleep(float(spec.get("delay_s", 0.05)))
 
 
-def _answer_items(machine, items):
-    """Answer a batch's items, skipping (→ ``None``) expired deadlines."""
-    if items and len(items[0]) == 3:
-        from repro.resilience.policy import deadline_expired
+class BatchTask(NamedTuple):
+    """One machine's micro-batch, as shipped to a serving lane.
 
-        return [
-            None
-            if deadline_expired(expires_at)
-            else machine.answer(node, query_type)
-            for node, query_type, expires_at in items
-        ]
-    return [machine.answer(node, query_type) for node, query_type in items]
+    Every field is always present.  ``items`` are ``(node, query_type,
+    expires_at)`` triples, ``expires_at`` a raw monotonic instant or
+    ``None`` for an unbounded deadline.  ``update`` is the hot-swap
+    payload from :meth:`ClusterBlueprint.export_update` the batch was
+    flushed against (``None`` = the session's start blueprint).  With
+    ``profile`` set, a worker in a process other than ``ppid`` (the
+    dispatching server's) turns its probes on and ships its metrics delta
+    back with the reply.
+    """
+
+    machine_id: int
+    items: List[Tuple[int, str, Optional[float]]]
+    update: Optional[Dict[str, Any]] = None
+    ppid: int = 0
+    profile: bool = False
 
 
-def serve_batch_task(shared: Dict[str, Any], task):
-    """Answer one machine's micro-batch (runs in a pool worker).
+class BatchReply(NamedTuple):
+    """A lane's answer to one :class:`BatchTask`.
 
-    ``task`` is ``(machine_id, [(node, query_type), ...])`` or, when the
-    machine's source was hot-swapped mid-session, ``(machine_id, items,
-    update)`` with the swap payload from
-    :meth:`ClusterBlueprint.export_update`.  Answers come back in batch
-    order; mixed query types share the machine's cached reconstruction
-    operator.
+    ``answers`` come in item order, ``None`` for an item whose deadline
+    expired before compute.  ``pid`` and ``compute_s`` say which process
+    answered and how long it took; ``metrics`` is the worker's registry
+    delta (``None`` unless the task asked for it).
+    """
 
-    Deadline-carrying batches ship 3-element items ``(node, query_type,
-    expires_at)`` (``expires_at`` a raw monotonic instant or ``None``).
-    Items whose deadline already passed are skipped — their answer slot
+    answers: List[Optional[np.ndarray]]
+    pid: int
+    compute_s: float
+    metrics: Optional[Dict[str, Any]]
+
+
+def serve_batch_task(shared: Dict[str, Any], task: BatchTask) -> BatchReply:
+    """Answer one machine's micro-batch (runs in a lane worker).
+
+    Mixed query types share the machine's cached reconstruction operator.
+    Items whose deadline already passed are skipped: their answer slot
     comes back as ``None`` and the parent sheds the request with a typed
     ``DeadlineExceeded`` instead of burning worker compute on an answer
     nobody is waiting for.
 
-    An **observability-enabled** server appends a fourth element, the
-    observation spec ``ospec = {"ppid", "profile"}``; the return value
-    then becomes ``(answers, obs)`` where ``obs`` carries this process's
-    pid, the batch compute time, and — when this is a *different*
-    process than the dispatching parent — a harvested metrics delta from
-    the worker's registry (the per-batch harvest is what lets lane
-    compute metrics survive a later SIGKILL of the worker).  Without an
-    ospec the task shape, the return shape, and the cost are exactly the
-    legacy ones.
+    The metrics delta is harvested per batch, and only in a true child
+    process: the inline path (``workers=1``) records into the parent's
+    registry directly, so a harvest there would double-count.  Shipping
+    it with every reply is what lets lane compute metrics survive a
+    later SIGKILL of the worker.
     """
-    machine_id, items = task[0], task[1]
-    update = task[2] if len(task) > 2 else None
-    ospec = task[3] if len(task) > 3 else None
     chaos = shared.get("chaos") if isinstance(shared, dict) else None
     if chaos is not None:
-        _invoke_chaos(chaos, machine_id)
-    if ospec is None:
-        machine = attached_cluster(shared).machine(machine_id, update)
-        return _answer_items(machine, items)
-
-    import os
-    import time
-
-    from repro import obs as _obs
-
-    in_worker = os.getpid() != ospec.get("ppid")
-    if ospec.get("profile") and in_worker and not _obs.profiling_enabled():
-        # First instrumented batch on this (possibly respawned) worker:
-        # turn the hot-path probes on so store loads and operator builds
-        # below are captured and harvested back with the reply.
-        _obs.enable_profiling()
+        _invoke_chaos(chaos, task.machine_id)
+    pid = os.getpid()
+    harvest = task.profile and pid != task.ppid
+    if harvest and not obs.profiling_enabled():
+        # First profiled batch on this (possibly respawned) worker: turn
+        # the probes on so store loads and operator builds below are
+        # captured and harvested back with the reply.
+        obs.enable_profiling()
     t0 = time.perf_counter()
-    machine = attached_cluster(shared).machine(machine_id, update)
-    answers = _answer_items(machine, items)
-    payload: Dict[str, Any] = {
-        "pid": os.getpid(),
-        "compute_s": time.perf_counter() - t0,
-    }
-    if in_worker:
-        # Inline path (workers=1) shares the parent's default registry;
-        # harvesting there would double-count with the parent's own
-        # bookkeeping, so only true child processes ship a delta.
-        payload["metrics"] = _obs.harvest_worker_metrics()
-    return answers, payload
+    machine = attached_cluster(shared).machine(task.machine_id, task.update)
+    answers = [
+        None if deadline_expired(expires_at) else machine.answer(node, query_type)
+        for node, query_type, expires_at in task.items
+    ]
+    compute_s = time.perf_counter() - t0
+    return BatchReply(
+        answers, pid, compute_s, obs.harvest_worker_metrics() if harvest else None
+    )
 
 
 def release_session_task(shared: Dict[str, Any], payload: Dict[str, Any]) -> bool:

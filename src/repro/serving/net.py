@@ -324,9 +324,9 @@ class NetServer:
         """Ledger snapshots over the wire (fields: ``STATS_FIELDS``).
 
         ``tenant`` picks one tenant's full ledger — every
-        :class:`~repro.serving.server.ServingStats` field, hedging and
-        failover counters included, plus host-level ``inflight`` /
-        ``quota_rejections``.  ``tenant: "*"`` answers the host-wide
+        :class:`~repro.serving.server.ServingStats` field, hedging,
+        failover and host-level ``inflight`` / rejection counts included.
+        ``tenant: "*"`` answers the host-wide
         aggregate (:meth:`~repro.serving.tenancy.TenantHost.aggregate_stats`);
         omitting it answers every tenant keyed by name.
         """

@@ -36,8 +36,9 @@ continuously admitting service:
 * **Failover** — a worker dying mid-batch closes its lane's pipe, and
   the EOF surfaces as ``BrokenProcessPool`` on that batch's future (and
   on every batch queued behind it on that lane).  The server re-dispatches
-  the batch (up to ``max_redispatch`` times) onto a freshly re-spawned
-  lane; clients never see the death, only the answer.
+  the batch as its retry policy allows (by default at once, up to twice)
+  onto the machine's lane, re-spawned, or the nearest lane whose breaker
+  admits; clients never see the death, only the answer.
 * **Per-request futures** — every submission gets its own future, so
   duplicate query nodes receive one answer *each* (``answer_batch``'s
   dict return collapses duplicates; the serving layer must not).
@@ -66,21 +67,83 @@ import numpy as np
 
 from repro.distributed.cluster import DistributedCluster, Machine
 from repro.errors import DeadlineExceeded, QueryError, ServingError
-from repro.obs import DEFAULT_SIZE_BOUNDS, ObsConfig, TraceHandle
+from repro.obs import DEFAULT_SIZE_BOUNDS, Counter, MetricsRegistry, ObsConfig, TraceHandle
 from repro.parallel.lanes import LaneExecutor
 from repro.resilience.breaker import BreakerBoard
 from repro.resilience.policy import Deadline, RetryPolicy
-from repro.serving.blueprint import ClusterBlueprint, release_session, serve_batch_task
+from repro.serving.blueprint import (
+    BatchReply,
+    BatchTask,
+    ClusterBlueprint,
+    release_session,
+    serve_batch_task,
+)
 
 QUERY_TYPES = ("rwr", "hop", "php")
 
 #: Queue sentinel that tells the dispatcher to flush everything and exit.
 _STOP = object()
 
+#: Re-dispatch policy of a server built without one: a batch whose lane
+#: worker died is re-sent at once, up to twice, before its requests fail.
+DEFAULT_RETRY_POLICY = RetryPolicy(max_attempts=3, base_ms=0.0, jitter=0.0)
 
-@dataclass
+_BY_OUTCOME = "Query requests by final outcome"
+
+
+#: Every ledger field, as ``(metric family, labels, family help)``: the
+#: one table the server creates its ledger instruments from (each also
+#: labeled with the server's tenant) and :class:`ServingStats` reads
+#: back.  ``*_total`` families are counters, the rest gauges.  It is also
+#: every field a ``stats`` wire-op reply carries; the aggregate reply
+#: (tenant ``"*"``) sums them across tenants, and takes the largest of
+#: the ``max_*`` ones.
+STATS_FIELDS: Dict[str, Tuple[str, Dict[str, str], str]] = {
+    "admitted": ("repro_admitted_total", {}, "Queries admitted to the queue"),
+    "rejected": ("repro_requests_total", {"outcome": "rejected"}, _BY_OUTCOME),
+    "answered": ("repro_requests_total", {"outcome": "answered"}, _BY_OUTCOME),
+    "failed": ("repro_requests_total", {"outcome": "failed"}, _BY_OUTCOME),
+    "cancelled": ("repro_requests_total", {"outcome": "cancelled"}, _BY_OUTCOME),
+    "shed": ("repro_requests_total", {"outcome": "shed"}, _BY_OUTCOME),
+    "batches": ("repro_batches_total", {}, "Micro-batches flushed"),
+    "max_batch_size": ("repro_max_batch_size", {}, "Largest micro-batch flushed this session"),
+    "max_queue_depth": ("repro_max_queue_depth", {}, "Deepest admission queue this session"),
+    "swaps": ("repro_swaps_total", {}, "Hot machine-source swaps"),
+    "hedged": ("repro_hedges_total", {}, "Batches hedged onto a second lane"),
+    "hedge_wins": ("repro_hedge_wins_total", {}, "Hedged copies that delivered first"),
+    "redispatches": ("repro_redispatches_total", {}, "Batches re-sent after worker death"),
+    "inflight": ("repro_inflight", {}, "Host-level: requests in service against the tenant quota"),
+    "quota_rejections": (
+        "repro_quota_rejections_total",
+        {},
+        "Submissions refused at the tenant inflight quota",
+    ),
+    "breaker_rejections": (
+        "repro_breaker_rejections_total",
+        {},
+        "Submissions shed while the tenant breaker was open",
+    ),
+}
+
+
+def _ledger_instruments(registry: MetricsRegistry, tenant: str) -> Dict[str, Any]:
+    """One instrument per :data:`STATS_FIELDS` entry, labeled *tenant*."""
+    return {
+        name: (registry.counter if family.endswith("_total") else registry.gauge)(
+            family, help_text, tenant=tenant, **labels
+        )
+        for name, (family, labels, help_text) in STATS_FIELDS.items()
+    }
+
+
 class ServingStats:
-    """Counters exposed by :attr:`QueryServer.stats` (monotone per session).
+    """Read-only view of one server session's ledger.
+
+    Each field (:data:`STATS_FIELDS`) reads the registry instrument the
+    server books it in, so the ledger and the metrics cannot disagree.
+    A session reads the counters relative to their values when it
+    started, so it starts from zero even on a shared registry, and stops
+    following them when the server stops.
 
     ``answered`` and ``failed`` count **actual resolutions** — requests
     whose future this server resolved with a result or an error.  A future
@@ -96,27 +159,34 @@ class ServingStats:
     ``shed`` counts deadline-expired requests dropped *explicitly* with
     :class:`~repro.errors.DeadlineExceeded` — before dispatch when the
     budget ran out in the queue, or after a worker skipped the expired
-    item instead of computing it.
+    item instead of computing it.  ``rejected`` counts submissions
+    refused because the admission queue was full.  ``inflight``,
+    ``quota_rejections`` and ``breaker_rejections`` are booked by a
+    :class:`~repro.serving.tenancy.TenantHost` and stay 0 on a bare
+    server.
     """
 
-    admitted: int = 0
-    rejected: int = 0
-    answered: int = 0
-    failed: int = 0
-    cancelled: int = 0
-    batches: int = 0
-    max_batch_size: int = 0
-    max_queue_depth: int = 0
-    swaps: int = 0
-    #: Batches duplicated onto another lane after the hedge deadline.
-    hedged: int = 0
-    #: Hedged duplicates that delivered before the primary copy.
-    hedge_wins: int = 0
-    #: Batches re-dispatched after a worker died mid-flight.
-    redispatches: int = 0
-    #: Requests dropped with ``DeadlineExceeded`` because their budget
-    #: expired before (or inside) compute — explicit, typed shedding.
-    shed: int = 0
+    __slots__ = ("_instruments", "_base", "_final")
+
+    def __init__(self, instruments: Dict[str, Any]):
+        self._instruments = instruments
+        self._base = {
+            name: instrument.value
+            for name, instrument in instruments.items()
+            if isinstance(instrument, Counter)
+        }
+        self._final: "Dict[str, int] | None" = None
+
+    def __getattr__(self, name: str) -> int:
+        if name not in STATS_FIELDS:
+            raise AttributeError(name)
+        if self._final is not None:
+            return self._final[name]
+        return int(self._instruments[name].value - self._base.get(name, 0.0))
+
+    def _freeze(self) -> None:
+        """End of session: keep the current values, stop reading the registry."""
+        self._final = self.as_dict()
 
     @property
     def mean_batch_size(self) -> float:
@@ -126,34 +196,7 @@ class ServingStats:
 
     def as_dict(self) -> Dict[str, int]:
         """A plain-dict snapshot (what the wire protocol ships)."""
-        from dataclasses import asdict
-
-        return asdict(self)
-
-
-#: Every field a ``stats`` wire-op reply can carry, documented in one
-#: place.  The per-tenant reply ships every :class:`ServingStats` field
-#: plus the host-level ``inflight``/``quota_rejections``; the aggregate
-#: reply (tenant ``"*"`` or omitted) sums the summable ones across
-#: tenants.  ``repro top`` and the docs table both render from this.
-STATS_FIELDS: Dict[str, str] = {
-    "admitted": "Queries accepted into the admission queue.",
-    "rejected": "Queries shed because the admission queue was full.",
-    "answered": "Request futures resolved with an answer.",
-    "failed": "Request futures resolved with an error.",
-    "cancelled": "Requests whose future was already done (client cancel/timeout) when their batch resolved.",
-    "batches": "Micro-batches flushed to the serving lanes.",
-    "max_batch_size": "Largest flushed batch so far.",
-    "max_queue_depth": "Deepest the admission queue has been.",
-    "swaps": "Hot machine-source swaps applied (streaming refresh path).",
-    "hedged": "Batches duplicated onto the neighboring lane after the hedge deadline.",
-    "hedge_wins": "Hedged duplicates that delivered before the primary copy.",
-    "redispatches": "Batches re-sent after a lane worker died mid-flight.",
-    "shed": "Requests dropped with DeadlineExceeded because their deadline budget expired.",
-    "inflight": "Host-level: requests admitted but not yet resolved (counts against the tenant quota).",
-    "quota_rejections": "Host-level: submissions refused because the tenant was at its inflight quota.",
-    "breaker_rejections": "Host-level: submissions shed because a tenant breaker was open (Overloaded).",
-}
+        return {name: getattr(self, name) for name in STATS_FIELDS}
 
 
 @dataclass(eq=False)  # identity semantics: requests live in the outstanding set
@@ -162,10 +205,9 @@ class _Request:
     query_type: str
     machine_id: int
     future: "asyncio.Future[np.ndarray]" = field(repr=False)
-    # Observability (all unset when the server runs without an ObsConfig):
-    # the trace this request reports under, whether this server minted it
-    # (and must finish it), and the admission instant for queue-wait and
-    # end-to-end latency measurements.
+    # The trace this request reports under (unset without a tracer),
+    # whether this server minted it (and must finish it), and the
+    # admission instant for queue-wait and end-to-end latency.
     trace: "TraceHandle | None" = field(default=None, repr=False)
     owns_trace: bool = False
     admitted_at: float = 0.0
@@ -183,13 +225,8 @@ class _BatchJob:
     requests; every later completion returns without touching them.
     """
 
-    machine_id: int
     batch: List[_Request]
-    # 2-tuples ``(node, query_type)`` on the legacy path; 3-tuples
-    # ``(node, query_type, expires_at)`` when any request in the batch
-    # carries a bounded deadline (workers skip expired items).
-    items: "List[Tuple]"
-    update: "Dict | None"
+    task: BatchTask
     attempts: int = 0
     delivered: bool = False
     pending: "Set[asyncio.Future]" = field(default_factory=set)
@@ -237,17 +274,12 @@ class QueryServer:
     hedge_ms:
         Latency deadline after which an unanswered batch is duplicated
         onto the neighboring lane (``None`` disables hedging).
-    max_redispatch:
-        How many times a batch whose worker died mid-flight is re-sent
-        before its requests are failed.  Shorthand for
-        ``retry_policy=RetryPolicy(max_attempts=max_redispatch + 1,
-        base_ms=0, jitter=0)`` — immediate re-dispatch, the pre-retry
-        behavior.  Ignored when *retry_policy* is given.
     retry_policy:
-        Optional :class:`~repro.resilience.policy.RetryPolicy` driving
-        server-side batch re-dispatch after a worker death: capped
-        exponential backoff with deterministic jitter between attempts
-        instead of immediate re-sends.
+        The :class:`~repro.resilience.policy.RetryPolicy` driving
+        server-side batch re-dispatch after a worker death (capped
+        exponential backoff with deterministic jitter between attempts).
+        ``None`` means :data:`DEFAULT_RETRY_POLICY`: three attempts,
+        re-sent at once.
     deadline_ms:
         Default per-request deadline budget, minted at :meth:`submit`
         when the caller does not pass an explicit
@@ -266,17 +298,17 @@ class QueryServer:
         :func:`~repro.serving.blueprint.serve_batch_task` before each
         batch (see ``tests/_chaos.py``).  ``None`` in production.
     obs:
-        Optional :class:`~repro.obs.ObsConfig`.  With a registry, the
-        server records the ``repro_*`` serving metric families (request
-        outcomes, queue wait, end-to-end latency, batch sizes, per-lane
-        worker compute, hedge/redispatch counts) labeled with the
-        config's tenant; with a tracer, every request gets a trace —
+        Optional :class:`~repro.obs.ObsConfig`.  The server always
+        records the ``repro_*`` serving metric families (its
+        :data:`STATS_FIELDS` ledger, queue wait, end-to-end latency,
+        batch sizes, per-lane worker compute) labeled with the config's
+        tenant: into the config's registry when it has one, where lane
+        workers' probe deltas are merged too, and otherwise into a
+        private registry.  With a tracer, every request gets a trace —
         minted here at :meth:`submit`, or adopted from the network
         ingress via the ``trace=`` argument — whose spans cover queue,
         assembly, lane dispatch, worker compute (recorded with the
-        *worker's* pid), hedge/redispatch events, and total.  ``None``
-        (the default) keeps the task tuples, result shapes, and costs of
-        the uninstrumented server.
+        *worker's* pid), hedge/redispatch events, and total.
 
     Use as an async context manager::
 
@@ -297,7 +329,6 @@ class QueryServer:
         executor: "LaneExecutor | None" = None,
         lane_offset: int = 0,
         hedge_ms: "float | None" = None,
-        max_redispatch: int = 2,
         retry_policy: "RetryPolicy | None" = None,
         deadline_ms: "float | None" = None,
         breakers: "BreakerBoard | None" = None,
@@ -312,8 +343,6 @@ class QueryServer:
             raise ServingError(f"max_pending must be >= 1, got {max_pending}")
         if hedge_ms is not None and hedge_ms < 0:
             raise ServingError(f"hedge_ms must be >= 0, got {hedge_ms}")
-        if max_redispatch < 0:
-            raise ServingError(f"max_redispatch must be >= 0, got {max_redispatch}")
         self._cluster = cluster
         self._workers = workers
         self._max_batch = int(max_batch)
@@ -324,36 +353,41 @@ class QueryServer:
         self._external_executor = executor
         self._lane_offset = int(lane_offset)
         self._hedge = None if hedge_ms is None else float(hedge_ms) / 1000.0
-        self._max_redispatch = int(max_redispatch)
-        # max_redispatch=N maps onto an immediate-redispatch policy, so
-        # the legacy knob and the new one share a single retry path.
-        self._retry = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy(
-                max_attempts=self._max_redispatch + 1, base_ms=0.0, jitter=0.0
-            )
-        )
+        self._retry = retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
         if deadline_ms is not None and deadline_ms <= 0:
             raise ServingError(f"deadline_ms must be positive, got {deadline_ms}")
         self._deadline_ms = None if deadline_ms is None else float(deadline_ms)
         self._breakers = breakers
         self._chaos = chaos
-        self._obs = obs if obs is not None and obs.enabled else None
-        self._tracer = self._obs.tracer if self._obs is not None else None
-        # Shipped as the batch task's 4th element when observability is
-        # on; its presence is also what makes serve_batch_task return the
-        # (answers, obs) pair instead of the legacy bare answer list.
-        self._ospec: "Dict[str, Any] | None" = None
-        if self._obs is not None:
-            self._ospec = {
-                "ppid": os.getpid(),
-                "profile": bool(self._obs.profile_workers),
-            }
-        self._metrics: "Dict[str, Any] | None" = None
-        if self._obs is not None and self._obs.registry is not None:
-            self._metrics = self._build_metrics(self._obs)
-        self.stats = ServingStats()
+        obs = obs or ObsConfig()
+        self._tracer = obs.tracer
+        self._tenant = tenant = obs.tenant
+        self._registry = registry = (
+            obs.registry if obs.registry is not None else MetricsRegistry()
+        )
+        # Lane workers profile and ship their metrics back only when
+        # there is a caller's registry to merge them into.
+        self._ppid = os.getpid()
+        self._profile_workers = obs.registry is not None and obs.profile_workers
+        self._ledger = _ledger_instruments(registry, tenant)
+        self._queue_wait = registry.histogram(
+            "repro_queue_wait_seconds", "Admission-to-flush wait per request", tenant=tenant
+        )
+        self._latency = registry.histogram(
+            "repro_request_latency_seconds",
+            "Admission-to-resolution latency per request",
+            tenant=tenant,
+        )
+        self._batch_size = registry.histogram(
+            "repro_batch_size",
+            "Requests per flushed micro-batch",
+            bounds=DEFAULT_SIZE_BOUNDS,
+            tenant=tenant,
+        )
+        self._queue_depth = registry.gauge(
+            "repro_queue_depth", "Admitted-but-undispatched requests", tenant=tenant
+        )
+        self.stats = ServingStats(self._ledger)
         self._running = False
         self._accepting = False
         self._queue: "asyncio.Queue[object] | None" = None
@@ -375,71 +409,17 @@ class QueryServer:
         self._update_refs: Dict[Tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------
-    # observability plumbing
+    # ledger and tracing
     # ------------------------------------------------------------------
-    @staticmethod
-    def _build_metrics(obs: ObsConfig) -> "Dict[str, Any]":
-        """Pre-resolve this server's instruments (one dict per tenant label)."""
-        reg = obs.registry
-        tenant = obs.tenant
-        outcome = {
-            o: reg.counter(
-                "repro_requests_total",
-                "Query requests by final outcome",
-                tenant=tenant,
-                outcome=o,
-            )
-            for o in ("answered", "failed", "cancelled", "rejected", "shed")
-        }
-        return {
-            "outcome": outcome,
-            "admitted": reg.counter(
-                "repro_admitted_total", "Queries admitted to the queue", tenant=tenant
-            ),
-            "batches": reg.counter(
-                "repro_batches_total", "Micro-batches flushed", tenant=tenant
-            ),
-            "hedges": reg.counter(
-                "repro_hedges_total", "Batches hedged onto a second lane", tenant=tenant
-            ),
-            "hedge_wins": reg.counter(
-                "repro_hedge_wins_total", "Hedged copies that delivered first", tenant=tenant
-            ),
-            "redispatches": reg.counter(
-                "repro_redispatches_total", "Batches re-sent after worker death", tenant=tenant
-            ),
-            "swaps": reg.counter(
-                "repro_swaps_total", "Hot machine-source swaps", tenant=tenant
-            ),
-            "queue_wait": reg.histogram(
-                "repro_queue_wait_seconds",
-                "Admission-to-flush wait per request",
-                tenant=tenant,
-            ),
-            "latency": reg.histogram(
-                "repro_request_latency_seconds",
-                "Admission-to-resolution latency per request",
-                tenant=tenant,
-            ),
-            "batch_size": reg.histogram(
-                "repro_batch_size",
-                "Requests per flushed micro-batch",
-                bounds=DEFAULT_SIZE_BOUNDS,
-                tenant=tenant,
-            ),
-            "queue_depth": reg.gauge(
-                "repro_queue_depth", "Admitted-but-undispatched requests", tenant=tenant
-            ),
-        }
+    def book(self, field: str, amount: float = 1.0) -> None:
+        """Record *amount* of a host-level event under one
+        :data:`STATS_FIELDS` field (what a tenant host books per tenant)."""
+        self._ledger[field].inc(amount)
 
-    def _worker_compute_hist(self, lane: int):
-        """The per-lane worker-compute histogram (lanes appear dynamically)."""
-        return self._obs.registry.histogram(
-            "repro_worker_compute_seconds",
-            "Batch compute time inside a lane worker",
-            tenant=self._obs.tenant,
-            lane=str(lane),
-        )
+    def _raise_max(self, field: str, value: int) -> None:
+        gauge = self._ledger[field]
+        if value > gauge.value:
+            gauge.set(value)
 
     def _trace_each(self, batch: "List[_Request]", name: str, duration_s: float, **meta: Any) -> None:
         """Record one span under every traced request of a batch."""
@@ -504,7 +484,12 @@ class QueryServer:
                 raise
             self._owns_executor = True
         self._queue = asyncio.Queue(maxsize=self._max_pending)
-        self.stats = ServingStats()
+        # A new session's ledger starts from zero: the view reads the
+        # counters relative to now, and the gauges restart.
+        for instrument in self._ledger.values():
+            if not isinstance(instrument, Counter):
+                instrument.set(0)
+        self.stats = ServingStats(self._ledger)
         self._updates = {}
         self._update_refs = {}
         self._outstanding = set()
@@ -530,9 +515,7 @@ class QueryServer:
             raise ServingError("server is not running")
         previous = self._updates.get(machine.machine_id)
         self._updates[machine.machine_id] = self._blueprint.export_update(machine)
-        self.stats.swaps += 1
-        if self._metrics is not None:
-            self._metrics["swaps"].inc()
+        self._ledger["swaps"].inc()
         if previous is not None:
             # The superseded generation can be reclaimed as soon as no
             # in-flight batch carries it (possibly right now).
@@ -546,8 +529,8 @@ class QueryServer:
         The tenant-eviction path: clients see ``CancelledError``, the
         ledger counts each such request under ``cancelled`` when its
         batch drains, and :meth:`stop` afterwards leaves
-        ``admitted == answered + failed + cancelled``.  Returns how many
-        futures this call cancelled.
+        ``admitted == answered + failed + cancelled + shed``.  Returns how
+        many futures this call cancelled.
         """
         count = 0
         for request in tuple(self._outstanding):
@@ -600,8 +583,8 @@ class QueryServer:
                 await asyncio.gather(*tuple(self._inflight), return_exceptions=True)
         finally:
             self._running = False
-            if self._metrics is not None:
-                self._metrics["queue_depth"].set(0)
+            self._queue_depth.set(0)
+            self.stats._freeze()
             if self._owns_executor and self._executor is not None:
                 self._executor.shutdown()
             release_session(self._blueprint.payload)  # inline-path caches
@@ -636,34 +619,30 @@ class QueryServer:
             deadline = Deadline.after_ms(self._deadline_ms)
         if deadline is not None and not deadline.unbounded:
             request.deadline = deadline
-        if self._obs is not None:
-            request.admitted_at = time.perf_counter()
-            if self._tracer is not None:
-                if trace is None:
-                    # In-process caller: this server is the ingress edge.
-                    request.trace = self._tracer.begin(
-                        "query",
-                        tenant=self._obs.tenant,
-                        node=request.node,
-                        query_type=query_type,
-                    )
-                    request.owns_trace = True
-                else:
-                    request.trace = trace
+        request.admitted_at = time.perf_counter()
+        if self._tracer is not None:
+            if trace is None:
+                # In-process caller: this server is the ingress edge.
+                request.trace = self._tracer.begin(
+                    "query",
+                    tenant=self._tenant,
+                    node=request.node,
+                    query_type=query_type,
+                )
+                request.owns_trace = True
+            else:
+                request.trace = trace
         return request
 
     def _note_admitted(self, request: _Request) -> None:
-        self.stats.admitted += 1
-        self.stats.max_queue_depth = max(self.stats.max_queue_depth, self._queue.qsize())
+        depth = self._queue.qsize()
+        self._ledger["admitted"].inc()
+        self._raise_max("max_queue_depth", depth)
+        self._queue_depth.set(depth)
         self._outstanding.add(request)
-        if self._metrics is not None:
-            self._metrics["admitted"].inc()
-            self._metrics["queue_depth"].set(self._queue.qsize())
 
     def _note_rejected(self, request: _Request) -> None:
-        self.stats.rejected += 1
-        if self._metrics is not None:
-            self._metrics["outcome"]["rejected"].inc()
+        self._ledger["rejected"].inc()
         if request.owns_trace:
             request.trace.finish(status="rejected")
 
@@ -804,49 +783,40 @@ class QueryServer:
                 self._shed_request(request)
             if not batch:
                 return
-        self.stats.batches += 1
-        self.stats.max_batch_size = max(self.stats.max_batch_size, len(batch))
-        t_assemble = time.perf_counter() if self._obs is not None else 0.0
-        if any(request.deadline is not None for request in batch):
-            # Deadlines ride into the worker as a 3rd item element so
-            # compute skips anything that expired in flight.
-            items: "List[Tuple]" = [
-                (
-                    request.node,
-                    request.query_type,
-                    None if request.deadline is None else request.deadline.expires_at,
-                )
-                for request in batch
-            ]
-        else:
-            items = [(request.node, request.query_type) for request in batch]
-        job = _BatchJob(
-            machine_id=machine_id,
-            batch=batch,
-            items=items,
-            update=self._updates.get(machine_id),
+        self._ledger["batches"].inc()
+        self._raise_max("max_batch_size", len(batch))
+        t_assemble = time.perf_counter()
+        # Deadlines ride into the worker with each item, so compute skips
+        # anything that expired in flight.
+        items = [
+            (
+                request.node,
+                request.query_type,
+                None if request.deadline is None else request.deadline.expires_at,
+            )
+            for request in batch
+        ]
+        task = BatchTask(
+            machine_id, items, self._updates.get(machine_id), self._ppid, self._profile_workers
         )
-        if self._obs is not None:
-            now = time.perf_counter()
-            if self._metrics is not None:
-                self._metrics["batches"].inc()
-                self._metrics["batch_size"].observe(len(batch))
-                self._metrics["queue_depth"].set(self._queue.qsize())
-                queue_wait = self._metrics["queue_wait"]
-                for request in batch:
-                    queue_wait.observe(now - request.admitted_at)
-            if self._tracer is not None:
-                for request in batch:
-                    if request.trace is not None:
-                        self._tracer.record(
-                            request.trace.trace_id,
-                            "queue",
-                            now - request.admitted_at,
-                            machine=machine_id,
-                        )
-                self._trace_each(
-                    batch, "assemble", now - t_assemble, machine=machine_id, size=len(batch)
-                )
+        job = _BatchJob(batch=batch, task=task)
+        now = time.perf_counter()
+        self._batch_size.observe(len(batch))
+        self._queue_depth.set(self._queue.qsize())
+        for request in batch:
+            self._queue_wait.observe(now - request.admitted_at)
+        if self._tracer is not None:
+            for request in batch:
+                if request.trace is not None:
+                    self._tracer.record(
+                        request.trace.trace_id,
+                        "queue",
+                        now - request.admitted_at,
+                        machine=machine_id,
+                    )
+            self._trace_each(
+                batch, "assemble", now - t_assemble, machine=machine_id, size=len(batch)
+            )
         self._dispatch_job(job)
         if self._hedge is not None and not job.delivered:
             job.hedge_timer = asyncio.get_running_loop().call_later(
@@ -875,21 +845,13 @@ class QueryServer:
 
     def _dispatch_job(self, job: _BatchJob, *, hedged: bool = False) -> None:
         """Submit one copy of a batch to its lane (primary, hedge, retry)."""
-        update = job.update
-        if self._ospec is not None:
-            # Observability on: ship the observation spec as the task's
-            # 4th element; the worker then returns (answers, obs).
-            task = (job.machine_id, job.items, update, self._ospec)
-        elif update is None:
-            task = (job.machine_id, job.items)
-        else:
-            task = (job.machine_id, job.items, update)
-        key = None if update is None else (job.machine_id, update["version"])
+        task = job.task
+        key = None if task.update is None else (task.machine_id, task.update["version"])
         if key is not None:
             self._update_refs[key] = self._update_refs.get(key, 0) + 1
-        lane = self._lane_for(job.machine_id, hedged=hedged)
+        lane = self._lane_for(task.machine_id, hedged=hedged)
         attempt = job.attempts
-        t_dispatch = time.perf_counter() if self._obs is not None else 0.0
+        t_dispatch = time.perf_counter()
         try:
             if self._owns_executor:
                 pool_future = self._executor.submit(serve_batch_task, task, lane=lane)
@@ -949,17 +911,16 @@ class QueryServer:
         job.hedge_timer = None
         if job.delivered or not job.pending or not self._running:
             return
-        self.stats.hedged += 1
-        if self._metrics is not None:
-            self._metrics["hedges"].inc()
+        self._ledger["hedged"].inc()
         if self._tracer is not None:
+            machine_id = job.task.machine_id
             for request in job.batch:
                 if request.trace is not None:
                     self._tracer.event(
                         request.trace.trace_id,
                         "hedge",
-                        machine=job.machine_id,
-                        lane=self._lane_for(job.machine_id, hedged=True, peek=True),
+                        machine=machine_id,
+                        lane=self._lane_for(machine_id, hedged=True, peek=True),
                     )
         self._dispatch_job(job, hedged=True)
 
@@ -992,28 +953,24 @@ class QueryServer:
             error: "BaseException | None" = asyncio.CancelledError("batch copy cancelled")
         else:
             error = done.exception()
-        answers = done.result() if error is None and not done.cancelled() else None
-        obs_payload = None
-        if answers is not None and self._ospec is not None:
-            answers, obs_payload = answers
-        if self._obs is not None:
-            self._note_copy_done(
-                job,
-                obs_payload,
-                lane=lane,
-                attempt=attempt,
-                hedged=hedged,
-                t_dispatch=t_dispatch,
-                outcome=(
-                    "cancelled"
-                    if done.cancelled()
-                    else "error"
-                    if error is not None
-                    else "delivered"
-                    if won
-                    else "late"
-                ),
-            )
+        reply: "BatchReply | None" = done.result() if error is None else None
+        self._note_copy_done(
+            job,
+            reply,
+            lane=lane,
+            attempt=attempt,
+            hedged=hedged,
+            t_dispatch=t_dispatch,
+            outcome=(
+                "cancelled"
+                if done.cancelled()
+                else "error"
+                if error is not None
+                else "delivered"
+                if won
+                else "late"
+            ),
+        )
         if not won:
             # A sibling copy already resolved every request — the
             # exactly-once gate that pins hedge dedup.
@@ -1024,10 +981,8 @@ class QueryServer:
             for loser in tuple(job.pending):
                 loser.cancel()
             if hedged:
-                self.stats.hedge_wins += 1
-                if self._metrics is not None:
-                    self._metrics["hedge_wins"].inc()
-            for request, answer in zip(job.batch, answers):
+                self._ledger["hedge_wins"].inc()
+            for request, answer in zip(job.batch, reply.answers):
                 if answer is None:
                     # The worker skipped this item: its shipped deadline
                     # expired before compute.  Typed shed, not a failure.
@@ -1046,22 +1001,20 @@ class QueryServer:
         ):
             # The worker died mid-batch.  The lane is re-spawned lazily
             # by the next submit; re-dispatch this batch onto it after
-            # the policy's backoff (immediate for the legacy
-            # max_redispatch mapping).
+            # the policy's backoff (none by default).
             job.attempts += 1
-            self.stats.redispatches += 1
-            if self._metrics is not None:
-                self._metrics["redispatches"].inc()
+            self._ledger["redispatches"].inc()
+            machine_id = job.task.machine_id
             if self._tracer is not None:
                 for request in job.batch:
                     if request.trace is not None:
                         self._tracer.event(
                             request.trace.trace_id,
                             "redispatch",
-                            machine=job.machine_id,
+                            machine=machine_id,
                             attempt=job.attempts,
                         )
-            delay_ms = self._retry.backoff_ms(job.attempts, key=f"m{job.machine_id}")
+            delay_ms = self._retry.backoff_ms(job.attempts, key=f"m{machine_id}")
             if delay_ms <= 0:
                 self._dispatch_job(job)
             else:
@@ -1095,7 +1048,7 @@ class QueryServer:
     def _note_copy_done(
         self,
         job: _BatchJob,
-        obs_payload: "Dict[str, Any] | None",
+        reply: "BatchReply | None",
         *,
         lane: int,
         attempt: int,
@@ -1106,36 +1059,38 @@ class QueryServer:
         """Record one batch copy's round trip: dispatch span, compute span
         (with the worker's pid — the cross-process proof), worker compute
         histogram, and the harvested worker-registry delta."""
+        machine_id = job.task.machine_id
         if self._tracer is not None:
-            round_trip = time.perf_counter() - t_dispatch
             self._trace_each(
                 job.batch,
                 "dispatch",
-                round_trip,
-                machine=job.machine_id,
+                time.perf_counter() - t_dispatch,
+                machine=machine_id,
                 lane=lane,
                 hedged=hedged,
                 attempt=attempt,
                 outcome=outcome,
             )
-        if obs_payload is None:
+            if reply is not None:
+                self._trace_each(
+                    job.batch,
+                    "compute",
+                    reply.compute_s,
+                    pid=reply.pid,
+                    machine=machine_id,
+                    lane=lane,
+                    hedged=hedged,
+                )
+        if reply is None:
             return
-        compute_s = obs_payload.get("compute_s", 0.0)
-        if self._tracer is not None:
-            self._trace_each(
-                job.batch,
-                "compute",
-                compute_s,
-                pid=obs_payload.get("pid"),
-                machine=job.machine_id,
-                lane=lane,
-                hedged=hedged,
-            )
-        if self._metrics is not None:
-            self._worker_compute_hist(lane).observe(compute_s)
-            harvest = obs_payload.get("metrics")
-            if harvest:
-                self._obs.registry.merge_snapshot(harvest)
+        self._registry.histogram(
+            "repro_worker_compute_seconds",
+            "Batch compute time inside a lane worker",
+            tenant=self._tenant,
+            lane=str(lane),
+        ).observe(reply.compute_s)
+        if reply.metrics:
+            self._registry.merge_snapshot(reply.metrics)
 
     def _release_update(self, key: "Tuple[int, int] | None") -> None:
         """Drop one in-flight reference; retire superseded generations."""
@@ -1160,28 +1115,23 @@ class QueryServer:
         # those would drift the counters away from answers delivered.
         self._outstanding.discard(request)
         if request.future.done():
-            self.stats.cancelled += 1
             self._note_resolved(request, "cancelled")
         else:
             request.future.set_result(answer)
-            self.stats.answered += 1
             self._note_resolved(request, "answered")
 
     def _fail_request(self, request: _Request, error: BaseException) -> None:
         self._outstanding.discard(request)
         if request.future.done():
-            self.stats.cancelled += 1
             self._note_resolved(request, "cancelled")
         else:
             request.future.set_exception(error)
-            self.stats.failed += 1
             self._note_resolved(request, "failed")
 
     def _shed_request(self, request: _Request) -> None:
         """Drop a deadline-expired request with a typed error (ledger: shed)."""
         self._outstanding.discard(request)
         if request.future.done():
-            self.stats.cancelled += 1
             self._note_resolved(request, "cancelled")
         else:
             request.future.set_exception(
@@ -1189,16 +1139,12 @@ class QueryServer:
                     f"deadline expired before compute for node {request.node}"
                 )
             )
-            self.stats.shed += 1
             self._note_resolved(request, "shed")
 
     def _note_resolved(self, request: _Request, outcome: str) -> None:
-        """Request reached its final state: outcome metrics + trace total."""
-        if self._obs is None:
-            return
-        if self._metrics is not None:
-            self._metrics["outcome"][outcome].inc()
-            self._metrics["latency"].observe(time.perf_counter() - request.admitted_at)
+        """Request reached its final state: ledger outcome, latency, trace total."""
+        self._ledger[outcome].inc()
+        self._latency.observe(time.perf_counter() - request.admitted_at)
         if request.owns_trace and request.trace is not None:
             request.trace.finish(status="ok" if outcome == "answered" else outcome)
 

@@ -20,7 +20,12 @@ quotas, and a per-tenant ledger.  :class:`TenantHost` is that layer:
   (every admitted request still answers) or cancelling (unresolved
   futures are cancelled, the batch results are discarded on arrival),
   and in both cases the tenant's ledger balances
-  ``admitted == answered + failed + cancelled`` afterwards.
+  ``admitted == answered + failed + cancelled + shed`` afterwards.
+
+The host books its own per-tenant events (``inflight``, quota and
+breaker rejections) in the tenant server's ledger, so one
+:class:`~repro.serving.server.ServingStats` view carries every field of
+a tenant's ``stats`` reply.
 
 Isolation contract: a tenant's answers are byte-identical to *its own*
 ``cluster.answer`` — never another tenant's — for any interleaving of
@@ -43,7 +48,7 @@ from repro.resilience.breaker import BreakerBoard, BreakerConfig, CircuitBreaker
 from repro.resilience.health import LaneSupervisor
 from repro.resilience.policy import Deadline, RetryPolicy
 from repro.serving.blueprint import release_session_task
-from repro.serving.server import QueryServer, ServingStats
+from repro.serving.server import STATS_FIELDS, QueryServer, ServingStats
 
 
 @dataclass
@@ -62,8 +67,10 @@ class TenantConfig:
     cap) or until ``max_batch`` requests have gathered.
 
     ``deadline_ms`` / ``retry_policy`` flow through to the tenant's
-    server (deadline budgets minted at submit; backoff-driven batch
-    re-dispatch).  ``breaker`` arms a per-tenant **deadline-burn
+    server (deadline budgets minted at submit; batch re-dispatch after a
+    worker death, ``None`` meaning
+    :data:`~repro.serving.server.DEFAULT_RETRY_POLICY`).  ``breaker``
+    arms a per-tenant **deadline-burn
     breaker**: deadline sheds count as failures, answers as successes,
     and while the breaker is open the tenant's submissions are shed at
     admission with :class:`~repro.errors.Overloaded` (carrying a
@@ -75,7 +82,6 @@ class TenantConfig:
     max_batch: int = 16
     max_wait_ms: float = 2.0
     hedge_ms: "float | None" = None
-    max_redispatch: int = 2
     retry_policy: "RetryPolicy | None" = None
     deadline_ms: "float | None" = None
     breaker: "BreakerConfig | None" = None
@@ -86,11 +92,8 @@ class _Tenant:
     name: str
     server: QueryServer
     config: TenantConfig
-    inflight: int = 0
-    quota_rejections: int = 0
     lane_offset: int = 0
     breaker: "CircuitBreaker | None" = None
-    breaker_rejections: int = 0
 
 
 class TenantHost:
@@ -275,13 +278,12 @@ class TenantHost:
             max_batch=config.max_batch,
             max_wait_ms=config.max_wait_ms,
             hedge_ms=config.hedge_ms,
-            max_redispatch=config.max_redispatch,
             retry_policy=config.retry_policy,
             deadline_ms=config.deadline_ms,
             breakers=self._lane_breakers,
             use_shared_memory=self._use_shared_memory,
             chaos=self._chaos,
-            obs=self._obs.for_tenant(name) if self._obs is not None else None,
+            obs=(self._obs or ObsConfig()).for_tenant(name),
         )
         await server.start()
         breaker = None
@@ -303,7 +305,7 @@ class TenantHost:
         teardown; ``drain=False`` cancels every unresolved request first
         — clients see ``CancelledError``, in-flight batch results are
         discarded on arrival, and the ledger still balances
-        (``admitted == answered + failed + cancelled``).  Worker-side
+        (``admitted == answered + failed + cancelled + shed``).  Worker-side
         caches for the tenant's session are evicted on every lane.
         """
         tenant = self._tenant(name)
@@ -349,39 +351,25 @@ class TenantHost:
         likewise (the ingress-minted budget).
         """
         tenant = self._tenant(name)
+        server = tenant.server
         quota = tenant.config.max_inflight
-        if quota is not None and tenant.inflight >= quota:
-            tenant.quota_rejections += 1
-            tenant.server.stats.rejected += 1
-            if self._obs is not None and self._obs.registry is not None:
-                self._obs.registry.counter(
-                    "repro_quota_rejections_total",
-                    "Submissions refused at the tenant inflight quota",
-                    tenant=name,
-                ).inc()
+        if quota is not None and server.stats.inflight >= quota:
+            server.book("quota_rejections")
             raise TenantError(
                 f"tenant {name!r} admission quota exceeded "
-                f"({tenant.inflight}/{quota} in flight); retry or back off"
+                f"({server.stats.inflight}/{quota} in flight); retry or back off"
             )
         if tenant.breaker is not None and not tenant.breaker.allow():
             # Open deadline-burn breaker: shed at admission with a typed,
             # hinted error instead of queueing work that will expire.
-            tenant.breaker_rejections += 1
-            if self._obs is not None and self._obs.registry is not None:
-                self._obs.registry.counter(
-                    "repro_breaker_rejections_total",
-                    "Submissions shed while the tenant breaker was open",
-                    tenant=name,
-                ).inc()
+            server.book("breaker_rejections")
             raise Overloaded(
                 f"tenant {name!r} is shedding load (deadline-burn breaker open)",
                 retry_after_ms=tenant.breaker.retry_after_ms(),
             )
-        tenant.inflight += 1
+        server.book("inflight")
         try:
-            answer = await tenant.server.submit(
-                node, query_type, trace=trace, deadline=deadline
-            )
+            answer = await server.submit(node, query_type, trace=trace, deadline=deadline)
         except DeadlineExceeded:
             # The tenant burned a full deadline budget: a breaker signal.
             if tenant.breaker is not None:
@@ -392,26 +380,19 @@ class TenantHost:
                 tenant.breaker.record_success()
             return answer
         finally:
-            tenant.inflight -= 1
+            server.book("inflight", -1)
 
     def stats(self, name: str) -> ServingStats:
         """One tenant's ledger (live object; snapshot with ``as_dict``)."""
         return self._tenant(name).server.stats
 
     def all_stats(self) -> "Dict[str, Dict[str, int]]":
-        """Snapshot of every tenant's ledger plus host-level quota counts.
+        """Snapshot of every tenant's ledger, keyed by tenant.
 
         Every key is documented in
         :data:`~repro.serving.server.STATS_FIELDS`.
         """
-        out: "Dict[str, Dict[str, int]]" = {}
-        for name, tenant in self._tenants.items():
-            snapshot = tenant.server.stats.as_dict()
-            snapshot["inflight"] = tenant.inflight
-            snapshot["quota_rejections"] = tenant.quota_rejections
-            snapshot["breaker_rejections"] = tenant.breaker_rejections
-            out[name] = snapshot
-        return out
+        return {name: tenant.server.stats.as_dict() for name, tenant in self._tenants.items()}
 
     def health(self) -> "Dict[str, object]":
         """Liveness/breaker snapshot behind the ``health`` wire op.
@@ -442,42 +423,19 @@ class TenantHost:
         return payload
 
     def aggregate_stats(self) -> "Dict[str, int]":
-        """Host-wide ledger: every tenant's counters summed.
+        """Host-wide ledger: every tenant's fields summed.
 
         Monotone fields (including ``hedged``/``hedge_wins``/
         ``redispatches``) and the live ``inflight`` gauge add across
         tenants; ``max_batch_size``/``max_queue_depth`` take the max —
         a per-tenant extreme is still the host's extreme.
         """
-        total: "Dict[str, int]" = {field: 0 for field in _AGGREGATE_FIELDS}
+        total = dict.fromkeys(STATS_FIELDS, 0)
         for snapshot in self.all_stats().values():
-            for field in _AGGREGATE_FIELDS:
-                value = snapshot.get(field, 0)
-                if field in ("max_batch_size", "max_queue_depth"):
+            for field, value in snapshot.items():
+                if field.startswith("max_"):
                     total[field] = max(total[field], value)
                 else:
                     total[field] += value
         total["tenants"] = len(self._tenants)
         return total
-
-
-#: Fields :meth:`TenantHost.aggregate_stats` folds across tenants (see
-#: :data:`~repro.serving.server.STATS_FIELDS` for their meaning).
-_AGGREGATE_FIELDS = (
-    "admitted",
-    "rejected",
-    "answered",
-    "failed",
-    "cancelled",
-    "batches",
-    "max_batch_size",
-    "max_queue_depth",
-    "swaps",
-    "hedged",
-    "hedge_wins",
-    "redispatches",
-    "shed",
-    "inflight",
-    "quota_rejections",
-    "breaker_rejections",
-)

@@ -14,7 +14,8 @@ make recovery untestable, so faults are armed with a filesystem
 exactly one attempt (first come) consumes the token and suffers the
 fault; every retry, hedge duplicate, and re-dispatched copy after it
 runs clean.  Tests create the token path under ``tmp_path`` and pass it
-in the spec.
+in the spec.  A spec without a token fires on every attempt — the shape
+that exhausts a retry policy.
 """
 
 from __future__ import annotations
@@ -41,17 +42,19 @@ def _targets(spec: Dict[str, Any], machine_id: int) -> bool:
 
 
 def kill_worker(spec: Dict[str, Any], machine_id: int) -> None:
-    """Die mid-batch, exactly once, on the targeted machine's lane.
+    """Die mid-batch on the targeted machine's lane.
 
-    In a real lane worker the process exits hard (``os._exit``); the
-    parent reads EOF on the lane's pipe and fails the batch future with
-    ``BrokenProcessPool``.  On the inline path (no worker to kill) the same
-    exception is raised directly so the failover logic above sees the
-    identical signal.
+    With a ``token`` in the spec the death hits exactly one attempt;
+    without one, every attempt dies.  In a real lane worker the process
+    exits hard (``os._exit``); the parent reads EOF on the lane's pipe
+    and fails the batch future with ``BrokenProcessPool``.  On the inline
+    path (no worker to kill) the same exception is raised directly so the
+    failover logic above sees the identical signal.
     """
     if not _targets(spec, machine_id):
         return
-    if not consume_token(str(spec["token"])):
+    token = spec.get("token")
+    if token is not None and not consume_token(str(token)):
         return
     if current_process().name == "MainProcess":
         raise BrokenProcessPool("chaos: injected worker death (inline)")

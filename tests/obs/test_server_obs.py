@@ -1,10 +1,10 @@
-"""QueryServer metrics: the registry agrees with the ServingStats ledger.
+"""QueryServer metrics: the ServingStats ledger is a view of the registry.
 
-The metrics layer is a second bookkeeper for the same events the stats
-ledger counts, so after any workload the two must agree exactly —
-per outcome, per batch, per rejection.  Also pins the zero-cost default:
-without an ``ObsConfig`` (or with an empty one) the server keeps no obs
-state at all.
+Every ledger field reads the registry instrument ``STATS_FIELDS`` names
+for it, so after any workload the two agree exactly — per outcome, per
+batch, per rejection, host-level bookings included.  Also pins the
+default: without a caller's registry the ledger lives in a private one,
+and lane workers are not asked to profile or ship metrics back.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ import pytest
 
 from repro.core import PegasusConfig
 from repro.distributed import build_summary_cluster
-from repro.errors import ServingError
+from repro.errors import ServingError, TenantError
 from repro.graph import planted_partition
-from repro.obs import MetricsRegistry, ObsConfig, Tracer, samples_for
-from repro.serving import QUERY_TYPES, QueryServer
-from repro.serving.server import STATS_FIELDS, ServingStats
+from repro.obs import MetricsRegistry, ObsConfig, Tracer, get_registry, samples_for
+from repro.serving import QUERY_TYPES, QueryServer, TenantConfig, TenantHost
+from repro.serving.server import STATS_FIELDS
 
 pytestmark = pytest.mark.filterwarnings("error::ResourceWarning")
 
@@ -147,27 +147,76 @@ class TestMetricsMatchLedger:
         assert _value(registry.snapshot(), "repro_swaps_total") == 1.0
 
 
-class TestZeroCostDefault:
-    def test_no_obs_keeps_no_state(self, cluster):
-        server = QueryServer(cluster)
-        assert server._obs is None and server._ospec is None and server._metrics is None
+class TestHostBookings:
+    def test_quota_rejection_agrees_with_the_registry(self, cluster):
+        """A quota refusal is booked once, in the tenant server's
+        registry, so the ledger and the metrics cannot disagree on it."""
+        registry = MetricsRegistry()
 
-    def test_empty_obsconfig_is_disabled(self, cluster):
-        assert not ObsConfig().enabled
-        server = QueryServer(cluster, obs=ObsConfig())
-        assert server._obs is None and server._ospec is None
+        async def _run():
+            async with TenantHost(workers=1, obs=ObsConfig(registry=registry)) as host:
+                await host.add_tenant(
+                    "acme", cluster, config=TenantConfig(max_inflight=1, max_wait_ms=200.0)
+                )
+                first = asyncio.ensure_future(host.submit("acme", 0, "rwr"))
+                await asyncio.sleep(0)  # let it enter service
+                with pytest.raises(TenantError, match="quota"):
+                    await host.submit("acme", 1, "rwr")
+                await first
+                return host.all_stats()["acme"]
 
-    def test_tracer_only_obsconfig_enables_tracing_without_metrics(self, cluster):
+        stats = asyncio.run(_run())
+        snap = registry.snapshot()
+        assert stats["quota_rejections"] == 1
+        assert _value(snap, "repro_quota_rejections_total", tenant="acme") == 1
+        assert stats["rejected"] == _value(
+            snap, "repro_requests_total", tenant="acme", outcome="rejected"
+        )
+
+
+class TestPrivateRegistry:
+    @pytest.mark.parametrize("kind", ["none", "empty", "tracer-only"])
+    def test_no_callers_registry_keeps_workers_quiet(self, cluster, kind):
+        """Without a caller's registry the ledger still counts, in a
+        private registry: no batch asks its lane worker to profile or ship
+        metrics back, and nothing lands in the process-wide registry.  A
+        tracer alone still traces."""
         tracer = Tracer()
-        server = QueryServer(cluster, obs=ObsConfig(tracer=tracer))
-        assert server._obs is not None and server._metrics is None
-        assert server._tracer is tracer
+        obs = {"none": None, "empty": ObsConfig(), "tracer-only": ObsConfig(tracer=tracer)}
+        before = get_registry().snapshot()
+        queries = _queries(cluster)
+
+        async def _run():
+            async with QueryServer(cluster, workers=2, max_batch=4, obs=obs[kind]) as server:
+                tasks = []
+                submit = server.executor.submit
+
+                def spy(fn, task, **kwargs):
+                    tasks.append(task)
+                    return submit(fn, task, **kwargs)
+
+                server.executor.submit = spy
+                await asyncio.gather(*(server.submit(n, q) for n, q in queries))
+                return tasks, server.stats.as_dict()
+
+        tasks, stats = asyncio.run(_run())
+        assert stats["admitted"] == stats["answered"] == len(queries)
+        assert tasks and not any(task.profile for task in tasks)
+        assert get_registry().snapshot() == before
+        assert bool(tracer.spans()) == (kind == "tracer-only")
 
 
-class TestStatsFieldsDocumented:
-    def test_every_servingstats_field_is_documented(self):
-        ledger_fields = set(ServingStats().as_dict())
-        assert ledger_fields <= set(STATS_FIELDS)
-        # Plus the two host-level fields the wire reply adds.
-        assert {"inflight", "quota_rejections"} <= set(STATS_FIELDS)
-        assert all(doc for doc in STATS_FIELDS.values())
+class TestStatsFields:
+    def test_every_field_reads_the_instrument_it_names(self, cluster):
+        registry = MetricsRegistry()
+        server = QueryServer(cluster, obs=ObsConfig(registry=registry, tenant="acme"))
+        for name in STATS_FIELDS:
+            server.book(name, 3)
+        stats = server.stats.as_dict()
+        assert stats == dict.fromkeys(STATS_FIELDS, 3)
+        assert all(type(value) is int for value in stats.values())
+        snap = registry.snapshot()
+        for family, labels, _help in STATS_FIELDS.values():
+            assert _value(snap, family, tenant="acme", **labels) == 3, family
+        with pytest.raises(AttributeError):
+            server.stats.answered = 0

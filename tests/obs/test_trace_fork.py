@@ -20,7 +20,7 @@ import pytest
 from repro.core import PegasusConfig
 from repro.distributed import build_summary_cluster
 from repro.graph import planted_partition
-from repro.obs import MetricsRegistry, ObsConfig, Tracer, samples_for
+from repro.obs import MetricsRegistry, ObsConfig, Tracer, get_registry, samples_for
 from repro.serving import (
     QUERY_TYPES,
     NetClient,
@@ -212,3 +212,34 @@ class TestWorkerDeathRespawn:
         # before and after the respawn.
         compute = samples_for(snap, "repro_worker_compute_seconds")
         assert sum(s["count"] for s in compute) >= stats.batches
+
+    def test_respawned_worker_ships_only_its_own_metrics(self, cluster):
+        """A lane worker forked after traffic inherits the parent's
+        process-wide registry; its harvests must not ship that back, or
+        the parent counts it twice."""
+        import signal
+
+        queries = _queries(cluster, count=16)
+
+        async def _run():
+            async with QueryServer(
+                cluster, workers=2, max_batch=4, obs=ObsConfig.default(tenant="respawn")
+            ) as server:
+                await asyncio.gather(*(server.submit(n, q) for n, q in queries[:8]))
+                os.kill(server.executor.lane_pids()[0][0], signal.SIGKILL)
+                await asyncio.gather(*(server.submit(n, q) for n, q in queries[8:]))
+                return server.stats.as_dict()
+
+        before = samples_for(get_registry().snapshot(), "repro_requests_total")
+        stats = asyncio.run(_run())
+        after = samples_for(get_registry().snapshot(), "repro_requests_total")
+
+        def answered(samples):
+            return sum(
+                s["value"]
+                for s in samples
+                if s["labels"] == {"tenant": "respawn", "outcome": "answered"}
+            )
+
+        assert answered(after) - answered(before) == len(queries)
+        assert stats["admitted"] == stats["answered"] == len(queries)

@@ -10,6 +10,7 @@ hint.
 from __future__ import annotations
 
 import asyncio
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -119,7 +120,7 @@ class TestRetryPolicyIntegration:
 
         asyncio.run(_run())
 
-    def test_exhausted_policy_fails_the_batch(self, cluster, tmp_path):
+    def test_exhausted_policy_fails_the_batch(self, cluster):
         # No token: the worker dies on every attempt; one total attempt
         # means the failure surfaces instead of retrying forever.
         chaos = {"hook": "_chaos:kill_worker", "machine": 0}
@@ -135,9 +136,33 @@ class TestRetryPolicyIntegration:
                 )
                 failed = [r for r in results if isinstance(r, Exception)]
                 assert failed  # machine 0's batch died and was not retried
+                assert all(isinstance(r, BrokenProcessPool) for r in failed)
                 snapshot = server.stats.as_dict()
                 assert snapshot["redispatches"] == 0
                 assert snapshot["failed"] == len(failed)
+                assert _ledger_balanced(snapshot)
+
+        asyncio.run(_run())
+
+
+    def test_default_policy_redispatches_twice_then_fails(self, cluster):
+        """A server built without a retry policy re-sends a batch whose
+        worker died at once, twice, then fails its requests."""
+        chaos = {"hook": "_chaos:kill_worker", "machine": 0}
+        nodes = [
+            n for n in range(cluster.graph.num_nodes) if cluster.machine_for(n).machine_id == 0
+        ][:4]
+
+        async def _run():
+            async with QueryServer(cluster, workers=2, max_wait_ms=1.0, chaos=chaos) as server:
+                results = await asyncio.gather(
+                    *(server.submit(n, "rwr") for n in nodes), return_exceptions=True
+                )
+                assert all(isinstance(r, BrokenProcessPool) for r in results)
+                snapshot = server.stats.as_dict()
+                assert snapshot["batches"] >= 1
+                assert snapshot["redispatches"] == 2 * snapshot["batches"]
+                assert snapshot["failed"] == len(nodes)
                 assert _ledger_balanced(snapshot)
 
         asyncio.run(_run())

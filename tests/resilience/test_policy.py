@@ -9,6 +9,7 @@ import pytest
 
 from repro.resilience import Deadline, RetryPolicy
 from repro.resilience.policy import deadline_expired
+from repro.serving.server import DEFAULT_RETRY_POLICY
 
 
 class TestDeadline:
@@ -73,12 +74,12 @@ class TestRetryPolicy:
         assert policy.backoff_ms(2, key="m1") != delays[0]
         assert policy.with_seed(8).backoff_ms(2, key="m0") != delays[0]
 
-    def test_legacy_max_redispatch_mapping_is_immediate(self):
-        # max_redispatch=N rides as N+1 attempts with zero backoff.
-        policy = RetryPolicy(max_attempts=2, base_ms=0.0, jitter=0.0)
-        assert policy.should_retry(1)
-        assert not policy.should_retry(2)
-        assert policy.backoff_ms(1) == 0.0
+    def test_server_default_is_two_immediate_retries(self):
+        assert DEFAULT_RETRY_POLICY == RetryPolicy(max_attempts=3, base_ms=0.0, jitter=0.0)
+        assert DEFAULT_RETRY_POLICY.should_retry(2)
+        assert not DEFAULT_RETRY_POLICY.should_retry(3)
+        assert DEFAULT_RETRY_POLICY.backoff_ms(1, key="m0") == 0.0
+        assert DEFAULT_RETRY_POLICY.backoff_ms(2, key="m0") == 0.0
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -17,6 +17,7 @@ through :meth:`NetClient.abort` and :meth:`NetClient.send_raw`.
 from __future__ import annotations
 
 import asyncio
+import os
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.core import PegasusConfig
 from repro.distributed import build_summary_cluster
 from repro.graph import planted_partition
 from repro.serving import NetClient, NetServer, TenantConfig, TenantHost
+from repro.serving.blueprint import BatchReply, BatchTask
 from repro.serving.protocol import HEADER
 from repro.serving.server import QueryServer, _BatchJob, _Request
 
@@ -164,7 +166,6 @@ class TestFaultMatrix:
     def test_real_sigkill_on_a_lane_worker(self, clusters):
         """Not a simulated death: SIGKILL an actual lane worker process
         mid-service and require the answers to keep flowing, correct."""
-        import os
         import signal
 
         async def _run():
@@ -198,11 +199,8 @@ class TestExactlyOnce:
             async with QueryServer(cluster) as server:
                 loop = asyncio.get_running_loop()
                 request = _Request(0, "rwr", 0, loop.create_future())
-                server.stats.admitted += 1
-                server._outstanding.add(request)
-                job = _BatchJob(
-                    machine_id=0, batch=[request], items=[(0, "rwr")], update=None
-                )
+                server._note_admitted(request)
+                job = _BatchJob(batch=[request], task=BatchTask(0, [(0, "rwr", None)]))
                 copies = [loop.create_future(), loop.create_future()]
                 for hedged, copy in enumerate(copies):
                     server._inflight.add(copy)
@@ -213,8 +211,9 @@ class TestExactlyOnce:
                         )
                     )
                 answer = cluster.answer(0, "rwr")
-                copies[0].set_result([answer])
-                copies[1].set_result([answer + 1.0])  # the loser, never seen
+                copies[0].set_result(BatchReply([answer], os.getpid(), 0.0, None))
+                # The loser, never seen:
+                copies[1].set_result(BatchReply([answer + 1.0], os.getpid(), 0.0, None))
                 await asyncio.sleep(0)
                 delivered = await request.future
                 assert delivered.tobytes() == answer.tobytes()

@@ -22,6 +22,7 @@ from repro.core import PegasusConfig
 from repro.distributed import build_subgraph_cluster, build_summary_cluster
 from repro.errors import QueryError, ServingError
 from repro.graph import planted_partition
+from repro.obs import MetricsRegistry, ObsConfig
 from repro.serving import QUERY_TYPES, QueryServer, serve_queries
 from repro.store import MappedSummary
 
@@ -333,20 +334,27 @@ class TestLifecycle:
         asyncio.run(_run())
 
     def test_restart_after_stop(self, summary_cluster):
+        """Each session answers alike and keeps its own ledger, which
+        starts from zero with a private registry and a shared one."""
         queries = _stream(summary_cluster.graph, count=6)
 
         async def _session(server):
             async with server:
-                return await asyncio.gather(
+                answers = await asyncio.gather(
                     *(server.submit(n, t) for n, t in queries)
                 )
+            return answers, server.stats
 
-        server = QueryServer(summary_cluster, workers=2)
-        first = asyncio.run(_session(server))
-        second = asyncio.run(_session(server))
-        for a, b in zip(first, second):
-            assert a.tobytes() == b.tobytes()
-        _assert_byte_identical(summary_cluster, queries, first)
+        for obs in (None, ObsConfig(registry=MetricsRegistry())):
+            server = QueryServer(summary_cluster, workers=2, obs=obs)
+            first, first_stats = asyncio.run(_session(server))
+            second, second_stats = asyncio.run(_session(server))
+            for a, b in zip(first, second):
+                assert a.tobytes() == b.tobytes()
+            _assert_byte_identical(summary_cluster, queries, first)
+            for stats in (first_stats, second_stats):
+                assert stats.admitted == stats.answered == len(queries)
+                assert 1 <= stats.max_batch_size <= len(queries)
 
     def test_stop_drains_pending_work(self, summary_cluster):
         """Everything admitted before stop() is answered, not dropped."""

@@ -17,6 +17,7 @@ from repro.core import PegasusConfig
 from repro.distributed import build_subgraph_cluster, build_summary_cluster
 from repro.errors import TenantError
 from repro.graph import planted_partition
+from repro.obs import MetricsRegistry, ObsConfig
 from repro.serving import QUERY_TYPES, TenantConfig, TenantHost
 
 pytestmark = pytest.mark.filterwarnings("error::ResourceWarning")
@@ -134,7 +135,8 @@ class TestQuota:
                 with pytest.raises(TenantError, match="quota"):
                     await host.submit("acme", 2, "rwr")
                 stats = host.all_stats()["acme"]
-                assert stats["rejected"] == 1
+                # Booked once, as a quota refusal; the queue never saw it.
+                assert stats["rejected"] == 0
                 assert stats["quota_rejections"] == 1
                 assert stats["inflight"] == 2
                 answers = await asyncio.gather(first, second)
@@ -269,21 +271,26 @@ class TestEviction:
 
 class TestReAdmission:
     def test_evicted_tenant_can_be_re_added_with_a_fresh_ledger(self, clusters):
-        async def _run():
-            async with TenantHost(workers=1) as host:
+        async def _run(obs):
+            async with TenantHost(workers=1, obs=obs) as host:
                 await host.add_tenant("acme", clusters["acme"])
                 await host.submit("acme", 0, "rwr")
-                await host.evict("acme")
+                final = await host.evict("acme")
                 assert host.tenants() == []
-                # Re-registration restarts from a clean slate...
+                # Re-registration restarts from a clean slate, even when
+                # the old ledger's counters live on in a shared registry...
                 await host.add_tenant("acme", clusters["globex"])
-                stats = host.stats("acme")
-                assert stats.admitted == 0 and stats.answered == 0
+                assert set(host.stats("acme").as_dict().values()) == {0}
                 # ...and routes to the *new* cluster, not the old one.
                 answer = await host.submit("acme", 0, "rwr")
                 assert answer.tobytes() == clusters["globex"].answer(0, "rwr").tobytes()
+                stats = host.stats("acme")
+                assert stats.admitted == stats.answered == stats.max_batch_size == 1
+                # The evicted tenant's ledger stays final.
+                assert final.admitted == final.answered == 1
 
-        asyncio.run(_run())
+        asyncio.run(_run(None))
+        asyncio.run(_run(ObsConfig(registry=MetricsRegistry())))
 
 
 class TestStats:

@@ -101,7 +101,7 @@ class TestStorePathShipping:
     no shared-memory pack, no pickled arrays."""
 
     def test_blueprint_specs_and_answers(self, graph, build_kwargs, tmp_path):
-        from repro.serving.blueprint import ClusterBlueprint, serve_batch_task
+        from repro.serving.blueprint import BatchTask, ClusterBlueprint, serve_batch_task
 
         ram = build_summary_cluster(graph, **build_kwargs)
         spilled = build_summary_cluster(graph, spill_dir=tmp_path / "spill", **build_kwargs)
@@ -114,15 +114,15 @@ class TestStorePathShipping:
                 assert "path" in spec  # paths only, nothing inlined
             for machine in spilled.machines:
                 nodes = machine.part_nodes[:3]
-                batch = [(int(n), "rwr") for n in nodes]
-                answers = serve_batch_task(payload, (machine.machine_id, batch))
-                for (node, _qt), answer in zip(batch, answers):
+                batch = [(int(n), "rwr", None) for n in nodes]
+                reply = serve_batch_task(payload, BatchTask(machine.machine_id, batch))
+                for (node, _qt, _expires), answer in zip(batch, reply.answers):
                     assert answer.tobytes() == ram.answer(node, "rwr").tobytes()
         finally:
             blueprint.close()
 
     def test_subgraph_store_shipping(self, graph, tmp_path):
-        from repro.serving.blueprint import ClusterBlueprint, serve_batch_task
+        from repro.serving.blueprint import BatchTask, ClusterBlueprint, serve_batch_task
 
         kwargs = dict(num_machines=2, budget_bits=0.45 * graph.size_in_bits(), seed=6)
         ram = build_subgraph_cluster(graph, **kwargs)
@@ -132,9 +132,9 @@ class TestStorePathShipping:
             kinds = {spec["kind"] for spec in blueprint.payload["specs"]}
             assert kinds == {"graph_store"}
             machine = spilled.machine_for(3)
-            answers = serve_batch_task(
-                blueprint.payload, (machine.machine_id, [(3, "hop")])
+            reply = serve_batch_task(
+                blueprint.payload, BatchTask(machine.machine_id, [(3, "hop", None)])
             )
-            assert answers[0].tobytes() == ram.answer(3, "hop").tobytes()
+            assert reply.answers[0].tobytes() == ram.answer(3, "hop").tobytes()
         finally:
             blueprint.close()
