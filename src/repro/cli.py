@@ -248,7 +248,6 @@ def _cmd_serve(args) -> int:
             max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms,
             max_pending=args.max_pending,
-            use_shared_memory=not args.no_shared_memory,
         )
         async with server:
             await asyncio.gather(
@@ -266,7 +265,7 @@ def _cmd_serve(args) -> int:
     print(f"cluster         {name}: m={args.machines}, budget {args.ratio:.2f} * Size(G), source={args.source}")
     print(
         f"serving         workers={args.workers}, max_batch={args.max_batch}, "
-        f"max_wait={args.max_wait_ms:.1f}ms, shared_memory={server.uses_shared_memory}"
+        f"max_wait={args.max_wait_ms:.1f}ms"
     )
     print(f"queries         {stats.answered} answered in {elapsed:.2f}s ({stats.answered / elapsed:.1f} q/s)")
     print(f"batches         {stats.batches} (mean {stats.mean_batch_size:.1f} queries/batch, max {stats.max_batch_size})")
@@ -509,7 +508,8 @@ def _cmd_serve_net(args) -> int:
     print(f"cluster         {name}: m={args.machines} per tenant, budget {args.ratio:.2f} * Size(G)")
     print(
         f"serving         tenants={len(clusters)}, workers={args.workers}, "
-        f"hedge={args.hedge_ms}ms, chaos={args.chaos or 'none'}"
+        f"hedge={'off' if args.hedge_ms is None else f'{args.hedge_ms:g}ms'}, "
+        f"chaos={args.chaos or 'none'}"
     )
     print(f"queries         {total_answered} answered in {elapsed:.2f}s ({total_answered / elapsed:.1f} q/s)")
     print(f"resilience      redispatches={redispatches}, hedged={hedged}, shed={total_shed}")
@@ -1061,11 +1061,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--max-pending", type=int, default=1024, help="admission-queue bound (backpressure beyond it)"
-    )
-    serve_cmd.add_argument(
-        "--no-shared-memory",
-        action="store_true",
-        help="ship machine arrays by pickle instead of multiprocessing.shared_memory",
     )
     serve_cmd.add_argument(
         "--no-verify",

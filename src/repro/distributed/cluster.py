@@ -167,15 +167,19 @@ class DistributedCluster:
             # pickling Machine objects would ship the graph once per
             # machine.  Ship the serving layer's array reduction instead:
             # workers rebuild each machine from its determining arrays
-            # (shared memory where available) and build its operator once.
+            # and build its operator once.
             from repro.serving.blueprint import BatchTask, ClusterBlueprint, serve_batch_task
 
+            blueprint = ClusterBlueprint(self)
             tasks = [
-                BatchTask(machine_id, [(node, query_type, None) for node in groups[machine_id]])
+                BatchTask(
+                    machine_id,
+                    [(node, query_type, None) for node in groups[machine_id]],
+                    blueprint.source(machine_id),
+                )
                 for machine_id in order
             ]
-            with ClusterBlueprint(self) as blueprint:
-                replies = executor.map(serve_batch_task, tasks, shared=blueprint.payload)
+            replies = executor.map(serve_batch_task, tasks, shared=blueprint.session())
             batches = [reply.answers for reply in replies]
         else:
             inline_tasks = [(self.machines[machine_id], groups[machine_id]) for machine_id in order]

@@ -15,14 +15,9 @@ The ``m`` per-machine artifacts are mutually independent, so both builders
 accept ``workers=`` and fan the machines out over a
 :class:`~repro.parallel.ParallelExecutor`.  Each machine's build is
 self-contained and seeded, so the cluster is byte-identical at any worker
-count.
-
-With ``workers > 1`` the immutable input graph's CSR is packed once into
-shared memory (:class:`~repro.parallel.graphship.GraphShipment`) and each
-worker attaches it zero-copy instead of receiving a pickled copy through
-the pool initializer — ``spawn`` workers stop re-pickling the graph
-entirely.  Where shared memory is unavailable the pickle path is used
-automatically, and ``workers=1`` runs inline with no shipping at all.
+count.  The input graph travels in the executor's ``shared`` payload,
+which reaches each worker once: inherited under ``fork``, pickled once
+per worker under ``spawn``.  A task is only ``(machine_id, part)``.
 """
 
 from __future__ import annotations
@@ -40,7 +35,6 @@ from repro.errors import PartitionError
 from repro.graph.graph import Graph
 from repro.obs.profile import probe
 from repro.parallel import ParallelExecutor
-from repro.parallel.graphship import GraphShipment, restore_graphs
 from repro.partitioning.louvain import louvain_partition
 from repro.partitioning.quality import validate_partition
 
@@ -71,7 +65,7 @@ def _resolve_parts(
 
 def _summary_machine_task(shared, task) -> Machine:
     """Build one machine's personalized summary (runs in a pool worker)."""
-    graph, budget_bits, config = restore_graphs(shared)
+    graph, budget_bits, config = shared
     machine_id, part = task
     weights = PersonalizedWeights(graph, part, alpha=config.alpha)
     result = summarize(graph, budget_bits=budget_bits, config=config, weights=weights)
@@ -85,7 +79,7 @@ def _summary_machine_task(shared, task) -> Machine:
 
 def _subgraph_machine_task(shared, task) -> Machine:
     """Build one machine's budgeted subgraph (runs in a pool worker)."""
-    graph, budget_bits, seed = restore_graphs(shared)
+    graph, budget_bits, seed = shared
     machine_id, part = task
     subgraph = budgeted_subgraph(graph, part, budget_bits, seed=seed)
     return Machine(
@@ -111,7 +105,7 @@ def _summary_spill_task(shared, task) -> Tuple[int, str, float]:
     """
     from repro.store import save_summary_binary
 
-    graph, budget_bits, config, spill_dir = restore_graphs(shared)
+    graph, budget_bits, config, spill_dir = shared
     machine_id, part = task
     weights = PersonalizedWeights(graph, part, alpha=config.alpha)
     result = summarize(graph, budget_bits=budget_bits, config=config, weights=weights)
@@ -125,7 +119,7 @@ def _subgraph_spill_task(shared, task) -> Tuple[int, str, float]:
     """Build one machine's budgeted subgraph, persist it, drop the copy."""
     from repro.store import save_graph
 
-    graph, budget_bits, seed, spill_dir = restore_graphs(shared)
+    graph, budget_bits, seed, spill_dir = shared
     machine_id, part = task
     subgraph = budgeted_subgraph(graph, part, budget_bits, seed=seed)
     path = _spill_path(spill_dir, machine_id)
@@ -177,7 +171,6 @@ def build_summary_cluster(
     config: "PegasusConfig | None" = None,
     seed: "int | None" = 0,
     workers: "int | None" = 1,
-    use_shared_memory: bool = True,
     spill_dir: "str | os.PathLike[str] | None" = None,
 ) -> DistributedCluster:
     """Alg. 3 preprocessing with personalized summary graphs.
@@ -207,11 +200,6 @@ def build_summary_cluster(
         (``1`` = sequential, ``0`` = all cores).  With a seeded config
         the machine summaries are byte-identical at any worker count;
         ``config.seed=None`` opts into fresh entropy per build.
-    use_shared_memory:
-        Ship the input graph's CSR to the workers through one
-        shared-memory block (default; zero-copy attach per worker).
-        ``False`` pickles the graph once per worker as before — the
-        cluster is identical either way, only the shipping cost differs.
     spill_dir:
         Out-of-core mode: each machine's summary is written to
         ``<spill_dir>/machine-<id>.store`` (crash-atomic, checksummed)
@@ -225,7 +213,6 @@ def build_summary_cluster(
     """
     parts = _resolve_parts(graph, num_machines, partitioner, assignment, seed)
     config = config or PegasusConfig(seed=seed)
-    executor = ParallelExecutor(workers)
     tasks = list(enumerate(parts))
     if spill_dir is not None:
         spill_dir = os.fspath(spill_dir)
@@ -235,11 +222,7 @@ def build_summary_cluster(
     else:
         shared = (graph, float(budget_bits), config)
         task_fn = _summary_machine_task
-    if executor.workers > 1:
-        with GraphShipment(shared, use_shared_memory=use_shared_memory) as shipment:
-            results = executor.map(task_fn, tasks, shared=shipment.payload)
-    else:
-        results = executor.map(task_fn, tasks, shared=shared)
+    results = ParallelExecutor(workers).map(task_fn, tasks, shared=shared)
     if spill_dir is not None:
         machines = _machines_from_spill(graph, parts, results, summaries=True)
     else:
@@ -256,7 +239,6 @@ def build_subgraph_cluster(
     assignment: "np.ndarray | None" = None,
     seed: "int | None" = 0,
     workers: "int | None" = 1,
-    use_shared_memory: bool = True,
     spill_dir: "str | os.PathLike[str] | None" = None,
 ) -> DistributedCluster:
     """The Sect. IV alternative: budgeted subgraphs from a partitioner.
@@ -264,13 +246,11 @@ def build_subgraph_cluster(
     *seed* feeds both the default Louvain partitioner and the per-machine
     :func:`~repro.distributed.subgraph.budgeted_subgraph` tie-breaking;
     *workers* fans the per-machine subgraph builds out, byte-identically
-    at any worker count, and *use_shared_memory* ships the input graph
-    zero-copy to the workers, as in :func:`build_summary_cluster`.
+    at any worker count, as in :func:`build_summary_cluster`.
     *spill_dir* is the same out-of-core mode: each machine's subgraph is
     persisted as it is built and the cluster memory-maps the files.
     """
     parts = _resolve_parts(graph, num_machines, partitioner, assignment, seed)
-    executor = ParallelExecutor(workers)
     tasks = list(enumerate(parts))
     if spill_dir is not None:
         spill_dir = os.fspath(spill_dir)
@@ -280,11 +260,7 @@ def build_subgraph_cluster(
     else:
         shared = (graph, float(budget_bits), seed)
         task_fn = _subgraph_machine_task
-    if executor.workers > 1:
-        with GraphShipment(shared, use_shared_memory=use_shared_memory) as shipment:
-            results = executor.map(task_fn, tasks, shared=shipment.payload)
-    else:
-        results = executor.map(task_fn, tasks, shared=shared)
+    results = ParallelExecutor(workers).map(task_fn, tasks, shared=shared)
     if spill_dir is not None:
         machines = _machines_from_spill(None, parts, results, summaries=False)
     else:

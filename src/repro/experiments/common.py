@@ -32,7 +32,6 @@ from repro.baselines import (
 from repro.core import PegasusConfig, SummaryGraph, summarize
 from repro.graph.graph import Graph
 from repro.parallel import ParallelExecutor
-from repro.parallel.graphship import GraphShipment, restore_graphs
 
 #: Method names in the paper's plotting order.
 METHODS = ("pegasus", "ssumm", "saags", "s2l", "kgrass")
@@ -83,20 +82,13 @@ class ExperimentScale:
         )
 
 
-def _shipped_point(shared, task):
-    """Trampoline restoring shm-shipped graphs before running a point."""
-    point_fn, inner_shared = shared
-    return point_fn(restore_graphs(inner_shared), restore_graphs(task))
+def _indexed_point(shared, index: int):
+    """Run point *index* of the sweep's point list (shipped in *shared*)."""
+    point_fn, inner_shared, points = shared
+    return point_fn(inner_shared, points[index])
 
 
-def sweep(
-    point_fn,
-    points,
-    *,
-    workers: "int | None" = 1,
-    shared=None,
-    use_shared_memory: bool = True,
-) -> list:
+def sweep(point_fn, points, *, workers: "int | None" = 1, shared=None) -> list:
     """Fan independent experiment points out over the worker pool.
 
     The parallel sweep runner behind the Fig. 5/6/8/9/11/12 drivers: each
@@ -108,26 +100,16 @@ def sweep(
     while *planning* the point list and (b) assembles rows from the
     ordered results produces identical output at any worker count.
 
-    With ``workers > 1`` every :class:`~repro.graph.graph.Graph` in
-    *shared* or in the point payloads is packed once into shared memory
-    and attached zero-copy per worker
-    (:class:`~repro.parallel.graphship.GraphShipment`) — without this the
-    ``spawn`` start method pickles the shared graphs once per worker and
-    per-point graphs (the Fig. 6 subgraphs) once per task.  Results are
-    identical either way; ``use_shared_memory=False`` forces the pickle
-    path and ``workers=1`` runs inline with no shipping at all.
+    The point list travels with *shared* in the executor's shared
+    payload, which reaches each worker once (inherited under ``fork``,
+    pickled once per worker under ``spawn``), and each task is just a
+    point's index: graphs inside the points (the Fig. 6 subgraphs) are
+    never pickled per task.  ``workers=1`` runs the same tasks inline.
     """
-    executor = ParallelExecutor(workers)
     points = list(points)
-    if executor.workers > 1 and points:
-        with GraphShipment(
-            (shared, points), use_shared_memory=use_shared_memory
-        ) as shipment:
-            shipped_shared, shipped_points = shipment.payload
-            return executor.map(
-                _shipped_point, shipped_points, shared=(point_fn, shipped_shared)
-            )
-    return executor.map(point_fn, points, shared=shared)
+    return ParallelExecutor(workers).map(
+        _indexed_point, range(len(points)), shared=(point_fn, shared, points)
+    )
 
 
 def _calibrated_baseline(builder, graph: Graph, ratio: float, seed: int, probes: int = 4):

@@ -4,7 +4,9 @@ Two executors, one determinism contract: output is byte-identical at any
 worker count, and ``workers=1`` runs inline as the reference path.
 
 :class:`ParallelExecutor` runs independent deterministic tasks over a
-throwaway pool with ordered result collection (``map``).  Consumers:
+throwaway pool with ordered result collection (``map``); its ``shared``
+payload reaches each worker once (inherited under ``fork``, pickled once
+per worker under ``spawn``).  Consumers:
 
 * :func:`repro.distributed.pipeline.build_summary_cluster` /
   :func:`~repro.distributed.pipeline.build_subgraph_cluster` — the ``m``
@@ -17,33 +19,22 @@ throwaway pool with ordered result collection (``map``).  Consumers:
   and refreshes with no pooled server attached.
 
 :class:`LaneExecutor` pins each task to one of ``n`` pre-forked workers,
-each on its own pipe (``submit(fn, task, lane=...)``).
+each on its own pipe (``submit(fn, task, lane=...)``), and ships each
+:class:`Parcel` through a lane's pipe once per worker.
 :class:`repro.serving.QueryServer` and
-:class:`repro.serving.TenantHost` serve on it, with the per-machine
-arrays shipped once per worker via :mod:`repro.parallel.shm`; an
-attached :class:`~repro.streaming.StreamingSummarizer` sends each
-refresh's lane shares to it.
-
-The build-path consumers additionally ship the immutable input graph
-zero-copy through :mod:`repro.parallel.graphship`, so ``spawn`` workers
-attach one shared CSR instead of unpickling their own copy.
+:class:`repro.serving.TenantHost` serve on it, their sessions and
+per-machine source generations riding as parcels; an attached
+:class:`~repro.streaming.StreamingSummarizer` sends each refresh's lane
+shares to it.
 """
 
 from repro.parallel.executor import ParallelExecutor, derive_seed, resolve_workers
-from repro.parallel.graphship import GraphShipment, ShippedGraph, restore_graphs
-from repro.parallel.lanes import LaneExecutor
-from repro.parallel.shm import AttachedArrays, SharedArrayPack, ShmDescriptor, attach_arrays
+from repro.parallel.lanes import LaneExecutor, Parcel
 
 __all__ = [
-    "AttachedArrays",
-    "GraphShipment",
     "LaneExecutor",
     "ParallelExecutor",
-    "SharedArrayPack",
-    "ShippedGraph",
-    "ShmDescriptor",
-    "attach_arrays",
+    "Parcel",
     "derive_seed",
     "resolve_workers",
-    "restore_graphs",
 ]

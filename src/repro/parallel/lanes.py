@@ -6,10 +6,22 @@ worker that owns it, and a worker death breaks exactly one lane.
 
 **Lanes.**  Each lane is one worker process started at :meth:`~LaneExecutor.start`
 that loops recv → run → send on its own duplex :func:`multiprocessing.Pipe`.
-The session payload (``shared=``) is installed once per worker, as the
-process's start argument: inherited under ``fork``, pickled once under
-``spawn``.  Forking eagerly matters in a serving process: a worker forked
-later would inherit the accepted sockets open at that moment.
+Forking eagerly matters in a serving process: a worker forked later would
+inherit the accepted sockets open at that moment.
+
+**Parcels: ship once per worker.**  A :class:`Parcel` is data a worker
+keeps once it has it (a serving session, one machine's source
+generation).  A parcel passed as a task's ``shared`` value, or as a field
+of a named-tuple task, crosses a lane's pipe with its ``value`` only
+until that lane's worker holds its ``(slot, version)``; after that it goes
+empty.  The lane decides when it writes the task to the pipe, and it
+keeps the record: a successful reply adds the parcels the task named, an
+error reply drops them, and a task cancelled before it reached the pipe
+changes nothing; :meth:`LaneExecutor.forget` drops slots whose data the
+workers have released.  A re-spawned worker is a new lane, so it starts
+with an empty record and is sent everything again.  Resolving an empty
+parcel against what the worker holds (and refusing one it does not hold)
+is the task function's business.
 
 **Replies.**  The parent starts no threads.  A running event loop reads
 each lane's pipe with ``loop.add_reader``, registered when a task is
@@ -35,9 +47,10 @@ only because each forked worker closes every lane's parent end it
 inherited.
 
 ``workers=1`` (or ``None``) is the inline reference path: no processes,
-tasks run immediately in the caller, and submitted futures come back
-already resolved — byte-identical to the pooled lanes by the same
-argument as :class:`~repro.parallel.executor.ParallelExecutor`.
+tasks run immediately in the caller with their parcels whole, and
+submitted futures come back already resolved — byte-identical to the
+pooled lanes by the same argument as
+:class:`~repro.parallel.executor.ParallelExecutor`.
 """
 
 from __future__ import annotations
@@ -51,12 +64,24 @@ import weakref
 from collections import deque
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.parallel.executor import TaskFn, default_context, resolve_workers
 
-#: Sentinel distinguishing "no shared= argument" from an explicit ``None``.
-_UNSET = object()
+
+class Parcel(NamedTuple):
+    """Data a lane worker keeps once it has received it.
+
+    ``slot`` names where the worker keeps it, ``version`` which data the
+    slot holds (a worker keeps one version per slot).  A lane sends
+    ``value`` until its worker holds ``(slot, version)``, and the parcel
+    with ``value=None`` after that.
+    """
+
+    slot: Hashable
+    version: Hashable = 0
+    value: Any = None
+
 
 #: The parent end of every lane pipe opened in this process, by any
 #: executor.  A forked worker closes them all: a sibling holding one open
@@ -64,17 +89,17 @@ _UNSET = object()
 _PARENT_ENDS: "weakref.WeakSet" = weakref.WeakSet()
 
 
-def _lane_main(conn, shared: Any) -> None:
+def _lane_main(conn) -> None:
     """A lane worker: run tasks from *conn* until the parent hangs up."""
     for end in list(_PARENT_ENDS):
         end.close()
     while True:
         try:
-            fn, use_session, payload, task = conn.recv()
+            fn, shared, task = conn.recv()
         except (EOFError, OSError):
             return  # the parent closed the pipe, or died
         try:
-            reply = (True, fn(shared if use_session else payload, task))
+            reply = (True, fn(shared, task))
         except BaseException as exc:  # noqa: BLE001 - shipped to the caller's future
             exc.add_note("".join(traceback.format_exception(exc)).rstrip())
             reply = (False, exc)
@@ -89,7 +114,7 @@ def _lane_main(conn, shared: Any) -> None:
 class _Lane:
     """One worker process, the parent end of its pipe, and its task FIFO."""
 
-    def __init__(self, context, shared: Any):
+    def __init__(self, context):
         conn, child_end = context.Pipe(duplex=True)
         _PARENT_ENDS.add(conn)
         try:
@@ -97,7 +122,7 @@ class _Lane:
             # worker whose executor was never shut down instead of joining
             # it forever (the parent still holds its pipe open then).
             self.process = context.Process(
-                target=_lane_main, args=(child_end, shared), name="repro-lane", daemon=True
+                target=_lane_main, args=(child_end,), name="repro-lane", daemon=True
             )
             self.process.start()
         except BaseException:
@@ -115,6 +140,10 @@ class _Lane:
         self.running: "Optional[Future]" = None
         #: Tasks waiting for the pipe, oldest first.
         self.backlog: "Deque[Tuple[Future, Any]]" = deque()
+        #: What this lane's worker holds: parcel slot -> version.
+        self.holds: "Dict[Hashable, Hashable]" = {}
+        #: The ``(slot, version)`` parcels the task in the pipe names.
+        self._naming: "List[Tuple[Hashable, Hashable]]" = []
         self.loop: "Optional[asyncio.AbstractEventLoop]" = None
         self.dead = False
 
@@ -147,17 +176,43 @@ class _Lane:
     def _feed(self) -> None:
         """Send the oldest waiting task if the pipe is free."""
         while self.running is None and self.backlog and not self.dead:
-            future, item = self.backlog.popleft()
+            future, (fn, shared, task) = self.backlog.popleft()
             if not future.set_running_or_notify_cancel():
-                continue  # cancelled while it waited
+                continue  # cancelled while it waited: sent nothing, records nothing
             self.running = future
+            self._naming = []
             try:
-                self.conn.send(item)
+                self.conn.send((fn, self._unheld(shared), self._unheld(task)))
             except OSError:
                 self.die()
             except Exception as exc:  # noqa: BLE001 - the task does not pickle
                 self.running = None
                 future.set_exception(exc)
+
+    def _unheld(self, value: Any) -> Any:
+        """*value* as this lane's worker needs it: each parcel in it (the
+        value itself, or a field of a named tuple) that the worker already
+        holds goes without its data."""
+        if isinstance(value, Parcel):
+            self._naming.append((value.slot, value.version))
+            if value.value is not None and self.holds.get(value.slot) == value.version:
+                return value._replace(value=None)
+            return value
+        if hasattr(value, "_fields") and any(isinstance(field, Parcel) for field in value):
+            return value._make(
+                self._unheld(field) if isinstance(field, Parcel) else field for field in value
+            )
+        return value
+
+    def _settle(self, ok: bool) -> None:
+        """The task in the pipe replied: its worker now holds the parcels
+        it named (*ok*), or may not (an error reply)."""
+        for slot, version in self._naming:
+            if ok:
+                self.holds[slot] = version
+            else:
+                self.holds.pop(slot, None)
+        self._naming = []
 
     def on_readable(self) -> None:
         """Event-loop reader: take the reply (or EOF) off the pipe."""
@@ -170,12 +225,13 @@ class _Lane:
         except (EOFError, OSError):
             self.die()
             return
-        future, self.running = self.running, None
-        self._feed()  # the worker starts the next task while callbacks run
         try:
             ok, value = pickle.loads(data)
         except Exception as exc:  # noqa: BLE001 - a reply that does not unpickle
             ok, value = False, exc
+        self._settle(ok)
+        future, self.running = self.running, None
+        self._feed()  # the worker starts the next task while callbacks run
         if ok:
             future.set_result(value)
         else:
@@ -250,9 +306,6 @@ class LaneExecutor:
     mp_context:
         Optional :mod:`multiprocessing` context for the workers
         (default: ``fork`` where available, else ``spawn``).
-    shared:
-        Session payload installed in each lane worker when it starts —
-        once per worker process, again in a re-spawned one.
     standby:
         Keep one extra worker forked and ready, so a re-spawn promotes
         it instead of starting a cold process.
@@ -266,12 +319,10 @@ class LaneExecutor:
         workers: "int | None" = 1,
         *,
         mp_context=None,
-        shared: Any = None,
         standby: bool = False,
     ):
         self.workers = resolve_workers(workers)
         self._mp_context = mp_context
-        self._shared = shared
         self._lanes: "List[_Lane]" = []
         self._standby: "Optional[_Lane]" = None
         self._keep_standby = bool(standby)
@@ -298,7 +349,7 @@ class LaneExecutor:
         return max(1, self.workers)
 
     def _spawn(self) -> _Lane:
-        return _Lane(default_context(self._mp_context), self._shared)
+        return _Lane(default_context(self._mp_context))
 
     def start(self) -> "LaneExecutor":
         """Fork every lane's worker (none when inline); raises if started."""
@@ -375,6 +426,14 @@ class LaneExecutor:
             return
         self._replace(lane % self.lanes)
 
+    def forget(self, slots: "Iterable[Hashable]") -> None:
+        """Drop *slots* from every lane's record, once no worker keeps
+        their data (a released serving session)."""
+        slots = list(slots)
+        for lane in self._lanes:
+            for slot in slots:
+                lane.holds.pop(slot, None)
+
     def lane_health(self) -> "List[bool]":
         """Liveness per lane, read from each worker's process sentinel.
 
@@ -396,33 +455,28 @@ class LaneExecutor:
         """
         return [[lane.process.pid] for lane in self._lanes]
 
-    def submit(
-        self, fn: TaskFn, task: Any, *, lane: int = 0, shared: Any = _UNSET
-    ) -> "Future":
+    def submit(self, fn: TaskFn, task: Any, *, lane: int = 0, shared: Any = None) -> "Future":
         """Run ``fn(shared, task)`` on one lane; returns its future.
 
         *lane* is taken modulo the lane count, so callers can pass a
-        stable key (a machine id) directly.  Omitting *shared* uses the
-        session payload installed in the lane's worker; an explicit
-        *shared* is shipped with this task — the multi-tenant path, where
-        one executor serves several blueprints and each batch names its
-        own.  A lane found dead at submission is re-spawned first; a
-        worker dying *after* submission surfaces as ``BrokenProcessPool``
-        on the returned future, and re-dispatching is the caller's call.
+        stable key (a machine id) directly.  *shared* and *task* are
+        pickled per task, except the data of a :class:`Parcel` the lane's
+        worker already holds (see the module docstring).  A lane found
+        dead at submission is re-spawned first; a worker dying *after*
+        submission surfaces as ``BrokenProcessPool`` on the returned
+        future, and re-dispatching is the caller's call.
         """
         if not self._started:
             raise RuntimeError("LaneExecutor is not started")
-        use_session = shared is _UNSET
-        payload = None if use_session else shared
         if self.inline:
             future: "Future" = Future()
             try:
-                future.set_result(fn(self._shared if use_session else payload, task))
+                future.set_result(fn(shared, task))
             except BaseException as exc:  # noqa: BLE001 - mirrored into the future
                 future.set_exception(exc)
             return future
         worker = self._live_lane(lane)
         future = _LaneFuture(worker)
         worker.watch()
-        worker.put(future, (fn, use_session, payload, task))
+        worker.put(future, (fn, shared, task))
         return future

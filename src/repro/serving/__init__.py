@@ -5,7 +5,7 @@ The batch pipeline answers a *fixed* query set
 this package serves a *stream*: :class:`QueryServer` admits queries
 continuously on an asyncio event loop, micro-batches them per owning
 machine by arrival window, applies bounded-queue admission control, and
-answers them on a persistent shared-memory worker pool — every answer
+answers them on persistent pre-forked worker lanes — every answer
 byte-identical to the synchronous ``cluster.answer`` path, every
 submission getting its own per-request future (duplicate query nodes
 included).

@@ -4,29 +4,35 @@ A :class:`~repro.distributed.cluster.DistributedCluster` holds one query
 source per machine — a personalized :class:`~repro.core.summary.SummaryGraph`
 or a budgeted :class:`~repro.graph.graph.Graph` subgraph.  Serving workers
 must answer against *exactly* those sources, for thousands of
-micro-batches, without re-pickling them per batch.
+micro-batches, without re-shipping them per batch.
 
-:class:`ClusterBlueprint` solves this by reducing every source to the flat
-arrays that fully determine its query behavior:
+:class:`ClusterBlueprint` reduces every source to the flat arrays that
+fully determine its query behavior:
 
 * summary source → ``(supernode_of, lo, hi[, weights])`` — the same
   lexsorted columnar export every query answer is computed from
   (``SummaryGraph.superedge_arrays``);
 * graph source → its CSR ``(indptr, indices)``.
 
-The arrays are packed once into a :class:`~repro.parallel.shm.SharedArrayPack`
-(zero-copy attach in each worker; set ``use_shared_memory=False`` to fall
-back to pickling the arrays once per worker through the pool initializer).
 Sources whose arrays already live on disk — the memory-mapped
 :class:`~repro.store.MappedSummary` / :class:`~repro.store.MappedGraph`
 produced by ``pipeline(spill_dir=...)`` or :func:`repro.store.load_graph`
-— skip shared memory entirely: the blueprint ships only the store *path*
-and each worker memory-maps the same checksummed file, so a cluster
-larger than RAM is served without ever materializing it in any process.
+— ship no arrays: the blueprint ships only the store *path* and each
+worker memory-maps the same checksummed file, so a cluster larger than
+RAM is served without ever materializing it in any process.
+
+Everything ships as :class:`~repro.parallel.lanes.Parcel` values, which
+a lane sends to its worker once: the **session** (every machine's start
+arrays, by session token) and, per batch, the machine's **source
+generation** (version 0 is the session's start source; each hot swap
+exports a new version with its own arrays).  Once a lane's worker holds
+them, a batch task carries only the token, the version and its items.
 Workers rebuild a :class:`~repro.distributed.cluster.Machine` per machine
-id on first use and cache it for the life of the process, so the
+id on first use and keep one generation per machine, so the
 reconstruction operator — the expensive part of RWR/PHP answering — is
-built **once per worker per machine**, not once per batch.
+built **once per worker per machine generation**, not once per batch.  A
+worker asked for a session or generation it does not hold raises
+:class:`~repro.errors.ServingError` rather than answer from another one.
 
 Determinism: the rebuilt summary reproduces the original's
 ``supernode_of`` and lexsorted superedge arrays bit for bit, and every
@@ -41,7 +47,7 @@ from __future__ import annotations
 import os
 import time
 import uuid
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -50,7 +56,7 @@ from repro.core.summary import SummaryGraph
 from repro.distributed.cluster import DistributedCluster, Machine
 from repro.errors import ServingError
 from repro.graph.graph import Graph
-from repro.parallel.shm import SharedArrayPack, attach_arrays, detach_arrays
+from repro.parallel.lanes import Parcel
 from repro.queries.operator import as_residual_source
 from repro.resilience.policy import deadline_expired
 
@@ -126,155 +132,86 @@ def _export_machine(machine: Machine, arrays: Dict[str, np.ndarray]) -> Dict[str
 class ClusterBlueprint:
     """Parent-side export of a cluster's machines for serving workers.
 
-    Parameters
-    ----------
-    cluster:
-        The cluster whose machines will answer served queries.
-    use_shared_memory:
-        Pack the arrays into one ``multiprocessing.shared_memory`` block
-        (default; workers attach zero-copy).  ``False`` ships the arrays
-        by pickle once per worker instead — the answers are identical,
-        only the shipping cost differs.  If the platform cannot create
-        shared memory the pickle path is used automatically.
-
-    The :attr:`payload` is what the serving pool installs as its session
-    shared value.  Call :meth:`close` when the serving session ends to
-    unlink the shared-memory block.
+    :attr:`payload` holds every machine's start arrays (or store path)
+    under a fresh :attr:`token`; :meth:`session` wraps it as the parcel a
+    serving lane ships to each worker once.  :meth:`source` names the
+    generation a machine's batches are answered against: version 0 until
+    :meth:`export_update` hot-swaps it.
     """
 
-    def __init__(self, cluster: DistributedCluster, *, use_shared_memory: bool = True):
+    def __init__(self, cluster: DistributedCluster):
         arrays: Dict[str, np.ndarray] = {}
         specs = [_export_machine(machine, arrays) for machine in cluster.machines]
-        self._pack: "SharedArrayPack | None" = None
-        self._use_shared_memory = use_shared_memory
-        self._update_packs: Dict[Tuple[int, int], SharedArrayPack] = {}
-        self._latest_version: Dict[int, int] = {}
-        self._next_version = 1
-        payload: Dict[str, Any] = {
-            # Workers cache attached clusters by token; uuid keeps two
-            # concurrent servers in one process from colliding.
-            "token": uuid.uuid4().hex,
+        # Workers key sessions by token; uuid keeps two servers sharing
+        # one executor (or one process) from colliding.
+        self.token = uuid.uuid4().hex
+        self.payload: Dict[str, Any] = {
             "specs": specs,
-        }
-        if use_shared_memory and arrays:
-            try:
-                self._pack = SharedArrayPack(arrays)
-            except OSError:  # pragma: no cover - no /dev/shm on this platform
-                self._pack = None
-        if self._pack is not None:
-            payload["descriptor"] = self._pack.descriptor
-        else:
             # Store-backed machines contribute no arrays (workers memmap
             # their files), so this may legitimately be empty.
-            payload["arrays"] = {key: np.ascontiguousarray(a) for key, a in arrays.items()}
-        self.payload = payload
+            "arrays": {key: np.ascontiguousarray(a) for key, a in arrays.items()},
+        }
+        self._sources = {
+            machine.machine_id: Parcel((self.token, machine.machine_id))
+            for machine in cluster.machines
+        }
+        self._next_version = 1
 
-    @property
-    def uses_shared_memory(self) -> bool:
-        """Whether the arrays actually live in a shared-memory block."""
-        return self._pack is not None
+    def session(self) -> Parcel:
+        """The session parcel: every machine's start source, by token."""
+        return Parcel(self.token, 0, self.payload)
 
-    def export_update(self, machine: Machine) -> Dict[str, Any]:
-        """Export one machine's *current* source as a hot-swap update.
+    def source(self, machine_id: int) -> Parcel:
+        """The parcel naming *machine_id*'s current source generation."""
+        return self._sources[machine_id]
 
-        Returns a small picklable payload ``{"version", "spec",
-        "descriptor" | "arrays"}`` that rides along with every subsequent
-        batch task for this machine.  Versions are monotone per
-        blueprint, so a worker serves each batch against exactly the
-        source generation that was live when the batch was flushed —
-        in-flight batches keep their pre-swap version, later ones the new
-        one.  The backing shared-memory block (when used) stays alive
-        until the version is superseded *and* no in-flight batch still
-        references it (:meth:`retire_update`, driven by the server's
-        per-batch refcounts), or until :meth:`close`.  Without shared
-        memory the arrays ride inside the update payload itself, i.e.
-        they are re-pickled per batch for a swapped machine — correct but
-        heavier; prefer shared memory for long hot-swapping streams.
+    def slots(self) -> List[Hashable]:
+        """Every parcel slot of this session: its token and one per machine."""
+        return [self.token, *(parcel.slot for parcel in self._sources.values())]
+
+    def export_update(self, machine: Machine) -> Parcel:
+        """Export one machine's *current* source as its next generation.
+
+        The returned parcel (``version`` monotone per blueprint, value
+        ``{"spec", "arrays"}``) becomes :meth:`source` for the machine, so
+        batches flushed from now on are answered against it while batches
+        already flushed keep the generation they carry.
         """
         arrays: Dict[str, np.ndarray] = {}
         spec = _export_machine(machine, arrays)
         version = self._next_version
         self._next_version += 1
-        update: Dict[str, Any] = {"version": version, "spec": spec}
-        pack: "SharedArrayPack | None" = None
-        if self._use_shared_memory and self._pack is not None and arrays:
-            try:
-                pack = SharedArrayPack(arrays)
-            except OSError:  # pragma: no cover - no /dev/shm on this platform
-                pack = None
-        if pack is not None:
-            self._update_packs[(machine.machine_id, version)] = pack
-            update["descriptor"] = pack.descriptor
-        else:
-            update["arrays"] = {key: np.ascontiguousarray(a) for key, a in arrays.items()}
-        self._latest_version[machine.machine_id] = version
-        return update
-
-    def retire_update(self, machine_id: int, version: int) -> None:
-        """Unlink a *superseded* update's shared-memory block (idempotent).
-
-        No-op while the version is still the machine's latest (future
-        batches will carry it) and for pickle-shipped updates.  Safe even
-        if some process still maps the block — unlinking only prevents
-        *new* attaches, and the refcounting caller guarantees none will
-        come.
-        """
-        if self._latest_version.get(machine_id) == version:
-            return
-        pack = self._update_packs.pop((machine_id, version), None)
-        if pack is not None:
-            pack.close()
-
-    def close(self) -> None:
-        """Unlink the shared-memory blocks (idempotent)."""
-        if self._pack is not None:
-            self._pack.close()
-        for pack in self._update_packs.values():
-            pack.close()
-        self._update_packs = {}
-        self._latest_version = {}
-
-    def __enter__(self) -> "ClusterBlueprint":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        update = {
+            "spec": spec,
+            "arrays": {key: np.ascontiguousarray(a) for key, a in arrays.items()},
+        }
+        parcel = Parcel((self.token, machine.machine_id), version, update)
+        self._sources[machine.machine_id] = parcel
+        return parcel
 
 
 class _AttachedCluster:
     """Worker-side lazily rebuilt machines for one serving session.
 
-    Machines are cached per *version*: version 0 is the session's start
-    blueprint; hot-swap updates (:meth:`ClusterBlueprint.export_update`)
-    ride along with batch tasks and carry their own version plus array
-    source, so any worker — regardless of which batches it happened to
-    execute — can rebuild exactly the generation a batch was flushed
-    against.  Per machine only the most recently used version is kept;
-    rebuilding an evicted one from its update payload is always possible.
+    Machines are cached per source generation, one per machine: version 0
+    is rebuilt from the session's start arrays, a later version from the
+    arrays its parcel carried.  A batch naming a generation this worker
+    does not hold, without its arrays, is refused.
     """
 
     def __init__(self, payload: Dict[str, Any]):
-        self._attached_names: List[str] = []
-        self._containers: List[Any] = []  # opened store containers, for detach
-        if "descriptor" in payload:
-            self._arrays: Any = self._attach(payload["descriptor"])
-        else:
-            self._arrays = payload.get("arrays", {})
+        self._containers: List[Any] = []  # opened store containers, for close()
+        self._arrays = payload["arrays"]
         self._specs = {spec["machine_id"]: spec for spec in payload["specs"]}
+        self.chaos: "Dict[str, Any] | None" = payload.get("chaos")
         self._machines: Dict[int, Tuple[int, Machine]] = {}
-
-    def _attach(self, descriptor) -> Any:
-        arrays = attach_arrays(descriptor)
-        if descriptor.name not in self._attached_names:
-            self._attached_names.append(descriptor.name)
-        return arrays
 
     def _rebuild_source(self, spec: Dict[str, Any], arrays: Any):
         prefix = f"m{spec['machine_id']}."
         num_nodes = spec["num_nodes"]
         if spec["kind"] in ("summary_store", "graph_store"):
             # The source's arrays live in a checksummed store file; map it
-            # (CRC-verified once per worker) instead of touching shm.
+            # (CRC-verified once per worker).
             from repro.store import load_graph, load_summary_binary
 
             if spec["kind"] == "summary_store":
@@ -314,79 +251,71 @@ class _AttachedCluster:
             )
         return summary
 
-    def machine(self, machine_id: int, update: "Dict[str, Any] | None" = None) -> Machine:
+    def machine(self, machine_id: int, source: Parcel) -> Machine:
         """The rebuilt machine for one batch (cached; operator cache included).
 
-        *update* names the source generation the batch was flushed
-        against; ``None`` means the session's start blueprint (version 0).
+        *source* names the generation the batch was flushed against.
         """
-        version = 0 if update is None else update["version"]
         cached = self._machines.get(machine_id)
-        if cached is not None and cached[0] == version:
+        if cached is not None and cached[0] == source.version:
             return cached[1]
-        if update is None:
+        if source.version == 0:
             spec = self._specs.get(machine_id)
             if spec is None:
                 raise ServingError(f"machine {machine_id} is not part of this blueprint")
             arrays = self._arrays
+        elif source.value is not None:
+            spec, arrays = source.value["spec"], source.value["arrays"]
         else:
-            spec = update["spec"]
-            if "descriptor" in update:
-                arrays = self._attach(update["descriptor"])
-            else:
-                arrays = update["arrays"]
+            raise ServingError(
+                f"this worker does not hold version {source.version} of machine {machine_id}"
+            )
         machine = Machine(
             machine_id=machine_id,
             part_nodes=np.empty(0, dtype=np.int64),  # routing stays in the parent
             source=self._rebuild_source(spec, arrays),
             memory_bits=spec["memory_bits"],
         )
-        self._machines[machine_id] = (version, machine)
+        self._machines[machine_id] = (source.version, machine)
         return machine
 
-    def detach(self) -> None:
-        """Unmap every shared-memory block and store file this session opened."""
+    def close(self) -> None:
+        """Drop the rebuilt machines and close every store file they opened."""
         self._machines.clear()
-        for name in self._attached_names:
-            detach_arrays(name)
-        self._attached_names = []
         for container in self._containers:
             container.close()
         self._containers = []
 
 
-#: Per-process cache of attached serving sessions, keyed by payload token.
+#: Per-process cache of attached serving sessions, keyed by token.
 _SESSIONS: Dict[str, _AttachedCluster] = {}
 
 
-def attached_cluster(payload: Dict[str, Any]) -> _AttachedCluster:
+def attached_cluster(session: Parcel) -> _AttachedCluster:
     """The (cached) worker-side view of a serving session's machines."""
-    session = _SESSIONS.get(payload["token"])
-    if session is None:
-        session = _AttachedCluster(payload)
-        _SESSIONS[payload["token"]] = session
-    return session
+    attached = _SESSIONS.get(session.slot)
+    if attached is None:
+        if session.value is None:
+            raise ServingError(f"this worker does not hold serving session {session.slot}")
+        attached = _AttachedCluster(session.value)
+        _SESSIONS[session.slot] = attached
+    return attached
 
 
-def release_session(payload: Dict[str, Any]) -> None:
+def release_session(token: str) -> None:
     """Evict this process's cache for one serving session (no-op if absent).
 
-    Pool workers die with their pool, but the ``workers=1`` inline path
-    caches the rebuilt machines — and the shm mappings, hot-swap updates
-    included — in the *parent*; ``QueryServer.stop`` calls this so
-    repeated start/stop cycles in one process do not accumulate dead
-    sessions.
+    Lane workers outlive sessions, and the ``workers=1`` inline path
+    caches the rebuilt machines in the *parent*; ``QueryServer.stop`` and
+    :func:`release_session_task` call this so finished sessions do not
+    pin their machines and store files.
     """
-    session = _SESSIONS.pop(payload["token"], None)
-    if session is not None:
-        session.detach()
-        return
-    descriptor = payload.get("descriptor")
-    if descriptor is not None:
-        detach_arrays(descriptor.name)
+    attached = _SESSIONS.pop(token, None)
+    if attached is not None:
+        attached.close()
 
 
-def session_cached_task(shared: Dict[str, Any], token: str) -> bool:
+def session_cached_task(shared: Any, token: str) -> bool:
     """Whether this worker still caches the session named by *token*.
 
     Introspection for the eviction tests and for operational probes: a
@@ -431,19 +360,19 @@ def chaos_delay(spec: Dict[str, Any], machine_id: int) -> None:
 class BatchTask(NamedTuple):
     """One machine's micro-batch, as shipped to a serving lane.
 
-    Every field is always present.  ``items`` are ``(node, query_type,
-    expires_at)`` triples, ``expires_at`` a raw monotonic instant or
-    ``None`` for an unbounded deadline.  ``update`` is the hot-swap
-    payload from :meth:`ClusterBlueprint.export_update` the batch was
-    flushed against (``None`` = the session's start blueprint).  With
-    ``profile`` set, a worker in a process other than ``ppid`` (the
-    dispatching server's) turns its probes on and ships its metrics delta
-    back with the reply.
+    ``items`` are ``(node, query_type, expires_at)`` triples,
+    ``expires_at`` a raw monotonic instant or ``None`` for an unbounded
+    deadline.  ``source`` is the parcel naming the machine's source
+    generation the batch was flushed against
+    (:meth:`ClusterBlueprint.source`); a lane sends its arrays only to a
+    worker that lacks them.  With ``profile`` set, a worker in a process
+    other than ``ppid`` (the dispatching server's) turns its probes on
+    and ships its metrics delta back with the reply.
     """
 
     machine_id: int
     items: List[Tuple[int, str, Optional[float]]]
-    update: Optional[Dict[str, Any]] = None
+    source: Parcel
     ppid: int = 0
     profile: bool = False
 
@@ -463,9 +392,10 @@ class BatchReply(NamedTuple):
     metrics: Optional[Dict[str, Any]]
 
 
-def serve_batch_task(shared: Dict[str, Any], task: BatchTask) -> BatchReply:
+def serve_batch_task(shared: Parcel, task: BatchTask) -> BatchReply:
     """Answer one machine's micro-batch (runs in a lane worker).
 
+    *shared* is the session parcel (:meth:`ClusterBlueprint.session`).
     Mixed query types share the machine's cached reconstruction operator.
     Items whose deadline already passed are skipped: their answer slot
     comes back as ``None`` and the parent sheds the request with a typed
@@ -478,9 +408,9 @@ def serve_batch_task(shared: Dict[str, Any], task: BatchTask) -> BatchReply:
     it with every reply is what lets lane compute metrics survive a
     later SIGKILL of the worker.
     """
-    chaos = shared.get("chaos") if isinstance(shared, dict) else None
-    if chaos is not None:
-        _invoke_chaos(chaos, task.machine_id)
+    session = attached_cluster(shared)
+    if session.chaos is not None:
+        _invoke_chaos(session.chaos, task.machine_id)
     pid = os.getpid()
     harvest = task.profile and pid != task.ppid
     if harvest and not obs.profiling_enabled():
@@ -489,7 +419,7 @@ def serve_batch_task(shared: Dict[str, Any], task: BatchTask) -> BatchReply:
         # captured and harvested back with the reply.
         obs.enable_profiling()
     t0 = time.perf_counter()
-    machine = attached_cluster(shared).machine(task.machine_id, task.update)
+    machine = session.machine(task.machine_id, task.source)
     answers = [
         None if deadline_expired(expires_at) else machine.answer(node, query_type)
         for node, query_type, expires_at in task.items
@@ -500,13 +430,12 @@ def serve_batch_task(shared: Dict[str, Any], task: BatchTask) -> BatchReply:
     )
 
 
-def release_session_task(shared: Dict[str, Any], payload: Dict[str, Any]) -> bool:
-    """Evict one serving session's cache in a pool worker (eviction path).
+def release_session_task(shared: Any, token: str) -> bool:
+    """Evict one serving session's cache in a lane worker (eviction path).
 
     The multi-tenant host fans this across every lane when a tenant is
     evicted, so long-lived workers do not accumulate rebuilt machines
-    and shm mappings for tenants that no longer exist.  ``shared`` is
-    ignored — the session to release rides in the task payload.
+    for tenants that no longer exist.  ``shared`` is ignored.
     """
-    release_session(payload)
+    release_session(token)
     return True

@@ -20,10 +20,12 @@ continuously admitting service:
   waits on a timer; load still forms batches.
 * **Execution** — flushed batches go to a
   :class:`~repro.parallel.lanes.LaneExecutor` whose workers hold the
-  cluster's machines rebuilt from shared memory
-  (:mod:`repro.serving.blueprint`), so answering overlaps with admission
-  and nothing large is pickled per batch.  ``workers=1`` answers inline
-  in the event loop — the byte-identical reference path.
+  cluster's machines rebuilt from the blueprint's arrays
+  (:mod:`repro.serving.blueprint`).  A lane ships the session and each
+  machine generation to its worker once, so answering overlaps with
+  admission and a batch task carries only its items and two small
+  parcel names.  ``workers=1`` answers inline in the event loop — the
+  byte-identical reference path.
 * **Sticky affinity** — a machine's batches always land on the same lane
   (``lane = lane_offset + machine_id mod lanes``), so each machine's
   reconstruction operator is cached on exactly one worker instead of
@@ -45,7 +47,8 @@ continuously admitting service:
 * **Hot swap** — :meth:`QueryServer.swap_machine` replaces one machine's
   query source between micro-batches (the streaming layer's refresh
   path): updates are versioned, in-flight batches keep the generation
-  they were flushed against, and nothing restarts.
+  they were flushed against, each lane ships a generation's arrays to
+  its worker at most once, and nothing restarts.
 
 Every answer is byte-identical to ``cluster.answer(node, query_type)``,
 for any arrival interleaving, batch window, worker count, hedging
@@ -68,7 +71,7 @@ import numpy as np
 from repro.distributed.cluster import DistributedCluster, Machine
 from repro.errors import DeadlineExceeded, QueryError, ServingError
 from repro.obs import DEFAULT_SIZE_BOUNDS, Counter, MetricsRegistry, ObsConfig, TraceHandle
-from repro.parallel.lanes import LaneExecutor
+from repro.parallel.lanes import LaneExecutor, Parcel
 from repro.resilience.breaker import BreakerBoard
 from repro.resilience.policy import Deadline, RetryPolicy
 from repro.serving.blueprint import (
@@ -256,17 +259,13 @@ class QueryServer:
         Bound on admitted-but-undispatched requests (the admission
         queue).  Full queue ⇒ ``submit`` backpressures, ``submit_nowait``
         raises.
-    use_shared_memory:
-        Ship machine arrays via ``multiprocessing.shared_memory``
-        (default) or by pickling once per worker (``False``).
     mp_context:
         Optional multiprocessing context for the serving lanes.
     executor:
         Optional **external, already started**
         :class:`~repro.parallel.lanes.LaneExecutor` shared with other
-        servers (the multi-tenant host).  The server then ships its
-        blueprint payload per batch instead of installing it at pool
-        start, and never shuts the executor down.
+        servers (the multi-tenant host).  Batches ship exactly as on
+        the server's own lanes; the server never shuts it down.
     lane_offset:
         Rotation applied to the machine→lane mapping, so co-hosted
         tenants spread across a shared executor's lanes instead of all
@@ -324,7 +323,6 @@ class QueryServer:
         max_batch: int = 16,
         max_wait_ms: float = 2.0,
         max_pending: int = 1024,
-        use_shared_memory: bool = True,
         mp_context=None,
         executor: "LaneExecutor | None" = None,
         lane_offset: int = 0,
@@ -348,7 +346,6 @@ class QueryServer:
         self._max_batch = int(max_batch)
         self._max_wait = float(max_wait_ms) / 1000.0
         self._max_pending = int(max_pending)
-        self._use_shared_memory = use_shared_memory
         self._mp_context = mp_context
         self._external_executor = executor
         self._lane_offset = int(lane_offset)
@@ -395,6 +392,7 @@ class QueryServer:
         self._executor: "LaneExecutor | None" = None
         self._owns_executor = True
         self._blueprint: "ClusterBlueprint | None" = None
+        self._session: "Parcel | None" = None
         self._inflight: "set[asyncio.Future]" = set()
         self._outstanding: "Set[_Request]" = set()
         # Work-conserving dispatch state: requests held per machine, each
@@ -403,10 +401,6 @@ class QueryServer:
         self._pending: Dict[int, List[_Request]] = {}
         self._caps: Dict[int, float] = {}
         self._busy: Dict[int, int] = {}
-        self._updates: Dict[int, Dict] = {}
-        # In-flight batch copies per (machine_id, version): a superseded
-        # update's shm block is retired when its count returns to zero.
-        self._update_refs: Dict[Tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------
     # ledger and tracing
@@ -446,11 +440,6 @@ class QueryServer:
         return self._executor
 
     @property
-    def uses_shared_memory(self) -> bool:
-        """Whether machine arrays actually live in shared memory."""
-        return self._blueprint is not None and self._blueprint.uses_shared_memory
-
-    @property
     def outstanding(self) -> int:
         """Requests admitted but not yet resolved (the ledger's pending)."""
         return len(self._outstanding)
@@ -459,30 +448,17 @@ class QueryServer:
         """Export the cluster, start the serving lanes and the dispatcher."""
         if self._running:
             raise ServingError("server already started")
-        self._blueprint = ClusterBlueprint(
-            self._cluster, use_shared_memory=self._use_shared_memory
-        )
-        payload = self._blueprint.payload
+        if self._external_executor is not None and not self._external_executor.started:
+            raise ServingError("external executor must be started before the server")
+        self._blueprint = ClusterBlueprint(self._cluster)
         if self._chaos is not None:
-            payload["chaos"] = dict(self._chaos)
-        if self._external_executor is not None:
-            if not self._external_executor.started:
-                self._blueprint.close()
-                self._blueprint = None
-                raise ServingError("external executor must be started before the server")
-            self._executor = self._external_executor
-            self._owns_executor = False
+            self._blueprint.payload["chaos"] = dict(self._chaos)
+        self._session = self._blueprint.session()
+        self._owns_executor = self._external_executor is None
+        if self._owns_executor:
+            self._executor = LaneExecutor(self._workers, mp_context=self._mp_context).start()
         else:
-            try:
-                self._executor = LaneExecutor(
-                    self._workers, mp_context=self._mp_context, shared=payload
-                ).start()
-            except BaseException:
-                # A failed pool start must not leak the shared-memory block.
-                self._blueprint.close()
-                self._blueprint = None
-                raise
-            self._owns_executor = True
+            self._executor = self._external_executor
         self._queue = asyncio.Queue(maxsize=self._max_pending)
         # A new session's ledger starts from zero: the view reads the
         # counters relative to now, and the gauges restart.
@@ -490,8 +466,6 @@ class QueryServer:
             if not isinstance(instrument, Counter):
                 instrument.set(0)
         self.stats = ServingStats(self._ledger)
-        self._updates = {}
-        self._update_refs = {}
         self._outstanding = set()
         self._pending, self._caps, self._busy = {}, {}, {}
         self._running = True
@@ -503,25 +477,18 @@ class QueryServer:
         """Hot-swap one machine's query source without a restart.
 
         Exports the machine's *current* source (typically just refreshed
-        or residual-extended by the streaming layer) as a versioned
-        update that rides along with every subsequent batch flushed for
-        that machine.  In-flight batches are untouched — they carry the
-        version that was live when they were flushed, so no request is
-        dropped or re-answered — and batches flushed from now on are
-        answered against the new source, byte-identically to
-        ``cluster.answer`` after the same swap.
+        or residual-extended by the streaming layer) as the machine's
+        next generation, named by every batch flushed for it from now
+        on.  In-flight batches are untouched — they carry the version
+        that was live when they were flushed, so no request is dropped
+        or re-answered — and batches flushed from now on are answered
+        against the new source, byte-identically to ``cluster.answer``
+        after the same swap.
         """
         if not self._running:
             raise ServingError("server is not running")
-        previous = self._updates.get(machine.machine_id)
-        self._updates[machine.machine_id] = self._blueprint.export_update(machine)
+        self._blueprint.export_update(machine)
         self._ledger["swaps"].inc()
-        if previous is not None:
-            # The superseded generation can be reclaimed as soon as no
-            # in-flight batch carries it (possibly right now).
-            key = (machine.machine_id, previous["version"])
-            if self._update_refs.get(key, 0) == 0:
-                self._blueprint.retire_update(*key)
 
     def cancel_pending(self) -> int:
         """Cancel every admitted-but-unresolved request future.
@@ -543,8 +510,8 @@ class QueryServer:
         """Drain in-flight work, stop the dispatcher, release the lanes.
 
         Teardown is unconditional: even if the dispatcher died on an
-        unexpected error, the pool is shut down, the shared-memory block
-        unlinked, and every unresolved request failed rather than left
+        unexpected error, the pool is shut down, the session's caches
+        released, and every unresolved request failed rather than left
         hanging.
         """
         if not self._running:
@@ -587,8 +554,7 @@ class QueryServer:
             self.stats._freeze()
             if self._owns_executor and self._executor is not None:
                 self._executor.shutdown()
-            release_session(self._blueprint.payload)  # inline-path caches
-            self._blueprint.close()
+            release_session(self._blueprint.token)  # inline-path caches
             self._dispatcher = None
             self._queue = None
 
@@ -797,7 +763,11 @@ class QueryServer:
             for request in batch
         ]
         task = BatchTask(
-            machine_id, items, self._updates.get(machine_id), self._ppid, self._profile_workers
+            machine_id,
+            items,
+            self._blueprint.source(machine_id),
+            self._ppid,
+            self._profile_workers,
         )
         job = _BatchJob(batch=batch, task=task)
         now = time.perf_counter()
@@ -846,24 +816,14 @@ class QueryServer:
     def _dispatch_job(self, job: _BatchJob, *, hedged: bool = False) -> None:
         """Submit one copy of a batch to its lane (primary, hedge, retry)."""
         task = job.task
-        key = None if task.update is None else (task.machine_id, task.update["version"])
-        if key is not None:
-            self._update_refs[key] = self._update_refs.get(key, 0) + 1
         lane = self._lane_for(task.machine_id, hedged=hedged)
         attempt = job.attempts
         t_dispatch = time.perf_counter()
         try:
-            if self._owns_executor:
-                pool_future = self._executor.submit(serve_batch_task, task, lane=lane)
-            else:
-                # Shared executor (multi-tenant host): this server's
-                # payload rides with the task instead of living as the
-                # pool's session value.
-                pool_future = self._executor.submit(
-                    serve_batch_task, task, lane=lane, shared=self._blueprint.payload
-                )
+            pool_future = self._executor.submit(
+                serve_batch_task, task, lane=lane, shared=self._session
+            )
         except BaseException as error:  # e.g. executor already shut down
-            self._release_update(key)
             if not job.delivered and not job.pending:
                 job.delivered = True
                 self._cancel_hedge(job)
@@ -887,8 +847,8 @@ class QueryServer:
         self._inflight.add(wrapped)
         job.pending.add(wrapped)
         wrapped.add_done_callback(
-            lambda done, job=job, key=key, hedged=hedged: self._on_batch_done(
-                done, job, key, hedged, lane=lane, attempt=attempt, t_dispatch=t_dispatch
+            lambda done, job=job, hedged=hedged: self._on_batch_done(
+                done, job, hedged, lane=lane, attempt=attempt, t_dispatch=t_dispatch
             )
         )
 
@@ -938,14 +898,12 @@ class QueryServer:
         self,
         done: "asyncio.Future",
         job: _BatchJob,
-        key: "Tuple[int, int] | None",
         hedged: bool,
         *,
         lane: int = 0,
         attempt: int = 0,
         t_dispatch: float = 0.0,
     ) -> None:
-        self._release_update(key)
         self._inflight.discard(done)
         job.pending.discard(done)
         won = not job.delivered
@@ -1091,22 +1049,6 @@ class QueryServer:
         ).observe(reply.compute_s)
         if reply.metrics:
             self._registry.merge_snapshot(reply.metrics)
-
-    def _release_update(self, key: "Tuple[int, int] | None") -> None:
-        """Drop one in-flight reference; retire superseded generations."""
-        if key is None:
-            return
-        remaining = self._update_refs.get(key, 0) - 1
-        if remaining > 0:
-            self._update_refs[key] = remaining
-            return
-        self._update_refs.pop(key, None)
-        machine_id, version = key
-        current = self._updates.get(machine_id)
-        if self._blueprint is not None and (
-            current is None or current["version"] != version
-        ):
-            self._blueprint.retire_update(machine_id, version)
 
     def _resolve_request(self, request: _Request, answer: np.ndarray) -> None:
         # Count only futures this server actually resolves: a client

@@ -5,9 +5,10 @@ one per **tenant** — with tenant → cluster routing, per-tenant admission
 quotas, and a per-tenant ledger.  :class:`TenantHost` is that layer:
 
 * one shared :class:`~repro.parallel.lanes.LaneExecutor` serves every
-  tenant (each tenant's blueprint payload rides with its batches, and
-  workers cache attached clusters per payload token, so co-hosted
-  tenants never share or clobber each other's machine rebuilds);
+  tenant (each tenant's session reaches a lane's worker once, with its
+  first batch there, and workers cache attached clusters per session
+  token, so co-hosted tenants never share or clobber each other's
+  machine rebuilds);
 * each tenant gets its **own** :class:`~repro.serving.server.QueryServer`
   — its own admission queue, micro-batcher, hedging policy, and
   :class:`~repro.serving.server.ServingStats` ledger — with a distinct
@@ -104,12 +105,6 @@ class TenantHost:
     workers:
         Lane count of the shared executor (``1`` = inline reference
         path; every tenant then answers in the event loop).
-    use_shared_memory:
-        Per-tenant blueprint shipping mode (see ``QueryServer``).
-        Shared memory is strongly preferred here: without it a tenant's
-        full arrays are re-pickled with **every** batch, because a
-        shared executor cannot install any single tenant's payload as
-        its session value.
     mp_context:
         Optional multiprocessing context for the shared lanes.
     chaos:
@@ -133,7 +128,6 @@ class TenantHost:
         self,
         *,
         workers: "int | None" = 1,
-        use_shared_memory: bool = True,
         mp_context=None,
         chaos: "Dict | None" = None,
         obs: "ObsConfig | None" = None,
@@ -142,7 +136,6 @@ class TenantHost:
         standby: bool = False,
     ):
         self._workers = workers
-        self._use_shared_memory = use_shared_memory
         self._mp_context = mp_context
         self._chaos = chaos
         self._obs = obs
@@ -281,7 +274,6 @@ class TenantHost:
             retry_policy=config.retry_policy,
             deadline_ms=config.deadline_ms,
             breakers=self._lane_breakers,
-            use_shared_memory=self._use_shared_memory,
             chaos=self._chaos,
             obs=(self._obs or ObsConfig()).for_tenant(name),
         )
@@ -310,21 +302,22 @@ class TenantHost:
         """
         tenant = self._tenant(name)
         server = tenant.server
-        payload = server._blueprint.payload if server._blueprint is not None else None
+        blueprint = server._blueprint
         if not drain:
             server.cancel_pending()
         await server.stop()
         del self._tenants[name]
         # Long-lived lane workers would otherwise keep the evicted
-        # tenant's rebuilt machines and shm mappings until pool death.
-        if payload is not None and self._executor is not None and not self._executor.inline:
+        # tenant's rebuilt machines and store files until pool death.
+        if blueprint is not None and self._executor is not None and not self._executor.inline:
             futures = [
-                self._executor.submit(release_session_task, payload, lane=lane)
+                self._executor.submit(release_session_task, blueprint.token, lane=lane)
                 for lane in range(self._executor.lanes)
             ]
             await asyncio.gather(
                 *(asyncio.wrap_future(f) for f in futures), return_exceptions=True
             )
+            self._executor.forget(blueprint.slots())
         return server.stats
 
     # ------------------------------------------------------------------

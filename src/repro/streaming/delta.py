@@ -2,7 +2,7 @@
 
 The paper summarizes a *static* graph; :class:`GraphDelta` is the
 streaming layer's write path.  The base graph stays immutable (every
-summary, machine, and shared-memory shipment built on it remains valid);
+summary, machine, and shipped serving session built on it remains valid);
 inserted edges accumulate in an insertion-ordered pending buffer, exactly
 deduplicated against both the base graph and earlier insertions, and
 :meth:`GraphDelta.materialize` rebuilds a merged :class:`Graph` with one

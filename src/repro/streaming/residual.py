@@ -92,8 +92,8 @@ class ResidualSource:
         reconstruction** are discarded — they carry no correction.
     assume_filtered:
         Skip the canonicalization/filtering pass because *edges* is known
-        to be an already-filtered export (the shared-memory serving
-        rebuild path, where re-filtering would only repeat work).
+        to be an already-filtered export (the serving workers' rebuild
+        path, where re-filtering would only repeat work).
     """
 
     def __init__(

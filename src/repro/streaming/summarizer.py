@@ -64,7 +64,6 @@ from repro.graph.graph import Graph
 from repro.obs.profile import count as _obs_count, probe
 from repro.parallel import ParallelExecutor, resolve_workers
 from repro.parallel.executor import usable_cpus
-from repro.parallel.graphship import GraphShipment
 from repro.streaming.delta import GraphDelta
 from repro.streaming.residual import ResidualSource, uncovered_edges
 
@@ -148,10 +147,6 @@ class StreamingSummarizer:
         results are byte-identical at any count).  Attached to a server
         with pre-forked lanes, a refresh splits its machines between
         this process and those lanes instead (see the module docstring).
-    use_shared_memory:
-        Ship the graph to ``workers`` processes through shared memory (as
-        in the build pipeline).  A lane's refresh share carries its graph
-        pickled.
     log_dir:
         Durable write-ahead logging: every ingested batch is appended to
         a :class:`~repro.store.DeltaLog` in this directory (crash-atomic
@@ -183,7 +178,6 @@ class StreamingSummarizer:
         seed: "int | None" = 0,
         drift_threshold: float = 0.1,
         workers: "int | None" = 1,
-        use_shared_memory: bool = True,
         log_dir: "str | None" = None,
         checkpoint=None,
     ):
@@ -203,7 +197,6 @@ class StreamingSummarizer:
         self.drift_threshold = float(drift_threshold)
         self.checkpoint = checkpoint
         self.workers = workers
-        self.use_shared_memory = use_shared_memory
         parts = _resolve_parts(graph, num_machines, partitioner, assignment, seed)
         route = np.full(graph.num_nodes, -1, dtype=np.int64)
         for machine_id, part in enumerate(parts):
@@ -232,12 +225,9 @@ class StreamingSummarizer:
         task function, same shipping — which is exactly what the
         byte-identical refresh contract requires.
         """
-        executor = ParallelExecutor(self.workers)
-        shared = (graph, self.budget_bits, self.config)
-        if executor.workers > 1:
-            with GraphShipment(shared, use_shared_memory=self.use_shared_memory) as shipment:
-                return executor.map(_summary_machine_task, tasks, shared=shipment.payload)
-        return executor.map(_summary_machine_task, tasks, shared=shared)
+        return ParallelExecutor(self.workers).map(
+            _summary_machine_task, tasks, shared=(graph, self.budget_bits, self.config)
+        )
 
     # ------------------------------------------------------------------
     # serving integration

@@ -7,8 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.parallel import ParallelExecutor, SharedArrayPack, attach_arrays, derive_seed, resolve_workers
-from repro.parallel.shm import detach_arrays
+from repro.parallel import ParallelExecutor, derive_seed, resolve_workers
 
 
 def _square(shared, task):
@@ -93,41 +92,3 @@ class TestParallelExecutor:
         sequential = ParallelExecutor(workers=1).map(_draw, tasks, shared=(42, 5))
         parallel = ParallelExecutor(workers=4).map(_draw, tasks, shared=(42, 5))
         assert sequential == parallel
-
-
-def _read_pack(shared, task):
-    arrays = attach_arrays(shared)
-    return arrays[task].sum().item(), arrays[task].flags.writeable
-
-
-class TestSharedArrayPack:
-    def test_roundtrip_in_this_process(self):
-        data = {
-            "a": np.arange(7, dtype=np.int64),
-            "b": np.linspace(0.0, 1.0, 5),
-            "empty": np.empty(0, dtype=np.float64),
-        }
-        with SharedArrayPack(data) as pack:
-            try:
-                attached = attach_arrays(pack.descriptor)
-                for key, array in data.items():
-                    view = attached[key]
-                    assert view.dtype == array.dtype
-                    assert np.array_equal(view, array)
-                    assert not view.flags.writeable
-            finally:
-                detach_arrays(pack.descriptor.name)
-
-    def test_workers_read_without_reshipping(self):
-        data = {"weights": np.arange(1000, dtype=np.float64)}
-        with SharedArrayPack(data) as pack:
-            results = ParallelExecutor(workers=2).map(
-                _read_pack, ["weights"] * 6, shared=pack.descriptor
-            )
-        expected = data["weights"].sum().item()
-        assert results == [(expected, False)] * 6
-
-    def test_close_is_idempotent(self):
-        pack = SharedArrayPack({"x": np.ones(3)})
-        pack.close()
-        pack.close()

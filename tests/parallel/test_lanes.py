@@ -3,9 +3,10 @@
 The serving tiers above (`TenantHost`, `QueryServer` failover) treat
 `LaneExecutor` as a primitive; this suite pins the primitive itself:
 placement arithmetic, inline equivalence, lifecycle rules, the
-broken-lane re-spawn path the chaos harness depends on, and the pipe
+broken-lane re-spawn path the chaos harness depends on, the pipe
 lanes' invariants (no parent thread, one task in a pipe, death fails
-every future of the lane, workers never outlive their parent).
+every future of the lane, workers never outlive their parent), and
+parcels crossing a lane's pipe once per worker.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeout
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
 from _chaos import surviving
-from repro.parallel import LaneExecutor
+from repro.parallel import LaneExecutor, Parcel
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -52,6 +54,20 @@ def _lock(shared, task):
     return threading.Lock()
 
 
+def _received(shared, task):
+    """What arrived: the data of the shared parcel and of the task's."""
+    return getattr(shared, "value", None), getattr(getattr(task, "parcel", None), "value", None)
+
+
+def _refuse(shared, task):
+    raise LookupError("the task failed after its parcels arrived")
+
+
+class _Task(NamedTuple):
+    name: str
+    parcel: Parcel
+
+
 class TestLifecycle:
     def test_submit_before_start_raises(self):
         executor = LaneExecutor(1)
@@ -73,18 +89,19 @@ class TestLifecycle:
 
 
 class TestInlinePath:
-    def test_inline_resolves_immediately_with_session_payload(self):
-        with LaneExecutor(1, shared={"k": 7}) as executor:
-            future = executor.submit(_echo_pid, "task")
+    def test_inline_resolves_immediately(self):
+        with LaneExecutor(1) as executor:
+            future = executor.submit(_echo_pid, "task", shared={"k": 7})
             assert future.done()
             pid, shared, task = future.result()
             assert pid == os.getpid()
             assert shared == {"k": 7} and task == "task"
 
-    def test_inline_explicit_shared_overrides_session(self):
-        with LaneExecutor(1, shared={"k": 7}) as executor:
-            _, shared, _ = executor.submit(_echo_pid, 0, shared={"k": 9}).result()
-            assert shared == {"k": 9}
+    def test_inline_parcels_arrive_whole(self):
+        parcel = Parcel("s", 1, "data")
+        with LaneExecutor(1) as executor:
+            for _ in range(2):
+                assert executor.submit(_received, None, shared=parcel).result() == ("data", None)
 
     def test_inline_exceptions_mirror_into_the_future(self):
         with LaneExecutor(1) as executor:
@@ -101,7 +118,7 @@ class TestInlinePath:
 
 class TestPlacement:
     def test_sticky_lanes_are_distinct_processes_and_lane_wraps(self):
-        with LaneExecutor(2, shared="s") as executor:
+        with LaneExecutor(2) as executor:
             pid_a = executor.submit(_echo_pid, 0, lane=0).result(timeout=30)[0]
             pid_b = executor.submit(_echo_pid, 0, lane=1).result(timeout=30)[0]
             assert pid_a != pid_b
@@ -121,21 +138,24 @@ class TestPlacement:
 
 class TestDeathAndRespawn:
     def test_sigkilled_lane_is_respawned_on_next_submit(self):
-        with LaneExecutor(2, shared="payload") as executor:
-            victim = executor.submit(_echo_pid, 0, lane=0).result(timeout=30)[0]
+        parcel = Parcel("session", 0, "payload")
+        with LaneExecutor(2) as executor:
+            victim = executor.submit(_echo_pid, 0, lane=0, shared=parcel).result(timeout=30)[0]
             os.kill(victim, signal.SIGKILL)
-            # The in-flight-free lane heals transparently; the session
-            # payload is re-installed in the fresh worker.
+            # The in-flight-free lane heals transparently, and the fresh
+            # worker is sent the parcel's data again.
             done = False
             for _ in range(3):
                 try:
-                    pid, shared, _ = executor.submit(_echo_pid, 0, lane=0).result(timeout=30)
+                    pid, shared, _ = executor.submit(
+                        _echo_pid, 0, lane=0, shared=parcel
+                    ).result(timeout=30)
                     done = True
                     break
                 except BrokenProcessPool:
                     continue  # death surfaced mid-submit; caller retries
             assert done
-            assert pid != victim and shared == "payload"
+            assert pid != victim and shared == parcel
             assert executor.respawns >= 1
             # The other lane never noticed.
             assert executor.submit(_echo_pid, 9, lane=1).result(timeout=30)[2] == 9
@@ -264,9 +284,56 @@ class TestPipeLanes:
 
     def test_pool_runs_under_spawn(self):
         context = multiprocessing.get_context("spawn")
-        with LaneExecutor(2, mp_context=context, shared="payload") as executor:
-            replies = [executor.submit(_echo_pid, i, lane=i).result(timeout=60) for i in (0, 1)]
+        with LaneExecutor(2, mp_context=context) as executor:
+            replies = [
+                executor.submit(_echo_pid, i, lane=i, shared="payload").result(timeout=60)
+                for i in (0, 1)
+            ]
             processes = [lane.process for lane in executor._lanes]
         assert len({pid for pid, _, _ in replies} | {os.getpid()}) == 3
         assert [(shared, task) for _, shared, task in replies] == [("payload", 0), ("payload", 1)]
         assert not any(process.is_alive() for process in processes)
+
+
+class TestParcels:
+    """A parcel's data crosses a lane's pipe once per worker; the lane's
+    record follows what the worker replied, not what was submitted."""
+
+    def test_data_crosses_each_lane_once_per_version(self):
+        first, second = Parcel("s", 1, "one"), Parcel("s", 2, "two")
+        with LaneExecutor(2) as executor:
+            got = [
+                executor.submit(_received, None, lane=lane, shared=parcel).result(timeout=30)[0]
+                for lane, parcel in [(0, first), (0, first), (1, first), (0, second), (0, second)]
+            ]
+            assert got == ["one", None, "one", "two", None]
+            assert executor._lanes[0].holds == {"s": 2}
+
+    def test_a_named_tuple_task_field_ships_once_too(self):
+        parcel = Parcel(("t", 0), 3, b"x" * 4096)
+        with LaneExecutor(2) as executor:
+            got = [
+                executor.submit(_received, _Task("a", parcel), shared=None).result(timeout=30)
+                for _ in range(2)
+            ]
+        assert [task_value for _, task_value in got] == [b"x" * 4096, None]
+
+    def test_cancelled_while_queued_records_nothing(self):
+        parcel = Parcel("s", 1, "data")
+        with LaneExecutor(2) as executor:
+            busy = executor.submit(_sleep, 0.3, lane=0)
+            queued = executor.submit(_received, None, lane=0, shared=parcel)
+            assert queued.cancel()
+            busy.result(timeout=30)
+            assert "s" not in executor._lanes[0].holds
+            got = executor.submit(_received, None, lane=0, shared=parcel).result(timeout=30)
+            assert got[0] == "data"
+
+    def test_an_error_reply_drops_the_record(self):
+        parcel = Parcel("s", 1, "data")
+        with LaneExecutor(2) as executor:
+            assert executor.submit(_received, None, shared=parcel).result(timeout=30)[0] == "data"
+            with pytest.raises(LookupError):
+                executor.submit(_refuse, None, shared=parcel).result(timeout=30)
+            assert "s" not in executor._lanes[0].holds
+            assert executor.submit(_received, None, shared=parcel).result(timeout=30)[0] == "data"

@@ -200,14 +200,17 @@ class TestExactlyOnce:
                 loop = asyncio.get_running_loop()
                 request = _Request(0, "rwr", 0, loop.create_future())
                 server._note_admitted(request)
-                job = _BatchJob(batch=[request], task=BatchTask(0, [(0, "rwr", None)]))
+                job = _BatchJob(
+                    batch=[request],
+                    task=BatchTask(0, [(0, "rwr", None)], server._blueprint.source(0)),
+                )
                 copies = [loop.create_future(), loop.create_future()]
                 for hedged, copy in enumerate(copies):
                     server._inflight.add(copy)
                     job.pending.add(copy)
                     copy.add_done_callback(
                         lambda done, hedged=bool(hedged): server._on_batch_done(
-                            done, job, None, hedged
+                            done, job, hedged
                         )
                     )
                 answer = cluster.answer(0, "rwr")

@@ -8,7 +8,7 @@ arrival interleaving, worker count, batch window, and machine storage
 dict-returning batch APIs); (c) admission control bounds memory —
 ``submit`` backpressures and ``submit_nowait`` sheds load; (d) serving
 stays communication-free; (e) the server starts and stops cleanly,
-shared-memory segments included.
+worker-side session caches included.
 """
 
 from __future__ import annotations
@@ -90,16 +90,6 @@ class TestServedAnswerEquivalence:
             summary_cluster, queries, workers=2, max_batch=max_batch, max_wait_ms=max_wait_ms
         )
         _assert_byte_identical(summary_cluster, queries, answers)
-
-    def test_pickle_shipping_matches_shared_memory(self, summary_cluster):
-        queries = _stream(summary_cluster.graph, count=9)
-        via_shm = serve_queries(summary_cluster, queries, workers=2)
-        via_pickle = serve_queries(
-            summary_cluster, queries, workers=2, use_shared_memory=False
-        )
-        for a, b in zip(via_shm, via_pickle):
-            assert a.tobytes() == b.tobytes()
-        _assert_byte_identical(summary_cluster, queries, via_shm)
 
     def test_out_of_order_arrivals(self, summary_cluster):
         """Requests submitted in bursts with event-loop yields in between
@@ -374,17 +364,14 @@ class TestLifecycle:
 
     def test_inline_session_caches_evicted_on_stop(self, summary_cluster):
         """workers=1 answers in the parent process; stopping must evict
-        the parent-side session cache and shm attachment, or repeated
-        start/stop cycles leak a rebuilt cluster per session."""
-        from repro.parallel import shm
+        the parent-side session cache, or repeated start/stop cycles leak
+        a rebuilt cluster per session."""
         from repro.serving import blueprint
 
         sessions_before = set(blueprint._SESSIONS)
-        attached_before = set(shm._ATTACHED)
         for _ in range(3):
             serve_queries(summary_cluster, [(0, "rwr")], workers=1)
         assert set(blueprint._SESSIONS) == sessions_before
-        assert set(shm._ATTACHED) == attached_before
 
     def test_broken_pool_fails_requests_instead_of_hanging(self, summary_cluster):
         """If the pool dies mid-session, pending requests get the error
@@ -485,16 +472,16 @@ class TestLifecycle:
 
         asyncio.run(_run())
 
-    def test_worker_pool_and_shared_memory_active(self, summary_cluster):
-        """With workers > 1 a persistent pool is up and the machine arrays
-        live in shared memory, and stopping releases both.  Spilled
-        machines ship only their store paths, so nothing is packed."""
+    def test_worker_pool_active_and_spilled_machines_ship_paths(self, summary_cluster):
+        """With workers > 1 a persistent pool is up, and stopping releases
+        it.  Spilled machines ship only their store paths, so the session
+        carries no arrays."""
         spilled = all(isinstance(m.source, MappedSummary) for m in summary_cluster.machines)
 
         async def _probe():
             async with QueryServer(summary_cluster, workers=2) as server:
                 assert server._executor.started and not server._executor.inline
-                assert server.uses_shared_memory == (not spilled)
+                assert (not server._blueprint.payload["arrays"]) == spilled
                 return await server.submit(0, "rwr")
 
         answer = asyncio.run(_probe())

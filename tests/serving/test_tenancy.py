@@ -250,7 +250,7 @@ class TestEviction:
         async def _run():
             async with TenantHost(workers=2) as host:
                 server = await host.add_tenant("acme", clusters["acme"])
-                token = server._blueprint.payload["token"]
+                token = server._blueprint.token
                 answer = await host.submit("acme", 0, "rwr")
                 assert answer.tobytes() == clusters["acme"].answer(0, "rwr").tobytes()
                 from repro.serving.blueprint import session_cached_task

@@ -4,7 +4,7 @@ The spill mode must be a pure representation change: saved files
 byte-identical to what an in-RAM build would serialize, and every query
 answer byte-identical to the in-RAM cluster's — including when the
 spilled cluster is shipped to serving workers by store *path* instead of
-shared-memory arrays.
+as arrays.
 """
 
 from __future__ import annotations
@@ -98,10 +98,15 @@ class TestSubgraphSpill:
 
 class TestStorePathShipping:
     """Spilled clusters ship store *paths* through the serving blueprint —
-    no shared-memory pack, no pickled arrays."""
+    no arrays."""
 
     def test_blueprint_specs_and_answers(self, graph, build_kwargs, tmp_path):
-        from repro.serving.blueprint import BatchTask, ClusterBlueprint, serve_batch_task
+        from repro.serving.blueprint import (
+            BatchTask,
+            ClusterBlueprint,
+            release_session,
+            serve_batch_task,
+        )
 
         ram = build_summary_cluster(graph, **build_kwargs)
         spilled = build_summary_cluster(graph, spill_dir=tmp_path / "spill", **build_kwargs)
@@ -110,19 +115,26 @@ class TestStorePathShipping:
             payload = blueprint.payload
             kinds = {spec["kind"] for spec in payload["specs"]}
             assert kinds == {"summary_store"}
+            assert payload["arrays"] == {}  # paths only, nothing inlined
             for spec in payload["specs"]:
-                assert "path" in spec  # paths only, nothing inlined
+                assert "path" in spec
             for machine in spilled.machines:
                 nodes = machine.part_nodes[:3]
                 batch = [(int(n), "rwr", None) for n in nodes]
-                reply = serve_batch_task(payload, BatchTask(machine.machine_id, batch))
+                task = BatchTask(machine.machine_id, batch, blueprint.source(machine.machine_id))
+                reply = serve_batch_task(blueprint.session(), task)
                 for (node, _qt, _expires), answer in zip(batch, reply.answers):
                     assert answer.tobytes() == ram.answer(node, "rwr").tobytes()
         finally:
-            blueprint.close()
+            release_session(blueprint.token)
 
     def test_subgraph_store_shipping(self, graph, tmp_path):
-        from repro.serving.blueprint import BatchTask, ClusterBlueprint, serve_batch_task
+        from repro.serving.blueprint import (
+            BatchTask,
+            ClusterBlueprint,
+            release_session,
+            serve_batch_task,
+        )
 
         kwargs = dict(num_machines=2, budget_bits=0.45 * graph.size_in_bits(), seed=6)
         ram = build_subgraph_cluster(graph, **kwargs)
@@ -132,9 +144,10 @@ class TestStorePathShipping:
             kinds = {spec["kind"] for spec in blueprint.payload["specs"]}
             assert kinds == {"graph_store"}
             machine = spilled.machine_for(3)
-            reply = serve_batch_task(
-                blueprint.payload, BatchTask(machine.machine_id, [(3, "hop", None)])
+            task = BatchTask(
+                machine.machine_id, [(3, "hop", None)], blueprint.source(machine.machine_id)
             )
+            reply = serve_batch_task(blueprint.session(), task)
             assert reply.answers[0].tobytes() == ram.answer(3, "hop").tobytes()
         finally:
-            blueprint.close()
+            release_session(blueprint.token)

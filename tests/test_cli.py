@@ -168,6 +168,27 @@ class TestServeNetCommand:
         assert "16/16 answers byte-identical" in output  # 8 queries x 2 tenants
         assert "tenant0" in output and "tenant1" in output
         assert "balanced=True" in output
+        assert "hedge=off," in output
+
+    def test_summary_line_names_the_hedge_deadline(self, capsys):
+        code = main(
+            [
+                "serve-net",
+                "--dataset",
+                "lastfm_asia",
+                "--scale",
+                "0.12",
+                "--queries",
+                "4",
+                "--workers",
+                "1",
+                "--hedge-ms",
+                "50",
+            ]
+        )
+        assert code == 0
+        output = capsys.readouterr().out
+        assert "hedge=50ms," in output and "Nonems" not in output
 
     def test_kill_worker_chaos_still_byte_identical(self, capsys):
         code = main(
@@ -212,7 +233,7 @@ def test_net_client_unreachable_server_exits_2(capsys):
     assert "cannot reach" in capsys.readouterr().err
 
 
-def test_serve_command_subgraph_source_without_shm(capsys):
+def test_serve_command_subgraph_source(capsys):
     code = main(
         [
             "serve",
@@ -224,7 +245,6 @@ def test_serve_command_subgraph_source_without_shm(capsys):
             "9",
             "--source",
             "subgraph",
-            "--no-shared-memory",
             "--types",
             "rwr,hop",
         ]
