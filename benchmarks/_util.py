@@ -9,9 +9,8 @@ the rows in the paper's format, and writes them to
 Every bench module is also runnable standalone
 (``python benchmarks/bench_<name>.py``) through :func:`bench_main`, which
 adds a ``--smoke`` flag (tiny graphs; exercised by
-``tests/test_benchmarks_smoke.py`` so the scripts cannot silently rot) and,
-where the bench exposes one, the ``--engine`` axis of the summarization
-engine.
+``tests/test_benchmarks_smoke.py`` so the scripts cannot silently rot) and
+whatever axes the bench adds, such as ``--workers``.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ def bench_main(
     """Shared ``main()`` plumbing for running a bench module as a script.
 
     Parses ``--smoke`` / ``--scale`` (plus whatever *parser_hook* adds,
-    e.g. ``--engine``), applies the matching ``REPRO_*`` environment
+    e.g. ``--workers``), applies the matching ``REPRO_*`` environment
     overrides for the duration of the run, and calls *run_table* with the
     parsed namespace.  Bench ``main()``s print tables only; the pass/fail
     assertions live in the pytest wrappers.
@@ -79,18 +78,6 @@ def bench_main(
             else:
                 os.environ[key] = value
     return 0
-
-
-def engine_arguments(parser: argparse.ArgumentParser) -> None:
-    """Add the summarization-engine axis (``--engine``)."""
-    from repro.core import ENGINES
-
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="batch",
-        help="merge-evaluation engine; 'scalar' is the per-pair reference loop",
-    )
 
 
 def worker_arguments(parser: argparse.ArgumentParser) -> None:

@@ -4,22 +4,14 @@ Shape to reproduce: on node-sampled subgraphs spanning the edge-count
 range, log(runtime) against log(|E|) has slope ≈ 1, regardless of whether
 |T| = 100 or |T| = |V|/2.
 
-Standalone, this bench exposes the merge-evaluation engine axis
-(``--engine``); the slope shape must hold on both engines, whose
-summaries are bit-identical (``tests/core/test_engine_equivalence.py``
-pins this).
+Standalone, this bench exposes the worker axis (``--workers``).
 """
 
 from __future__ import annotations
 
-from _util import bench_main, emit_table, engine_arguments, fmt, run_with_speedup, worker_arguments
+from _util import bench_main, emit_table, fmt, run_with_speedup, worker_arguments
 
 from repro.experiments import fig6_scalability
-
-
-def _bench_arguments(parser) -> None:
-    engine_arguments(parser)
-    worker_arguments(parser)
 
 
 def _emit(rows, title_suffix=""):
@@ -58,8 +50,8 @@ def _run_table(args) -> None:
     kwargs = {}
     if args.smoke:
         kwargs.update(node_fractions=(0.6, 1.0), target_modes=("100",))
-    rows = run_with_speedup(fig6_scalability.run, args.workers, engine=args.engine, **kwargs)
-    _emit(rows, title_suffix=f" [engine={args.engine}]")
+    rows = run_with_speedup(fig6_scalability.run, args.workers, **kwargs)
+    _emit(rows, title_suffix=" [smoke]" if args.smoke else "")
     _print_slopes(rows, check=False)
 
 
@@ -67,8 +59,8 @@ def main(argv: "list[str] | None" = None) -> int:
     return bench_main(
         argv,
         _run_table,
-        description="Fig. 6 scalability bench with engine and worker axes.",
-        parser_hook=_bench_arguments,
+        description="Fig. 6 scalability bench with a worker axis.",
+        parser_hook=worker_arguments,
     )
 
 

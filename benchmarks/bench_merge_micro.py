@@ -1,29 +1,35 @@
-"""Merge-evaluation microbenchmark: scalar loop vs fused batch engine.
+"""Merge-evaluation microbenchmark: per-pair pricing vs the fused kernel.
 
 Times the inner kernel of the whole summarizer — evaluating candidate
 merge pairs (Eq. 10/11) — at group level, isolated from sampling,
 thresholds, and shingles: the same drawn pairs are priced once through
-``CostModel.evaluate_merge`` (the scalar engine's per-pair fused loop)
-and once through ``BatchCostEvaluator.evaluate_scores`` (the fused
-join/reduce kernel), on identity summaries of graphs with increasing
-density.  The scalar loop costs ~0.3–0.5 µs per gathered element in
-Python; the fused kernel prices a whole window in single-digit numpy
-calls, so it wins at *every* row length — which is why the old
-profitability gate is gone and ``engine="batch"`` is unconditional.
+``CostModel.evaluate_merge`` (one fused Python pass per pair, what the
+scalar Alg. 2 oracle in ``tests/_merge_oracle.py`` calls) and once
+through ``BatchCostEvaluator.evaluate_scores`` (the fused join/reduce
+kernel the merge loop calls), on identity summaries of graphs with
+increasing density.  The per-pair pass costs ~0.3–0.5 µs per gathered
+element in Python; the fused kernel prices a whole window in
+single-digit numpy calls, so it wins at *every* row length.
 
 The second table backs the call-floor claim with a measurement instead
 of an assertion: a counting shim proxies the ``np`` module binding
 inside ``repro.core.batch`` / ``repro.core.pricing`` and counts every
-numpy-API call (functions, ufuncs, and ufunc methods such as
-``reduceat``; ndarray methods/operators dispatch through C slots the
-shim cannot see and carry no Python-level dispatch overhead) issued by
-one warm ``evaluate_window``.  The budget is ≤ 10 calls per window, down
-from ~100 in the retired per-attempt evaluator.
+numpy-API call (functions, ufuncs, and ufunc methods; ndarray
+methods/operators dispatch through C slots the shim cannot see and carry
+no Python-level dispatch overhead) issued by one warm ``evaluate_scores``
+call over a speculative window's pairs, deduplicated as
+``repro.core.merge.merge_groups`` deduplicates them.  The budget is ≤ 10
+calls per window.
+
+The pair draws come from the oracle's ``_sample_pairs``; this script
+puts ``tests/`` on ``sys.path`` to import it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
+import sys
 import time
 
 import numpy as np
@@ -32,8 +38,12 @@ from _util import bench_main, emit_table
 from repro.core import BatchCostEvaluator, CostModel, PersonalizedWeights, SummaryGraph
 from repro.core import batch as batch_module
 from repro.core import pricing as pricing_module
-from repro.core.merge import _sample_pairs
 from repro.graph import barabasi_albert
+
+TESTS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests")
+if TESTS_DIR not in sys.path:
+    sys.path.append(TESTS_DIR)
+from _merge_oracle import _sample_pairs
 
 #: (label, num_nodes, ba_m) — increasing density, hence row length.
 SCENARIOS = [
@@ -45,7 +55,8 @@ SCENARIOS = [
 
 SMOKE_SCENARIOS = [("sparse (m=3)", 120, 3), ("dense (m=8)", 120, 8)]
 
-#: (label, num_groups, group_size) window shapes for the call counter.
+#: (label, num_groups, group_size) window shapes for the call counter:
+#: one attempt per group, drawn over that group's members.
 WINDOW_SHAPES = [
     ("1 attempt × 24", 1, 24),
     ("8 attempts × 24", 8, 24),
@@ -116,8 +127,32 @@ def counting_numpy():
         batch_module.np, pricing_module.np = saved
 
 
+def _window_pairs(attempts):
+    """A window's distinct ordered pairs, deduplicated as ``merge_groups`` does.
+
+    Per attempt, the first occurrence of each unordered index pair keeps
+    its orientation; across the window, each ordered supernode pair is
+    priced once.
+    """
+    priced = set()
+    a_ids, b_ids = [], []
+    for members, first, second in attempts:
+        seen = set()
+        for i, j in zip(first.tolist(), second.tolist()):
+            key = (i, j) if i < j else (j, i)
+            if key in seen:
+                continue
+            seen.add(key)
+            pair = (int(members[i]), int(members[j]))
+            if pair not in priced:
+                priced.add(pair)
+                a_ids.append(pair[0])
+                b_ids.append(pair[1])
+    return np.asarray(a_ids, dtype=np.int64), np.asarray(b_ids, dtype=np.int64)
+
+
 def run_window_calls(shapes=WINDOW_SHAPES, *, num_nodes: int = 600, m: int = 4):
-    """Numpy-API calls issued by one warm ``evaluate_window`` per shape."""
+    """Numpy-API calls issued by one warm ``evaluate_scores`` per window shape."""
     graph = barabasi_albert(num_nodes, m, seed=0)
     rows = []
     for label, num_groups, group_size in shapes:
@@ -132,11 +167,11 @@ def run_window_calls(shapes=WINDOW_SHAPES, *, num_nodes: int = 600, m: int = 4):
             )
             first, second = _sample_pairs(group_size, group_size, rng)
             attempts.append((members, first, second))
-        evaluator.evaluate_window(attempts)  # warm: row exports + scratch
+        a_ids, b_ids = _window_pairs(attempts)
+        evaluator.evaluate_scores(a_ids, b_ids)  # warm: row exports + scratch
         with counting_numpy() as shim:
-            _, _, _, eval_counts = evaluator.evaluate_window(attempts)
-            pairs = int(eval_counts.sum())
-        rows.append((label, num_groups * group_size, pairs, shim.calls))
+            evaluator.evaluate_scores(a_ids, b_ids)
+        rows.append((label, num_groups * group_size, int(a_ids.size), shim.calls))
     return rows
 
 
@@ -186,7 +221,7 @@ def run_rows(scenarios, *, group_size: int = 64, repeats: int = 3):
             best_batch = min(best_batch, time.perf_counter() - started)
 
         # The two paths must agree bit for bit — a microbenchmark that
-        # compares diverging engines measures nothing.
+        # compares diverging pricings measures nothing.
         probe = model.evaluate_merge(int(a_ids[0]), int(b_ids[0]))
         assert probe.delta == delta[0] and probe.relative_delta == relative[0]
 
@@ -207,7 +242,7 @@ def run_rows(scenarios, *, group_size: int = 64, repeats: int = 3):
 def _emit(rows, title_suffix=""):
     return emit_table(
         "merge_micro",
-        "Merge-pair evaluation: scalar fused loop vs batched vectorized engine"
+        "Merge-pair evaluation: per-pair evaluate_merge vs fused evaluate_scores"
         + title_suffix,
         ["Scenario", "Pairs", "Elems/pair", "Scalar pairs/s", "Batch pairs/s", "Speedup"],
         [
@@ -220,8 +255,8 @@ def _emit(rows, title_suffix=""):
 def _emit_calls(rows, title_suffix=""):
     return emit_table(
         "merge_micro_calls",
-        "Numpy-API calls per warm evaluate_window (counting shim over the "
-        "fused kernel's np binding)" + title_suffix,
+        "Numpy-API calls per warm evaluate_scores over a window's pairs "
+        "(counting shim over the fused kernel's np binding)" + title_suffix,
         ["Window", "Samples", "Pairs priced", "Numpy calls"],
         rows,
     )
@@ -231,8 +266,8 @@ def test_merge_micro(benchmark):
     rows = benchmark.pedantic(run_rows, args=(SCENARIOS,), rounds=1, iterations=1)
     _emit(rows)
     by_label = {label: speedup for label, _, _, _, _, speedup in rows}
-    # The fused kernel must win across the whole density range — the
-    # profitability gate was retired on the strength of the sparse end.
+    # The fused kernel must win across the whole density range, the
+    # sparse end included.
     assert by_label["very dense (m=40)"] >= 1.5
     assert by_label["dense (m=20)"] >= 1.2
     assert by_label["sparse (m=3)"] >= 1.1
@@ -241,8 +276,8 @@ def test_merge_micro(benchmark):
 def test_window_call_budget():
     rows = run_window_calls()
     _emit_calls(rows)
-    # The ISSUE-10 call floor: a whole window prices in single-digit
-    # numpy calls (the retired per-attempt evaluator issued ~100).
+    # The call floor: a whole window prices in single-digit numpy calls
+    # (a per-attempt evaluator issued ~100).
     for label, _samples, _pairs, calls in rows:
         assert calls <= 10, f"{label}: {calls} numpy calls per window"
 
@@ -260,7 +295,7 @@ def main(argv: "list[str] | None" = None) -> int:
     return bench_main(
         argv,
         _run_table,
-        description="Group-level merge-evaluation microbenchmark (scalar vs batch).",
+        description="Group-level merge-evaluation microbenchmark (per-pair vs fused).",
     )
 
 

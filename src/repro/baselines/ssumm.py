@@ -24,14 +24,12 @@ def ssumm_summarize(
     max_group_size: int = 500,
     recursive_splits: int = 10,
     seed: "int | None" = None,
-    engine: str = "batch",
 ) -> PegasusResult:
     """Summarize *graph* with SSumM under a bit budget.
 
     Parameters mirror :func:`repro.core.pegasus.summarize`; the target set,
     personalization degree, and threshold policy are fixed to SSumM's
-    choices (``T = V``, ``α = 1``, ``θ(t) = 1/(1+t)``).  *engine* selects
-    the shared merge-evaluation engine, exactly as for PeGaSus.
+    choices (``T = V``, ``α = 1``, ``θ(t) = 1/(1+t)``).
     """
     config = PegasusConfig(
         alpha=1.0,
@@ -40,7 +38,6 @@ def ssumm_summarize(
         recursive_splits=recursive_splits,
         threshold="fixed",
         seed=seed,
-        engine=engine,
     )
     return summarize(
         graph,

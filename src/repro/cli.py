@@ -53,8 +53,9 @@ import numpy as np
 
 from repro._util import format_table
 from repro.baselines import ssumm_summarize
-from repro.core import ENGINES, PegasusConfig, summarize
+from repro.core import PegasusConfig, summarize
 from repro.core.summary_io import save_summary
+from repro.errors import ReproError
 from repro.eval import smape, spearman_correlation
 from repro.graph import dataset_names, load_dataset, read_edgelist, table2_rows
 from repro.queries import hop_distances, php_scores, rwr_scores
@@ -88,25 +89,32 @@ def _cmd_datasets(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
+    try:
+        targets = [int(t) for t in args.targets.split(",")] if args.targets else None
+    except ValueError:
+        print(
+            f"error: --targets must be comma-separated node ids, got {args.targets!r}",
+            file=sys.stderr,
+        )
+        return 2
+    try:
+        # Checks the flags for either method (SSumM then fixes alpha and
+        # the threshold schedule itself).
+        config = PegasusConfig(alpha=args.alpha, beta=args.beta, t_max=args.t_max, seed=args.seed)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     graph, name = _load_graph(args)
-    targets = [int(t) for t in args.targets.split(",")] if args.targets else None
-    if args.method == "ssumm":
-        result = ssumm_summarize(
-            graph,
-            compression_ratio=args.ratio,
-            t_max=args.t_max,
-            seed=args.seed,
-            engine=args.engine,
-        )
-    else:
-        config = PegasusConfig(
-            alpha=args.alpha,
-            beta=args.beta,
-            t_max=args.t_max,
-            seed=args.seed,
-            engine=args.engine,
-        )
-        result = summarize(graph, targets=targets, compression_ratio=args.ratio, config=config)
+    try:
+        if args.method == "ssumm":
+            result = ssumm_summarize(
+                graph, compression_ratio=args.ratio, t_max=args.t_max, seed=args.seed
+            )
+        else:
+            result = summarize(graph, targets=targets, compression_ratio=args.ratio, config=config)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     summary = result.summary
     print(f"graph           {name}: |V|={graph.num_nodes}, |E|={graph.num_edges}")
     print(f"summary         |S|={summary.num_supernodes}, |P|={summary.num_superedges}")
@@ -592,7 +600,6 @@ def _cmd_doctor(args) -> int:
 def _cmd_net_client(args) -> int:
     import asyncio
 
-    from repro.errors import ReproError
     from repro.serving import NetClient
 
     async def _run() -> int:
@@ -641,7 +648,7 @@ def _cmd_net_client(args) -> int:
 def _cmd_top(args) -> int:
     import asyncio
 
-    from repro.errors import ReproError, ServingError
+    from repro.errors import ServingError
     from repro.obs import Histogram, quantile_from_sample, samples_for
     from repro.serving import NetClient
 
@@ -975,13 +982,6 @@ def build_parser() -> argparse.ArgumentParser:
     summarize_cmd.add_argument("--alpha", type=float, default=1.25)
     summarize_cmd.add_argument("--beta", type=float, default=0.1)
     summarize_cmd.add_argument("--t-max", type=int, default=20)
-    summarize_cmd.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="batch",
-        help="merge-evaluation engine; 'batch' vectorizes attempt windows "
-        "(byte-identical summaries either way)",
-    )
     summarize_cmd.add_argument("--output", help="write the summary graph to this file")
     summarize_cmd.set_defaults(func=_cmd_summarize)
 

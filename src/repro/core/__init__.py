@@ -16,7 +16,7 @@ from repro.core.batch import BatchCostEvaluator
 from repro.core.corrections import CorrectionSet, compute_corrections, decode, lossless_size_in_bits
 from repro.core.shingle import candidate_groups, node_shingles
 from repro.core.threshold import AdaptiveThreshold, FixedSchedule
-from repro.core.pegasus import ENGINES, Pegasus, PegasusConfig, PegasusResult, summarize
+from repro.core.pegasus import Pegasus, PegasusConfig, PegasusResult, summarize
 from repro.core.summary_io import load_summary, save_summary
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "SummaryGraph",
     "BatchCostEvaluator",
     "CostModel",
-    "ENGINES",
     "personalized_error",
     "CorrectionSet",
     "compute_corrections",

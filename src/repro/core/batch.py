@@ -1,41 +1,32 @@
-"""The fused columnar window kernel for Alg. 2's inner loop.
+"""The fused columnar pricing kernel for Alg. 2's inner loop.
 
-The scalar engine evaluates each sampled candidate pair with one
-:meth:`~repro.core.costs.CostModel.evaluate_merge` call — the shared
-pricing core's fused Python pass over the two endpoints' block-edge-weight
-rows (:func:`repro.core.pricing.evaluate_pair`).  That loop is the
-summarize phase's hot spot: thousands of pairs per PeGaSus iteration, each
-paying Python-level dict iteration and scalar float arithmetic.
+Alg. 2 prices each sampled candidate pair with Eq. 10/11.  One
+:meth:`~repro.core.costs.CostModel.evaluate_merge` call does that for one
+pair — the shared pricing core's fused Python pass over the two
+endpoints' block-edge-weight rows (:func:`repro.core.pricing.evaluate_pair`),
+which pays Python-level dict iteration and scalar float arithmetic per
+element, thousands of pairs per PeGaSus iteration.
 
 :class:`BatchCostEvaluator` prices **a whole batch of candidate pairs in
 a handful of numpy passes**.  Failed attempts mutate nothing (the
 summary, the block rows, and the superedge bit price ``2·log2|S|`` are
 exactly as before), and >90% of attempts fail, so the merge loop
 (:func:`repro.core.merge.merge_groups`) speculatively draws an AIMD
-window of attempts ahead, prices the window's not-yet-cached ordered
-pairs in one :meth:`BatchCostEvaluator.evaluate_scores` call, and
-resolves the attempts against an epoch-scoped pair→score cache.
-:meth:`BatchCostEvaluator.evaluate_window` packages the same kernel as a
-one-call window evaluator — dedup, pricing, and per-attempt first-wins
-selection fused end to end (this is what the call-count bench measures).
-One fused evaluation is:
+window of attempts ahead, deduplicates its pairs, prices the window's
+not-yet-cached ordered pairs in one
+:meth:`BatchCostEvaluator.evaluate_scores` call, and resolves the
+attempts against an epoch-scoped pair→score cache.  One call is:
 
-1. *dedup* — attempts are deduplicated to the scalar ``seen``-set
-   semantics with one ``np.unique`` over per-attempt unordered index-pair
-   keys, and the union of *ordered* candidate pairs across attempts is
-   reduced to distinct pairs with a second ``np.unique`` (orientation
-   matters: the scalar accumulation order, hence the low bits, depends
-   on it);
-2. *join* (``merge.fused_join`` probe) — each touched supernode's row
+1. *join* (``merge.fused_join`` probe) — each touched supernode's row
    lives in the log-structured :class:`_RowStore` (exported once into
    columnar ``(partner, weight, has_superedge)`` buffers, reused across
    epochs, invalidated and lazily re-exported only when a merge touches
    the supernode); the pair rows are fancy-indexed into one flat element
-   array laid out ``[row_A(pair 0), row_B(pair 0), row_A(pair 1), ...]``
-   and **one concatenated** ``searchsorted`` — element partner queries
-   and the pairs' ``{a,b}`` cross-block queries in a single buffer —
-   resolves every lookup against the store's sorted row segments;
-3. *reduce* (``merge.fused_reduce`` probe) — the Eq. 9/10 arithmetic is
+   array (every pair's A row, then every pair's B row) and **one
+   concatenated** ``searchsorted`` — element partner queries and the
+   pairs' ``{a,b}`` cross-block queries in a single buffer — resolves
+   every lookup against the store's sorted row segments;
+2. *reduce* (``merge.fused_reduce`` probe) — the Eq. 9/10 arithmetic is
    folded directly into one segmented reduce: every before-merge term
    (row elements and the ``{a,a}``/``{b,b}``/``{a,b}`` tails) and every
    merged-side term (optimal-superedge blocks and the self loop) is
@@ -44,65 +35,57 @@ One fused evaluation is:
    :func:`~repro.core.pricing.merged_cost_masked`) into one stacked
    weight array, and a single ``np.bincount`` accumulates both the
    ``before`` and ``merged`` sums of every pair (bins ``p`` and
-   ``num_pairs + p``) sequentially in element order;
-4. *first-wins argmax* — each attempt's winner is selected with one
-   vectorized first-wins maximum (``np.fmax.reduceat`` +
-   ``np.minimum.reduceat`` over the attempt segments).
+   ``num_pairs + p``) sequentially in element order.
 
 Index bookkeeping between those passes (segment offsets, gather indices,
-interleaved layouts) runs on preallocated scratch and iota buffers with
-ndarray methods and operator arithmetic, so a steady-state window issues
-**under ten numpy-API calls** regardless of its size — measured, not
-asserted, by the counting shim in ``benchmarks/bench_merge_micro.py``
-(the old per-attempt evaluator issued ~100, whose fixed dispatch
-overhead kept sparse graphs at parity).
+stacked layouts) runs on preallocated scratch and iota buffers with
+ndarray methods and operator arithmetic, so a warm call issues **under
+ten numpy-API calls** regardless of its size — measured, not asserted,
+by the counting shim in ``benchmarks/bench_merge_micro.py``.
 
-The merge loop resolves the attempts sequentially against the
-threshold; a committed merge ends the pricing epoch (``|S|`` shrinks,
-repricing every superedge bit), drops the score cache, and rewinds the
-un-consumed speculative RNG draws.  Only a committing merge needs the
-winning pair's full :class:`~repro.core.costs.MergePlan`, rebuilt with
-one scalar ``evaluate_merge`` call (bit-identical by the shared pricing
+A committed merge ends the pricing epoch (``|S|`` shrinks, repricing
+every superedge bit), drops the merge loop's score cache, and rewinds
+the un-consumed speculative RNG draws.  Only a committing merge needs
+the winning pair's full :class:`~repro.core.costs.MergePlan`, rebuilt
+with one ``evaluate_merge`` call (bit-identical by the shared pricing
 core's contract).  Tiny miss batches skip numpy entirely and are priced
 through the core's Python entry point — same doubles, no dispatch floor
 (:data:`repro.core.merge.SMALL_MISS_PAIRS`).
 
-Byte-identical replay contract
-------------------------------
+Bit-identity contract
+---------------------
 
-The batch engine is not "close to" the scalar engine — it is pinned to
-replay **bit-identical** merge decisions for the same seed, under both
-objectives and both threshold policies
-(``tests/core/test_engine_equivalence.py``).  Three properties make that
-possible:
+Every ``(delta, relative_delta)`` the kernel returns carries the exact
+bits ``CostModel.evaluate_merge`` reports for that ordered pair
+(``tests/core/test_fused_pricing.py``), which is what lets the merge
+loop replay the paper's one-``evaluate_merge``-per-pair loop merge for
+merge (``tests/core/test_engine_equivalence.py``).  Two properties make
+that possible:
 
 * every elementwise term is the same IEEE-754 double expression, in the
-  same association order, as the scalar pass — both consume the pricing
+  same association order, as the Python pass — both consume the pricing
   core, and the branch-free mask selection is bitwise-equal to the
-  scalar branches (see :mod:`repro.core.pricing`);
-* per-pair sums accumulate **in the same element order** as the scalar
+  Python branches (see :mod:`repro.core.pricing`);
+* per-pair sums accumulate **in the same element order** as the Python
   ``+=`` sequence: rows are gathered in dict-insertion order and
   ``np.bincount`` adds its weights strictly left to right (terms the
-  scalar code never adds are emitted as ``±0.0``, which is bitwise
-  neutral — the accumulator can never itself be ``-0.0``);
-* the RNG is consumed identically (one
-  :func:`~repro.core.merge._sample_pairs` draw per attempt; index-pair
-  dedup keeps first occurrences in sample order), so both engines see the
-  same candidate sequence.
+  Python pass never adds are emitted as ``±0.0``, which is bitwise
+  neutral — the accumulator can never itself be ``-0.0``).
 
-When the scalar engine is still used
-------------------------------------
+When ``evaluate_merge`` prices an attempt instead
+-------------------------------------------------
 
-Windows touching a supernode with a superedge over an *edgeless* block
+A pair touching a supernode with a superedge over an *edgeless* block
 (only baseline-made summaries have those; a ``summarize()`` run never
-does) fall back to the scalar loop, which prices those blocks with its
-fixup scans.  Either path yields the same bits, so the fallback is a
-coverage detail, not a semantic one.
+does) makes :meth:`BatchCostEvaluator.evaluate_scores` return ``None``,
+and the merge loop prices that attempt with ``evaluate_merge``, whose
+fixup scans cover those blocks.  Either path yields the same bits, so
+the fallback is a coverage detail, not a semantic one.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -110,16 +93,6 @@ from repro.core.costs import CostModel, MergePlan
 from repro.core.pricing import block_cost_masked, merged_cost_masked
 from repro.errors import GraphFormatError
 from repro.obs.profile import probe
-
-#: One speculative window of attempts: ``(members, first, second)`` per
-#: attempt — the candidate group's member array and its
-#: ``_sample_pairs`` index draw.
-WindowAttempts = List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-#: Per-attempt window result: ``(best_scores, best_a, best_b,
-#: eval_counts)``; ``None`` signals the unclean-row scalar fallback.
-WindowResult = Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-
 
 def _member(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Exact-membership mask of *queries* against a sorted key table."""
@@ -134,7 +107,7 @@ class _RowStore:
 
     Each live supernode's row is exported once into six parallel global
     buffers — ``part``/``val``/``flag`` in dict-insertion order (the
-    scalar engine's accumulation order) and ``skey``/``sval``/``sflag``
+    ``evaluate_merge`` accumulation order) and ``skey``/``sval``/``sflag``
     partner-sorted, keyed by ``supernode · |V| + partner`` so that the
     segments of any ascending supernode set concatenate to a globally
     sorted lookup table.  ``flag`` marks partners that carry a superedge.
@@ -255,7 +228,7 @@ class _RowStore:
 
 
 class BatchCostEvaluator:
-    """Fused window evaluation over a :class:`CostModel`'s block cache.
+    """Fused pair pricing over a :class:`CostModel`'s block cache.
 
     The evaluator owns numpy mirrors of the cost model's per-supernode
     weight sums plus cached columnar exports of the block-edge-weight
@@ -339,17 +312,21 @@ class BatchCostEvaluator:
     # ------------------------------------------------------------------
     # the fused pricing kernel
     # ------------------------------------------------------------------
-    def _price_pairs(
-        self, a_ids: np.ndarray, b_ids: np.ndarray, table_ids: np.ndarray
+    def evaluate_scores(
+        self, a_ids: np.ndarray, b_ids: np.ndarray
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Price distinct ordered pairs ``(a_ids[k], b_ids[k])`` fused.
+        """Per-pair ``(delta, relative_delta)`` for pairs ``(a_ids[k], b_ids[k])``.
 
-        *table_ids* is the ascending supernode universe backing the join
-        table; it must cover every pair endpoint (duplicates are
-        harmless).  Returns per-pair ``(delta, relative_delta)`` columns
-        bit-identical to the scalar pass, or ``None`` when some touched
-        row is unclean (the baseline-summary fallback).
+        Both columns are bit-identical to what
+        :meth:`CostModel.evaluate_merge` would report for each pair.
+        Returns ``None`` when some endpoint has a superedge over an
+        edgeless block (see the module docstring) — the caller then
+        prices with ``evaluate_merge``.
         """
+        a_ids = np.asarray(a_ids, dtype=np.int64)
+        b_ids = np.asarray(b_ids, dtype=np.int64)
+        # The ascending supernode universe backing the join table.
+        table_ids = np.unique(np.concatenate((a_ids, b_ids)))
         n = self._n64
         cm = self._cm
         price = cm._error_bit_price
@@ -538,156 +515,6 @@ class BatchCostEvaluator:
             # canonicalizes it to the scalar's +0.0).
             relative = (delta / (before + ~positive)) * positive + 0.0
             return delta, relative
-
-    # ------------------------------------------------------------------
-    # the vectorized attempt
-    # ------------------------------------------------------------------
-    def evaluate_scores(
-        self, a_ids: np.ndarray, b_ids: np.ndarray
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Per-pair ``(delta, relative_delta)`` for pairs ``(a_ids[k], b_ids[k])``.
-
-        Both columns are bit-identical to what
-        :meth:`CostModel.evaluate_merge` would report for each pair.
-        Returns ``None`` when some endpoint has a superedge over an
-        edgeless block (see the module docstring) — the caller then runs
-        the scalar loop.
-        """
-        a_ids = np.asarray(a_ids, dtype=np.int64)
-        b_ids = np.asarray(b_ids, dtype=np.int64)
-        table_ids = np.unique(np.concatenate((a_ids, b_ids)))
-        return self._price_pairs(a_ids, b_ids, table_ids)
-
-    # ------------------------------------------------------------------
-    # the fused window
-    # ------------------------------------------------------------------
-    def evaluate_window(
-        self, attempts: WindowAttempts, *, use_relative: bool = True
-    ) -> WindowResult:
-        """Score a speculative window of merge attempts, fused.
-
-        Each attempt is ``(members, first, second)`` — its candidate
-        group's member array and its ``_sample_pairs`` index draw; every
-        attempt sees the current summary state (the caller guarantees no
-        merge separates them; attempts may span candidate groups, which
-        are disjoint, and attempts on the same group must share the same
-        member array object).  Returns per-attempt
-        ``(best_scores, best_a, best_b, eval_counts)`` where
-        ``best_scores[k]`` / ``(best_a[k], best_b[k])`` reproduce the
-        scalar engine's first-wins maximum over attempt *k*'s deduplicated
-        pairs bit for bit, and ``eval_counts[k]`` is the number of
-        distinct pairs attempt *k* evaluates (a view into reusable
-        scratch — consume it before the next evaluation call).  Returns
-        ``None`` when some touched row is unclean (see the module
-        docstring) — the caller then falls back to the scalar loop.
-        """
-        num_attempts = len(attempts)
-        if num_attempts == 1:
-            members, first, second = attempts[0]
-            num_samples = int(first.size)
-            iota = self._iota(num_samples)
-            # Unordered index-pair key without min/max passes: within one
-            # attempt, (i + j, |i - j|) identifies {i, j} uniquely.
-            pair_key = (first + second) * num_samples + abs(first - second)
-            att_of = None
-            ga, gb = first, second
-            mem_cat = members
-        else:
-            group_arrays: List[np.ndarray] = []
-            group_offsets: List[int] = []
-            slot_of: Dict[int, int] = {}
-            goff_list: List[int] = []
-            counts_list: List[int] = []
-            mem_total = 0
-            for members, first, _second in attempts:
-                key = id(members)
-                slot = slot_of.get(key)
-                if slot is None:
-                    slot_of[key] = slot = len(group_arrays)
-                    group_offsets.append(mem_total)
-                    mem_total += int(members.size)
-                    group_arrays.append(members)
-                goff_list.append(group_offsets[slot])
-                counts_list.append(int(first.size))
-            cat = np.concatenate(
-                group_arrays
-                + [a[1] for a in attempts]
-                + [a[2] for a in attempts]
-            )
-            num_samples = (int(cat.size) - mem_total) // 2
-            mem_cat = cat[:mem_total]
-            f_cat = cat[mem_total:mem_total + num_samples]
-            s_cat = cat[mem_total + num_samples:]
-            meta = np.asarray(goff_list + counts_list, dtype=np.int64)
-            goff = meta[:num_attempts]
-            counts = meta[num_attempts:]
-            iota = self._iota(num_samples)
-
-            # Per-attempt unordered dedup keys in disjoint ranges: the
-            # (sum, |diff|) encoding spans [0, 2c²) per attempt, offset
-            # by the exclusive cumulative sum of those spans.
-            c2 = 2 * counts * counts
-            space_off = c2.cumsum() - c2
-            count_rep = counts.repeat(counts)
-            pair_key = (
-                space_off.repeat(counts)
-                + (f_cat + s_cat) * count_rep
-                + abs(f_cat - s_cat)
-            )
-            goff_rep = goff.repeat(counts)
-            ga = f_cat + goff_rep
-            gb = s_cat + goff_rep
-            att_of = iota[:num_attempts].repeat(counts)
-
-        # Scalar `seen`-set dedup, vectorized: a stable argsort groups
-        # equal keys with each run led by its earliest sample position,
-        # so the run starts are exactly the `seen`-set survivors.
-        order = pair_key.argsort(kind="stable")
-        sorted_keys = pair_key[order]
-        keep = self._scratch("keep", num_samples, bool)
-        keep[:1] = True
-        keep[1:] = sorted_keys[1:] != sorted_keys[:-1]
-        retained = order[keep]
-        retained.sort()
-        ret_a = mem_cat[ga[retained]]
-        ret_b = mem_cat[gb[retained]]
-        if att_of is not None:
-            att_ret = att_of[retained]
-            # Attempt segment boundaries: att_ret is nondecreasing and
-            # every attempt retains its first sample, so the segments are
-            # nonempty and searchsorted finds each start.
-            seg_starts = att_ret.searchsorted(iota[:num_attempts])
-        else:
-            seg_starts = iota[:1]  # a lone zero
-        eval_counts = self._scratch("eval_counts", num_attempts, np.int64)
-        eval_counts[:num_attempts - 1] = seg_starts[1:] - seg_starts[:-1]
-        eval_counts[num_attempts - 1] = retained.size - seg_starts[num_attempts - 1]
-
-        # Price the retained pairs directly (orientation matters for the
-        # accumulation order, so (A, B) and (B, A) are distinct
-        # candidates, exactly as in the scalar loop; the occasional
-        # repeat across attempts re-prices identically and costs less
-        # than deduplicating it would).
-        table_ids = mem_cat.copy()
-        table_ids.sort()
-        scored = self._price_pairs(ret_a, ret_b, table_ids)
-        if scored is None:
-            return None
-        delta, relative = scored
-        score = relative if use_relative else delta
-
-        # First-wins maximum per attempt: fmax skips NaN like the scalar
-        # strict-> scan; the earliest position attaining the maximum wins
-        # ties, matching first-wins.
-        num_retained = int(score.size)
-        best_scores = np.fmax.reduceat(score, seg_starts)
-        best_of = best_scores[att_ret] if att_of is not None else best_scores[0]
-        candidate = np.where(
-            score == best_of, self._iota(num_retained)[:num_retained], num_retained
-        )
-        best_pos = np.minimum.reduceat(candidate, seg_starts)
-        best_pos[best_pos == num_retained] = num_retained - 1  # all-NaN guard
-        return best_scores, ret_a[best_pos], ret_b[best_pos], eval_counts
 
     # ------------------------------------------------------------------
     # mutation

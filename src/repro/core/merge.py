@@ -15,58 +15,53 @@ The ablation of Sect. III-B (relative Eq. 11 vs absolute Eq. 10 criterion)
 is exposed via ``objective=``.
 
 This loop talks to the summary only through the
-:class:`~repro.core.costs.CostModel`, and it consumes the RNG in a fixed
-pattern (one :func:`_sample_pairs` draw per attempt).  Given the same
-seed, the same candidate groups, and the same cost arithmetic, it
-therefore replays the same merges run after run — the property the
-determinism suite and the byte-identity pins hold it to
-(``tests/core/test_summary_pins.py``).
+:class:`~repro.core.costs.CostModel` and its
+:class:`~repro.core.batch.BatchCostEvaluator`, and it consumes the RNG
+in a fixed pattern.  Given the same seed, the same candidate groups, and
+the same cost arithmetic, it therefore replays the same merges run after
+run — the property the determinism suite and the byte-identity pins hold
+it to (``tests/core/test_summary_pins.py``).
 
-Two evaluation engines drive step 2:
+:func:`merge_groups` runs the loop over one iteration's candidate groups
+as *speculative windows over an epoch-scoped score cache*.  A failed
+merge attempt mutates nothing: the block rows, the superedge bit price
+``2·log2|S|``, and hence every candidate pair's score are frozen between
+two committed merges (one *epoch*).  The loop therefore draws a window
+of up to :data:`WINDOW_MAX_ATTEMPTS` attempts ahead (in bulk, see
+below), prices the window's **not-yet-cached ordered pairs in one pass**
+through the fused columnar kernel
+(:meth:`~repro.core.batch.BatchCostEvaluator.evaluate_scores`) into a
+pair→score dictionary, and then resolves the attempts sequentially
+against the threshold as pure dictionary lookups — the per-attempt
+``seen``-set / first-wins scan with ``evaluate_merge`` replaced by a
+cached double.  A committed merge ends the epoch (``|S|`` shrinks, so
+the bit price changes globally): the cache is dropped and the RNG is
+rewound to just after the committing attempt's draw, so the
+not-yet-consumed speculative draws never happened as far as the random
+stream is concerned.
 
-* the **scalar** engine (:func:`merge_within_group` without an
-  evaluator) — one ``evaluate_merge`` call per sampled pair, with a
-  ``seen``-set skipping duplicate index pairs; and
-* the **batch** engine (:func:`merge_groups` with a
-  :class:`~repro.core.batch.BatchCostEvaluator`) — *speculative windows
-  over an epoch-scoped score cache*.  A failed merge attempt mutates
-  nothing: the block rows, the superedge bit price ``2·log2|S|``, and
-  hence every candidate pair's score are frozen between two committed
-  merges (one *epoch*).  The batch loop therefore draws a window of up
-  to :data:`WINDOW_MAX_ATTEMPTS` attempts ahead (in bulk, see below),
-  prices the window's **not-yet-cached ordered pairs in one pass**
-  through the fused columnar kernel
-  (:meth:`~repro.core.batch.BatchCostEvaluator.evaluate_scores`) into a
-  pair→score dictionary, and then resolves the attempts sequentially
-  against the threshold as pure dictionary lookups — the scalar
-  ``seen``-set / first-wins scan with ``evaluate_merge`` replaced by a
-  cached double.  A committed merge ends the epoch (``|S|`` shrinks, so
-  the bit price changes globally): the cache is dropped and the RNG is
-  rewound to just after the committing attempt's draw, so the
-  not-yet-consumed speculative draws never happened as far as the
-  random stream is concerned.
-
-The batch window's pairs come from a **bulk sampler**
-(:func:`_draw_window`): one ``rng.integers`` call with an array of
-bounds draws every attempt's firsts and seconds.  numpy draws an array
-bound element by element with the same bounded routine, over the same
-32-bit stream, as the per-attempt ``integers(0, bound, size=count)``
-calls of :func:`_sample_pairs` (a bound of 1 consumes nothing, a
+The window's pairs come from a **bulk sampler** (:func:`_draw_window`):
+one ``rng.integers`` call with an array of bounds draws every attempt's
+firsts and seconds.  numpy draws an array bound element by element with
+the same bounded routine, over the same 32-bit stream, as the
+per-attempt pair of calls ``integers(0, size, size=size)`` and
+``integers(0, size - 1, size=size)`` (a bound of 1 consumes nothing, a
 rejected draw is redrawn in place), so the window is exactly their
 stream on every bit generator.  A rewind restores the one window-start
 state and redraws the window's bounds up to the deciding attempt — one
 snapshot per window instead of one per attempt.
 
-Both engines replay byte-identical merges for the same seed: the batch
-path consumes the RNG identically (the stream of one
-:func:`_sample_pairs` draw per resolved attempt, in attempt order, with
-dict-equal generator state after every window — speculation is always
-rewound), dedups index pairs with the same first-occurrence ``seen``-set
-semantics, evaluates with bit-identical arithmetic (the cache holds the
-same doubles the scalar pass computes, priced once per ordered pair per
-epoch), selects per attempt with the same first-wins maximum, and
-records the same rejected scores on the threshold
-(``tests/core/test_engine_equivalence.py``,
+The result is byte-identical to the paper's loop as written, one
+``evaluate_merge`` call per distinct sampled pair, which the test suite
+keeps as its scalar oracle (``tests/_merge_oracle.py``): the windows
+consume the stream of one two-call draw per resolved attempt, in attempt
+order, with dict-equal generator state after every window (speculation
+is always rewound); they dedup index pairs with the same
+first-occurrence ``seen``-set semantics, price with bit-identical
+arithmetic (the cache holds the same doubles ``evaluate_merge``
+computes, priced once per ordered pair per epoch), select per attempt
+with the same first-wins maximum, and record the same rejected scores on
+the threshold (``tests/core/test_engine_equivalence.py``,
 ``tests/core/test_window_sampler.py``).
 """
 
@@ -91,9 +86,9 @@ OBJECTIVES = ("relative", "absolute")
 #: fused pricing pass over up to :data:`WINDOW_MAX_ATTEMPTS` attempts,
 #: while merge-dense phases shrink back to the floor so little
 #: speculative drawing is wasted.  The sample cap bounds a single
-#: window's memory.  The ramp is pure performance policy: the engines
-#: replay bit-identical merges for *any* window sizing, because
-#: un-consumed speculative draws are always rewound.
+#: window's memory.  The ramp is pure performance policy: the loop
+#: replays the same merges for *any* window sizing, because un-consumed
+#: speculative draws are always rewound.
 WINDOW_MIN_ATTEMPTS = 1
 WINDOW_MAX_ATTEMPTS = 64
 WINDOW_MAX_SAMPLES = 16384
@@ -117,39 +112,23 @@ class GroupMergeStats:
     evaluations: int = 0
 
 
-def _sample_pairs(
-    size: int, count: int, rng: np.random.Generator
-) -> Tuple[np.ndarray, np.ndarray]:
-    """*count* uniform pairs of distinct indices below *size* (with repeats).
-
-    Two generator calls per attempt is the repo's pinned draw pattern:
-    a single flat draw over the ordered-pair space would be ~2.5×
-    cheaper and equally uniform, but it changes the random stream —
-    and with it every downstream merge — which the integration suite's
-    absolute quality pins (fig7) do not allow.  The batch engine's
-    window sampler (:func:`_draw_window`) draws this exact stream for a
-    whole window of attempts in one ``integers`` call.
-    """
-    first = rng.integers(0, size, size=count)
-    second = rng.integers(0, size - 1, size=count)
-    second = second + (second >= first)
-    return first, second
-
-
-#: One speculative window's draws: per attempt, the ``(first, second)``
-#: index lists :func:`_sample_pairs` would return, plus a rewinder that
-#: puts the generator just after attempt ``k``'s draw (from anywhere).
+#: One speculative window's draws: per attempt, its ``(first, second)``
+#: index lists, plus a rewinder that puts the generator just after
+#: attempt ``k``'s draw (from anywhere).
 _WindowDraws = Tuple[List[Tuple[List[int], List[int]]], Callable[[int], None]]
 
 
 def _draw_window(rng: np.random.Generator, sizes: List[int]) -> _WindowDraws:
-    """Draw one attempt of ``(size, size)`` pairs per entry of *sizes*.
+    """Draw one attempt of ``size`` pairs per entry of *sizes*.
 
-    The draws, and the generator state after the window or any rewind,
-    are those of one :func:`_sample_pairs` call per attempt.  The whole
-    window is one ``integers`` call over an array of bounds in the
-    per-call order (per attempt, ``size`` draws under ``size``, then
-    ``size`` under ``size - 1``), which numpy draws element by element
+    Attempt ``k`` is ``first = integers(0, size, size=size)``, then
+    ``second = integers(0, size - 1, size=size)`` shifted past ``first``
+    (``second += second >= first``), so each pair holds two distinct
+    indices.  The draws, and the generator state after the window or any
+    rewind, are those of the per-attempt calls.  The whole window is one
+    ``integers`` call over an array of bounds in the per-call order (per
+    attempt, ``size`` draws under ``size``, then ``size`` under
+    ``size - 1``), which numpy draws element by element
     with the bounded routine and 32-bit stream of the per-call draws: a
     bound of 1 consumes nothing and a rejected draw is redrawn in place.
     A rewind restores the window-start state and redraws the bounds up
@@ -208,7 +187,7 @@ def _scalar_attempt(
 
 def _resolve_scalar_attempt(
     cost_model: CostModel,
-    evaluator: "BatchCostEvaluator",
+    evaluator: BatchCostEvaluator,
     members: List[int],
     first: np.ndarray,
     second: np.ndarray,
@@ -218,11 +197,11 @@ def _resolve_scalar_attempt(
 ) -> str:
     """Evaluate one drawn attempt with the scalar loop and resolve it.
 
-    The batch engine's commit-or-record protocol for the unclean-row
+    The window loop's commit-or-record protocol for the unclean-row
     fallback (baseline-made summaries whose superedges span edgeless
     blocks): returns ``"merged"``, ``"failed"``, or ``"abort"`` (the NaN
-    guard, mirroring the scalar engine's group break).  Merges flow
-    through the evaluator so its mirrors stay coherent.
+    guard, which ends the group).  Merges flow through the evaluator so
+    its mirrors stay coherent.
     """
     evaluated = _scalar_attempt(cost_model, members, first, second, use_relative, stats)
     if evaluated is None:
@@ -238,96 +217,42 @@ def _resolve_scalar_attempt(
     return "failed"
 
 
-def merge_within_group(
-    cost_model: CostModel,
-    group: "np.ndarray | List[int]",
-    threshold: ThresholdPolicy,
-    rng: np.random.Generator,
-    *,
-    objective: str = "relative",
-    evaluator: "BatchCostEvaluator | None" = None,
-) -> GroupMergeStats:
-    """Run Alg. 2 on one candidate group; mutates the summary via *cost_model*.
-
-    Parameters
-    ----------
-    cost_model:
-        The live :class:`~repro.core.costs.CostModel` (owns the summary).
-    group:
-        Supernode ids forming the candidate group ``C_i``.
-    threshold:
-        Threshold policy; its current ``value`` gates merges and failed
-        best-candidates are ``record``-ed on it (line 12).
-    rng:
-        Random generator for pair sampling.
-    objective:
-        ``"relative"`` (Eq. 11, the paper's choice) or ``"absolute"``
-        (Eq. 10, the ablation).
-    evaluator:
-        Optional :class:`~repro.core.batch.BatchCostEvaluator` built on
-        *cost_model*; when given, delegates to :func:`merge_groups` for
-        fused vectorized evaluation (byte-identical to the scalar loop).
-    """
-    if evaluator is not None:
-        return merge_groups(
-            cost_model, [group], threshold, rng, objective=objective, evaluator=evaluator
-        )
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    use_relative = objective == "relative"
-    members: List[int] = [int(x) for x in group]
-    stats = GroupMergeStats()
-    failures = 0
-    while len(members) > 1 and failures <= math.log2(len(members)):
-        stats.attempts += 1
-        count = len(members)
-        first, second = _sample_pairs(count, count, rng)
-        evaluated = _scalar_attempt(cost_model, members, first, second, use_relative, stats)
-        if evaluated is None:
-            break
-        best_plan, best_score = evaluated
-        if best_score >= threshold.value:
-            union = cost_model.apply_merge(best_plan)
-            dead = best_plan.b if union == best_plan.a else best_plan.a
-            members.remove(dead)
-            stats.merges += 1
-            failures = 0
-        else:
-            threshold.record(best_score)
-            failures += 1
-    return stats
-
-
 def merge_groups(
     cost_model: CostModel,
     groups: "Iterable[np.ndarray | List[int]]",
     threshold: ThresholdPolicy,
     rng: np.random.Generator,
     *,
+    evaluator: BatchCostEvaluator,
     objective: str = "relative",
-    evaluator: "BatchCostEvaluator | None" = None,
 ) -> GroupMergeStats:
-    """Run Alg. 2 over one iteration's candidate groups.
+    """Run Alg. 2 over one iteration's candidate groups, in order.
 
-    Without an *evaluator* this is exactly the sequential
-    ``for group: merge_within_group(...)`` loop.  With one, speculative
-    windows of attempts resolve against an epoch-scoped cache of fused
-    pair pricings (see the module docstring) — byte-identical outputs,
-    vectorized throughput.
+    Mutates the summary through *evaluator*; speculative windows of
+    attempts resolve against an epoch-scoped cache of fused pair
+    pricings (see the module docstring).
+
+    Parameters
+    ----------
+    cost_model:
+        The live :class:`~repro.core.costs.CostModel` (owns the summary).
+    groups:
+        Supernode ids of each candidate group ``C_i``.
+    threshold:
+        Threshold policy; its current ``value`` gates merges and failed
+        best-candidates are ``record``-ed on it (line 12).
+    rng:
+        Random generator for pair sampling.
+    evaluator:
+        The :class:`~repro.core.batch.BatchCostEvaluator` built on
+        *cost_model*; every merge flows through it.
+    objective:
+        ``"relative"`` (Eq. 11, the paper's choice) or ``"absolute"``
+        (Eq. 10, the ablation).
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     stats = GroupMergeStats()
-    if evaluator is None:
-        for group in groups:
-            one = merge_within_group(
-                cost_model, group, threshold, rng, objective=objective
-            )
-            stats.merges += one.merges
-            stats.attempts += one.attempts
-            stats.evaluations += one.evaluations
-        return stats
-
     use_relative = objective == "relative"
     glists: List[List[int]] = [[int(x) for x in group] for group in groups]
     num_groups = len(glists)

@@ -40,9 +40,6 @@ from repro.graph.graph import Graph
 
 THRESHOLD_POLICIES = ("adaptive", "fixed")
 
-#: Available merge-evaluation engines (see :mod:`repro.core.batch`).
-ENGINES = ("scalar", "batch")
-
 
 @dataclass(frozen=True)
 class PegasusConfig:
@@ -68,11 +65,6 @@ class PegasusConfig:
         ``"relative"`` (Eq. 11) or ``"absolute"`` (Eq. 10, ablation).
     seed:
         RNG seed; ``None`` draws fresh entropy.
-    engine:
-        Merge-evaluation engine, ``"batch"`` (default; vectorized attempt
-        evaluation, see :mod:`repro.core.batch`) or ``"scalar"`` (one
-        ``evaluate_merge`` call per pair).  Both replay byte-identical
-        merges for the same seed.
     """
 
     alpha: float = 1.25
@@ -84,7 +76,6 @@ class PegasusConfig:
     threshold: str = "adaptive"
     objective: str = "relative"
     seed: "int | None" = None
-    engine: str = "batch"
 
     def __post_init__(self):
         if self.alpha < 1.0:
@@ -97,8 +88,6 @@ class PegasusConfig:
             raise ValueError(f"threshold must be one of {THRESHOLD_POLICIES}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}")
 
 
 @dataclass
@@ -209,7 +198,7 @@ def summarize(
     started = time.perf_counter()
     summary = SummaryGraph(graph)
     cost_model = CostModel(summary, weights)
-    evaluator = BatchCostEvaluator(cost_model) if config.engine == "batch" else None
+    evaluator = BatchCostEvaluator(cost_model)
     threshold = _make_threshold(config)
 
     iterations = 0

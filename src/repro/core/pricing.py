@@ -44,7 +44,8 @@ product lands on ``±0.0`` and the kept operand can never be ``-0.0``:
 
 ``tests/core/test_fused_pricing.py`` pins the equality element-for-element
 on adversarial inputs; ``tests/core/test_engine_equivalence.py`` pins the
-end-to-end consequence (byte-identical summaries across engines).
+end-to-end consequence (summaries byte-identical to the scalar Alg. 2
+oracle's).
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def merged_cost_masked(
     """Post-merge block cost under the optimal superedge choice (line 9).
 
     Per column: ``min(se_bits + price·(pi − ew), price·ew)`` with the
-    scalar engine's strict ``<`` preference for the sparser summary on
+    scalar pass's strict ``<`` preference for the sparser summary on
     ties, evaluated branch-free (same bitwise argument as
     :func:`block_cost_masked`; the comparison itself is exact).
     """

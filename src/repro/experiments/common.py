@@ -147,7 +147,6 @@ def build_summary_for_method(
     alpha: float = 1.25,
     t_max: int = 20,
     seed: int = 0,
-    engine: str = "batch",
 ) -> Tuple[SummaryGraph, float, float]:
     """Summarize *graph* with *method* at requested compression *ratio*.
 
@@ -158,22 +157,13 @@ def build_summary_for_method(
     their achieved bit ratio fits the requested one (see
     :func:`_calibrated_baseline`).  Raises :class:`MethodSkipped` for
     baselines above their o.o.t node budget.
-
-    *engine* selects the shared merge-evaluation engine for PeGaSus and
-    SSumM (the weighted baselines do not run the merge engine and ignore
-    it).
     """
     limit = OOT_NODE_LIMITS.get(method)
     if limit is not None and graph.num_nodes > limit:
         raise MethodSkipped(f"{method} exceeds its o.o.t budget at {graph.num_nodes} nodes")
     started = time.perf_counter()
     if method == "pegasus":
-        config = PegasusConfig(
-            alpha=alpha,
-            t_max=t_max,
-            seed=seed,
-            engine=engine,
-        )
+        config = PegasusConfig(alpha=alpha, t_max=t_max, seed=seed)
         summary = summarize(
             graph, targets=targets, compression_ratio=ratio, config=config
         ).summary
@@ -183,7 +173,6 @@ def build_summary_for_method(
             compression_ratio=ratio,
             t_max=t_max,
             seed=seed,
-            engine=engine,
         ).summary
     elif method == "saags":
         summary = _calibrated_baseline(saags_summarize, graph, ratio, seed)

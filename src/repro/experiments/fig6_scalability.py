@@ -56,14 +56,10 @@ def run(
     ratio: float = 0.5,
     base_nodes: "int | None" = None,
     scale: "ExperimentScale | None" = None,
-    engine: str = "batch",
     workers: "int | None" = None,
 ) -> List[ScalabilityRow]:
     """Run the scalability sweep; returns one row per (graph, |T|, fraction).
 
-    *engine* selects the merge-evaluation engine (the bench wrapper's
-    ``--engine`` axis); the timing shape is the point, so the same seed is
-    used for every engine and the summaries are identical across engines.
     All subgraph/target sampling happens while planning the point list, so
     fanning the summarizations out over *workers* processes (default:
     ``scale.workers``) changes only the wall clock, not the workload.
@@ -93,7 +89,7 @@ def run(
                 else:
                     size = max(subgraph.num_nodes // 2, 1)
                 targets = rng.choice(subgraph.num_nodes, size=size, replace=False)
-                config = PegasusConfig(t_max=scale.t_max, seed=scale.seed, engine=engine)
+                config = PegasusConfig(t_max=scale.t_max, seed=scale.seed)
                 labels.append((graph_name, mode, subgraph.num_nodes, subgraph.num_edges))
                 points.append((subgraph, targets, config))
 

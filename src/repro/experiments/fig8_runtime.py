@@ -41,7 +41,7 @@ class RuntimeRow:
 
 def _runtime_point(shared, point) -> RuntimeRow:
     """Build and time one (dataset, method) group (runs in a pool worker)."""
-    per_dataset, ratio, scale, engine = shared
+    per_dataset, ratio, scale = shared
     name, method = point
     graph, queries = per_dataset[name]
     try:
@@ -52,7 +52,6 @@ def _runtime_point(shared, point) -> RuntimeRow:
             targets=queries,
             t_max=scale.t_max,
             seed=scale.seed,
-            engine=engine,
         )
     except MethodSkipped:
         return RuntimeRow(name, method, float("nan"), float("nan"), float("nan"), 0, True)
@@ -83,18 +82,15 @@ def run(
     methods: Sequence[str] = METHODS,
     ratio: float = 0.5,
     scale: "ExperimentScale | None" = None,
-    engine: str = "batch",
     workers: "int | None" = None,
 ) -> List[RuntimeRow]:
     """Time summarization plus HOP/RWR query answering per method.
 
-    *engine* selects the merge-evaluation engine for PeGaSus and SSumM (see
-    :mod:`repro.core.batch`); the bench wrapper exposes it as its
-    ``--engine`` axis.  The (dataset, method)
-    groups are independent and fan out over *workers* processes (default:
-    ``scale.workers``); note per-group timings measure the group's own
-    work, but on a saturated pool they contend for cores, so cross-method
-    timing comparisons are sharpest at ``workers=1``.
+    The (dataset, method) groups are independent and fan out over
+    *workers* processes (default: ``scale.workers``); note per-group
+    timings measure the group's own work, but on a saturated pool they
+    contend for cores, so cross-method timing comparisons are sharpest
+    at ``workers=1``.
     """
     scale = scale or ExperimentScale.from_env()
     workers = scale.workers if workers is None else workers
@@ -108,5 +104,5 @@ def run(
         _runtime_point,
         points,
         workers=workers,
-        shared=(per_dataset, ratio, scale, engine),
+        shared=(per_dataset, ratio, scale),
     )

@@ -1,6 +1,6 @@
 """Hot-path profiling hooks: phase timers that cost ~nothing when off.
 
-The summarize merge engines, the streaming swap path, and the store
+The summarize merge loop, the streaming swap path, and the store
 load/spill path are instrumented with :func:`probe` timers::
 
     with probe("merge.fused_join"):
@@ -9,7 +9,7 @@ load/spill path are instrumented with :func:`probe` timers::
 Profiling is **off by default**: a disabled :func:`probe` returns a
 shared no-op context manager — one dict read and no timer calls — so
 the instrumentation can live inside kernels without a measurable tax
-(the engine-equivalence suites run with it in place).  Enabled, each
+(the oracle-equivalence suites run with it in place).  Enabled, each
 probe records into ``repro_phase_seconds{phase=...}`` on the chosen
 registry (default: the process-wide one), whose histogram count doubles
 as a call counter.  :func:`count` and :func:`observe` record event

@@ -1,7 +1,8 @@
-"""Cross-engine equivalence: the batch engine is pinned to the scalar engine.
+"""Cross-engine equivalence: the batch engine is pinned to the scalar oracle.
 
-The scalar per-pair loop is the reference semantics; the speculative
-vectorized window engine (:mod:`repro.core.batch`) must replay **byte
+The scalar per-pair loop (``tests/_merge_oracle.py``) is the reference
+semantics.  The production merge loop, speculative windows priced by
+the fused kernel (:mod:`repro.core.batch`), must replay **byte
 identical** merges and summaries for the same seed — same RNG consumption
 (speculative draws are rewound on merge), same first-occurrence pair
 dedup, bit-identical float arithmetic, same first-wins argmax, and the
@@ -13,11 +14,15 @@ byte-identical summaries twice on the batch engine).
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from _merge_oracle import merge_groups as scalar_merge_groups
+from _merge_oracle import scalar_engine
 from repro.core import (
     AdaptiveThreshold,
     BatchCostEvaluator,
@@ -27,7 +32,7 @@ from repro.core import (
     SummaryGraph,
     summarize,
 )
-from repro.core.merge import merge_groups, merge_within_group
+from repro.core.merge import merge_groups
 from repro.core.summary_io import save_summary
 from repro.graph import (
     barabasi_albert,
@@ -54,8 +59,17 @@ GRAPH_FAMILIES = {
 
 
 def summarize_on(graph, engine, *, targets=None, ratio=0.4, **config_kwargs):
-    config = PegasusConfig(engine=engine, **config_kwargs)
-    return summarize(graph, targets=targets, compression_ratio=ratio, config=config)
+    """``summarize`` on the production engine, or on the scalar oracle."""
+    config = PegasusConfig(**config_kwargs)
+    with scalar_engine() if engine == "scalar" else contextlib.nullcontext():
+        return summarize(graph, targets=targets, compression_ratio=ratio, config=config)
+
+
+def merge_groups_on(engine, model, groups, threshold, rng):
+    """One iteration's merge loop on the production engine or the oracle."""
+    if engine == "scalar":
+        return scalar_merge_groups(model, groups, threshold, rng)
+    return merge_groups(model, groups, threshold, rng, evaluator=BatchCostEvaluator(model))
 
 
 def summary_bytes(summary, tmp_path, label) -> bytes:
@@ -94,7 +108,7 @@ def assert_equivalent_run(graph, *, targets=None, ratio=0.4, **config_kwargs):
 
 
 class TestSummarizeEquivalence:
-    """Full Alg. 1 runs produce identical summaries on both engines."""
+    """Full Alg. 1 runs produce identical summaries on the engine and the oracle."""
 
     @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
     def test_default_config(self, family):
@@ -178,10 +192,7 @@ class TestMergeGroupsEquivalence:
             rng = np.random.default_rng(11)
             groups = [np.arange(0, 40), np.arange(40, 44), np.arange(44, 90)]
             threshold = AdaptiveThreshold(beta=0.1, initial=0.2)
-            evaluator = BatchCostEvaluator(model) if engine == "batch" else None
-            stats = merge_groups(
-                model, groups, threshold, rng, evaluator=evaluator
-            )
+            stats = merge_groups_on(engine, model, groups, threshold, rng)
             results.append((summary, stats, threshold.value, threshold.rejected_count))
         (scalar_summary, scalar_stats, _, scalar_rejected) = results[0]
         (batch_summary, batch_stats, _, batch_rejected) = results[1]
@@ -189,39 +200,21 @@ class TestMergeGroupsEquivalence:
         assert scalar_stats == batch_stats
         assert scalar_rejected == batch_rejected
 
-    def test_merge_within_group_delegates(self):
-        graph = connected_caveman(4, 6)
-        outputs = []
-        for engine in ("scalar", "batch"):
-            summary = SummaryGraph(graph)
-            model = CostModel(summary, PersonalizedWeights.uniform(graph))
-            evaluator = BatchCostEvaluator(model) if engine == "batch" else None
-            stats = merge_within_group(
-                model,
-                np.arange(12),
-                AdaptiveThreshold(beta=0.1, initial=0.0),
-                np.random.default_rng(3),
-                evaluator=evaluator,
-            )
-            outputs.append((sorted(summary.supernodes()), stats))
-        assert outputs[0] == outputs[1]
-
     def test_rng_rewind_preserves_stream(self):
         """After a window is cut short by a merge, the next draws must
-        match the scalar engine's — i.e. speculative draws are rewound."""
+        match the scalar oracle's — i.e. speculative draws are rewound."""
         graph = barabasi_albert(120, 5, seed=8)
         streams = []
         for engine in ("scalar", "batch"):
             summary = SummaryGraph(graph)
             model = CostModel(summary, PersonalizedWeights.uniform(graph))
             rng = np.random.default_rng(21)
-            evaluator = BatchCostEvaluator(model) if engine == "batch" else None
-            merge_groups(
+            merge_groups_on(
+                engine,
                 model,
                 [np.arange(0, 60), np.arange(60, 120)],
                 AdaptiveThreshold(beta=0.1, initial=0.3),
                 rng,
-                evaluator=evaluator,
             )
             streams.append(rng.integers(0, 2**31, size=8).tolist())
         assert streams[0] == streams[1]
@@ -235,13 +228,12 @@ class TestMergeGroupsEquivalence:
             summary = SummaryGraph(graph)
             summary.add_superedge(0, 10)  # edgeless block
             model = CostModel(summary, PersonalizedWeights.uniform(graph))
-            evaluator = BatchCostEvaluator(model) if engine == "batch" else None
-            merge_groups(
+            merge_groups_on(
+                engine,
                 model,
                 [np.arange(0, 10)],
                 AdaptiveThreshold(beta=0.1, initial=0.0),
                 np.random.default_rng(5),
-                evaluator=evaluator,
             )
             outputs.append(
                 (summary.supernode_of.tolist(), sorted(summary.superedges()))
@@ -274,7 +266,7 @@ class TestEvaluatorContract:
         evaluator = BatchCostEvaluator(model)
         plan = model.evaluate_merge(0, 1)
         union = evaluator.apply_merge(plan)
-        # Scores computed after the merge still match the scalar engine.
+        # Scores computed after the merge still match evaluate_merge.
         partner = next(s for s in summary.supernodes() if s != union)
         delta, relative = evaluator.evaluate_scores(
             np.asarray([union]), np.asarray([partner])

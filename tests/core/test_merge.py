@@ -1,12 +1,18 @@
-"""Unit tests for the merging-and-addition step (Alg. 2)."""
+"""Unit tests for the merging-and-addition step (Alg. 2), one group at a time."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import AdaptiveThreshold, CostModel, PersonalizedWeights, SummaryGraph
-from repro.core.merge import GroupMergeStats, merge_within_group
+from repro.core import (
+    AdaptiveThreshold,
+    BatchCostEvaluator,
+    CostModel,
+    PersonalizedWeights,
+    SummaryGraph,
+)
+from repro.core.merge import GroupMergeStats, merge_groups
 from repro.graph import connected_caveman
 
 
@@ -14,6 +20,13 @@ def make_state(graph):
     summary = SummaryGraph(graph)
     model = CostModel(summary, PersonalizedWeights.uniform(graph))
     return model, summary
+
+
+def merge_within_group(model, group, threshold, rng, **kwargs):
+    """The merge loop over a single candidate group."""
+    return merge_groups(
+        model, [group], threshold, rng, evaluator=BatchCostEvaluator(model), **kwargs
+    )
 
 
 class TestMergeWithinGroup:

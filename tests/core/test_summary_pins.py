@@ -19,11 +19,13 @@ ignored), and a saved summary must load back into an identical one.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 
 import numpy as np
 import pytest
 
+from _merge_oracle import scalar_engine
 from repro.baselines import (
     kgrass_summarize,
     random_merge_summarize,
@@ -191,7 +193,9 @@ class TestBaselinePins:
 
     @pytest.mark.parametrize("engine", ["scalar", "batch"])
     def test_ssumm(self, graph, engine, tmp_path):
-        result = ssumm_summarize(graph, compression_ratio=0.4, seed=0, t_max=10, engine=engine)
+        """SSumM's pin holds on the merge engine and on the scalar oracle."""
+        with scalar_engine() if engine == "scalar" else contextlib.nullcontext():
+            result = ssumm_summarize(graph, compression_ratio=0.4, seed=0, t_max=10)
         assert_pinned("baseline-ssumm", result.summary, tmp_path)
 
 

@@ -3,8 +3,8 @@
 A speculative window draws every attempt's ``(first, second)`` pairs
 with one ``rng.integers`` call over an array of bounds, and rewinds to
 an attempt boundary by restoring the window-start state and redrawing
-the bounds up to it.  Both must reproduce per-attempt
-:func:`_sample_pairs` calls bit for bit and leave
+the bounds up to it.  Both must reproduce the scalar oracle's
+per-attempt :func:`_sample_pairs` calls bit for bit and leave
 ``bit_generator.state`` dict-equal to theirs (PCG64's ``has_uint32``
 and dead ``uinteger`` fields included), on every bit generator, whether
 the window starts on a buffered 32-bit half or not.
@@ -17,6 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from _merge_oracle import _sample_pairs
+from _merge_oracle import merge_groups as scalar_merge_groups
 from repro.core import (
     AdaptiveThreshold,
     BatchCostEvaluator,
@@ -24,7 +26,7 @@ from repro.core import (
     PersonalizedWeights,
     SummaryGraph,
 )
-from repro.core.merge import _draw_window, _sample_pairs, merge_groups
+from repro.core.merge import _draw_window, merge_groups
 from repro.graph import barabasi_albert
 
 SETTINGS = settings(
@@ -120,9 +122,11 @@ def run_merges(rng, engine):
     summary = SummaryGraph(graph)
     model = CostModel(summary, PersonalizedWeights.uniform(graph))
     threshold = AdaptiveThreshold(beta=0.1, initial=0.2)
-    evaluator = BatchCostEvaluator(model) if engine == "batch" else None
     groups = [np.arange(0, 40), np.arange(40, 44), np.arange(44, 90), np.arange(90, 92)]
-    stats = merge_groups(model, groups, threshold, rng, evaluator=evaluator)
+    if engine == "scalar":
+        stats = scalar_merge_groups(model, groups, threshold, rng)
+    else:
+        stats = merge_groups(model, groups, threshold, rng, evaluator=BatchCostEvaluator(model))
     return (
         summary.supernode_of.tolist(),
         sorted(summary.superedges()),

@@ -55,13 +55,6 @@ def test_bench_main_smoke(module_name, capsys, tmp_path):
         assert all(len(row) == len(payload["headers"]) for row in payload["rows"])
 
 
-@pytest.mark.parametrize("module_name", ["bench_fig8_runtime", "bench_fig6_scalability"])
-def test_engine_axis_smoke(module_name):
-    """The two engine-axis benches accept --engine batch in smoke mode."""
-    module = importlib.import_module(module_name)
-    assert module.main(["--smoke", "--engine", "batch"]) == 0
-
-
 def test_unknown_flag_rejected():
     module = importlib.import_module("bench_table2_datasets")
     with pytest.raises(SystemExit) as excinfo:

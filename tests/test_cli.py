@@ -29,6 +29,23 @@ def test_summarize_ssumm(capsys):
     assert "summary" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--targets", "99999"], "target node out of range"),
+        (["--targets", "1,x"], "--targets must be comma-separated node ids"),
+        (["--ratio", "0"], "compression_ratio must be positive"),
+        (["--alpha", "0.5"], "alpha must be >= 1"),
+    ],
+)
+def test_summarize_rejects_bad_input(capsys, flags, message):
+    code = main(["summarize", "--dataset", "lastfm_asia", "--scale", "0.12", *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_summarize_from_file_with_output(tmp_path, capsys):
     graph = load_dataset("lastfm_asia", scale=0.2, seed=0).graph
     edge_path = tmp_path / "graph.txt"

@@ -1,4 +1,5 @@
-"""Static analysis gates: ruff over the repo, mypy over the typed core.
+"""Static analysis gates: ruff over the repo, mypy over the typed core,
+and no tracked file under an ignored path.
 
 Both tools are optional at development time (the reference container
 does not ship them); the tests skip cleanly when a tool is missing and
@@ -50,3 +51,14 @@ def test_mypy_core_clean():
         env={**os.environ, "MYPYPATH": env_path},
     )
     assert result.returncode == 0, f"mypy found issues:\n{result.stdout}{result.stderr}"
+
+
+def test_no_tracked_file_is_ignored():
+    """Runs rewrite what ``.gitignore`` lists (bench tables under
+    ``benchmarks/results/``); a tracked copy there turns every bench run
+    into a dirty tree that a later ``git add -A`` commits."""
+    if not os.path.exists(os.path.join(REPO_ROOT, ".git")):
+        pytest.skip("not a git checkout")
+    result = _run("git", "ls-files", "--cached", "--ignored", "--exclude-standard")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "", f"tracked but ignored:\n{result.stdout}"
