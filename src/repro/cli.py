@@ -129,6 +129,11 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    try:
+        config = PegasusConfig(alpha=args.alpha, seed=args.seed)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     graph, name = _load_graph(args)
     node = args.node
     if not 0 <= node < graph.num_nodes:
@@ -147,8 +152,11 @@ def _cmd_query(args) -> int:
     rows: List[Sequence[object]] = [(int(u), f"{exact[u]:.6f}") for u in top]
     headers = ["Node", f"{args.type.upper()} (exact)"]
     if args.compare_summary:
-        config = PegasusConfig(alpha=args.alpha, seed=args.seed)
-        result = summarize(graph, targets=[node], compression_ratio=args.ratio, config=config)
+        try:
+            result = summarize(graph, targets=[node], compression_ratio=args.ratio, config=config)
+        except ReproError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         approx = answer(result.summary)
         rows = [(int(u), f"{exact[u]:.6f}", f"{approx[u]:.6f}") for u in top]
         headers.append(f"{args.type.upper()} (summary @ {result.summary.compression_ratio():.2f})")

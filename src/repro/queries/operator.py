@@ -1,25 +1,42 @@
-"""Matrix-free products with the (reconstructed) adjacency matrix.
+"""Products with, and exact solves over, the reconstructed adjacency ``Â``.
 
-Iterative queries (RWR, PHP) only need ``y = Â x`` and row sums of ``Â``.
-On the input graph that is a CSR gather; on a summary graph the product
-can be computed **in supernode space** without materializing ``Ĝ``:
+RWR and PHP are damped systems ``K x = b`` with ``K = D − w·Â`` on the
+positive-degree nodes, where ``D`` holds the row sums of ``Â`` and
+``0 < w < 1``.  This module answers them two ways.
+
+**Exact solves in supernode space** (summary and residual sources).  On a
+summary, ``Â = P M Pᵀ − diag(m_{s(u)s(u)})``: ``P`` is the n×k membership
+matrix, ``M`` the symmetric block-density matrix, and ``D`` is constant on
+each supernode (``δ_S``).  Hence ``K = Λ − w·P M Pᵀ`` with the per-block
+diagonal ``λ_S = δ_S + w·m_SS``, and ``K x = b`` reduces exactly to the
+k×k SPD system
+
+    ``H y = Pᵀb / n``,  ``H = diag(λ/n) − w·M``,  ``y = Pᵀx``,
+
+after which ``x_u = (b_u + w·(M y)_{s(u)}) / λ_{s(u)}``.  A
+``ResidualSource`` is a summary over the refined partition in which every
+node a correction edge touches is its own block.  :func:`_solve_direct`
+reads one column of ``H⁻¹``, which :meth:`ReconstructedOperator.direct_inverse`
+builds once per damping with a spin-free blocked Gauss–Jordan sweep and
+caches on the operator.
+
+**Matrix-free CG** (graph sources, and quotient systems above
+:data:`DIRECT_MAX_BLOCKS`).  :func:`_solve_damped` runs Jacobi-preconditioned
+conjugate gradients over :meth:`ReconstructedOperator.matvec`; on a summary
+the product runs in supernode space without materializing ``Ĝ``:
 
     ``(Â x)_u = Σ_{B ∈ adj(S_u)} m_{S_u B} · X_B  −  m_{S_u S_u} · x_u``
 
 where ``X_B = Σ_{v∈B} x_v`` and ``m_AB`` is the block density (1 for
-unweighted summaries, stored-count/pairs for weighted ones).  This makes a
-solver step ``O(|V| + |P|)`` instead of ``O(|Ê|)`` — the reason queries on
+unweighted summaries, stored-count/pairs for weighted ones).  A product
+costs ``O(|V| + |P|)`` instead of ``O(|Ê|)`` — the reason queries on
 sparse PeGaSus summaries are fast in Fig. 8 while queries on the dense
 baseline summaries are not.
-
-Both RWR and PHP reduce to one symmetric positive definite system
-``(D − w·Â)_SS x_S = b_S`` over this operator, solved by
-:func:`_solve_damped`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Dict, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +53,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: layer's ``ResidualSource`` joins as a forward reference so the module
 #: never imports it at runtime (no import cycle).
 QuerySource = Union[Graph, SummaryGraph, "ResidualSource"]
+
+#: Largest quotient system (positive-degree blocks) answered through a
+#: cached ``H⁻¹``; larger ones run CG.  Each panel of the Gauss–Jordan
+#: sweep updates the k×k matrix with one (k×8)·(8×k) product, and numpy's
+#: bundled OpenBLAS (0.3.31, 2-vCPU reference host) runs such a product on
+#: its calling thread only while k²·8 < 10⁶ — 353 is the largest k that
+#: does.  One block past it the product wakes a second BLAS thread, which
+#: then spins for CPU that lanes, serving loop and load generator share.
+#: Below the cap the sweep takes about 3 ms at k = 200, 6–7 ms at 300 and
+#: 10–13 ms at 353, a few CG queries' worth (1.7–1.9 ms per query on
+#: ``stream-mixed``), and its bytes do not depend on the BLAS thread count.
+#: Both paths solve the same system, so the cap only picks the cheaper one.
+DIRECT_MAX_BLOCKS = 353
+
+#: Pivots per Gauss–Jordan panel: the inner dimension of the sweep's
+#: rank-``_PANEL`` updates (see :data:`DIRECT_MAX_BLOCKS`).
+_PANEL = 8
 
 
 def check_query_node(query: object, num_nodes: int) -> int:
@@ -101,7 +135,7 @@ class ReconstructedOperator:
         self._tails = graph.indices
         self._degrees = graph.degrees().astype(np.float64)
 
-    def _init_summary(self, summary: SummaryGraph) -> None:
+    def _init_summary(self, summary: SummaryGraph) -> np.ndarray:
         self.num_nodes = summary.num_nodes
         self._mode = "summary"
         # Compact live supernode ids to 0..k-1 without walking the member
@@ -145,8 +179,9 @@ class ReconstructedOperator:
         np.add.at(super_total, self._cross_a, self._cross_m * sizes[self._cross_b])
         np.add.at(super_total, self._cross_b, self._cross_m * sizes[self._cross_a])
         # deg(u) = total(S_u) − m_{S_u S_u}  (a node is not its own neighbor).
-        self._degrees = super_total[self._compact] - self._self_density[self._compact]
-        self._degrees = np.maximum(self._degrees, 0.0)
+        degree = np.maximum(super_total - self._self_density, 0.0)
+        self._set_quotient(self._compact, np.arange(k), degree)
+        return degree
 
     def _init_residual(self, residual) -> None:
         """Summary operator plus the residual adjacency (``Â_s + A_r``).
@@ -156,18 +191,47 @@ class ReconstructedOperator:
         empty correction list the built operator *is* the summary
         operator — same mode, same arrays, same bytes — which is what
         makes a just-refreshed machine's answers indistinguishable from a
-        never-streamed one's.
+        never-streamed one's.  Otherwise the quotient system is the
+        summary's over the refined partition: every node a correction
+        edge touches leaves its supernode for a block of its own, which
+        keeps degrees constant per block.
         """
-        self._init_summary(residual.summary)
+        degree = self._init_summary(residual.summary)
         if residual.num_extra == 0:
             return
         self._mode = "residual"
         heads, tails = residual.extra_directed()
         self._extra_heads = heads
         self._extra_tails = tails
-        self._degrees = self._degrees + np.bincount(
-            heads, minlength=self.num_nodes
-        ).astype(np.float64)
+        touched = np.unique(heads)
+        parent = self._compact[touched]
+        k = self._num_supernodes
+        labels = self._compact.copy()
+        labels[touched] = k + np.arange(touched.size)
+        extra = np.bincount(heads, minlength=self.num_nodes)[touched]
+        self._set_quotient(
+            labels,
+            np.concatenate([np.arange(k), parent]),
+            np.concatenate([degree, degree[parent] + extra]),
+        )
+
+    def _set_quotient(self, labels: np.ndarray, parent: np.ndarray, degree: np.ndarray) -> None:
+        """Keep the quotient partition *labels* (node → block) and node degrees.
+
+        *parent* names the summary supernode whose densities each block
+        inherits, *degree* each block's ``δ``.  Empty and zero-degree
+        blocks leave the system: their nodes take the label one past the
+        kept blocks, whose degree and potential are 0.
+        """
+        sizes = np.bincount(labels, minlength=parent.size)
+        keep = (sizes > 0) & (degree > 0.0)
+        kept = int(np.count_nonzero(keep))
+        self._labels = np.where(keep, np.cumsum(keep) - 1, kept)[labels]
+        self._block_parent = parent[keep]
+        self._block_sizes = sizes[keep].astype(np.float64)
+        self._block_degree = degree[keep]
+        self._degrees = np.append(self._block_degree, 0.0)[self._labels]
+        self._inverses: "Dict[float, Tuple[np.ndarray, np.ndarray]]" = {}
 
     # ------------------------------------------------------------------
     # operator interface
@@ -175,6 +239,38 @@ class ReconstructedOperator:
     def degrees(self) -> np.ndarray:
         """Row sums of ``Â`` (weighted degrees in the reconstructed graph)."""
         return self._degrees
+
+    def direct_inverse(self, damping: float) -> "Tuple[np.ndarray, np.ndarray] | None":
+        """``(H⁻¹, λ)`` of the quotient system at *damping*, or ``None``.
+
+        ``None`` for graph sources and for systems of more than
+        :data:`DIRECT_MAX_BLOCKS` blocks, which CG solves instead.  Built on
+        first use and cached per damping: at the paper's defaults both
+        RWR and PHP damp by 0.95, so one inverse serves both kernels.
+        """
+        if self._mode == "graph" or self._block_sizes.size > DIRECT_MAX_BLOCKS:
+            return None
+        system = self._inverses.get(damping)
+        if system is None:
+            system = self._inverses[damping] = self._build_inverse(damping)
+        return system
+
+    def _build_inverse(self, damping: float) -> "Tuple[np.ndarray, np.ndarray]":
+        k = self._num_supernodes
+        density = np.zeros((k, k))
+        density[self._cross_a, self._cross_b] = self._cross_m
+        density[self._cross_b, self._cross_a] = self._cross_m
+        np.fill_diagonal(density, self._self_density)
+        parent = self._block_parent
+        system = density[np.ix_(parent, parent)]
+        del density
+        if self._mode == "residual":
+            system[self._labels[self._extra_heads], self._labels[self._extra_tails]] += 1.0
+        # H = diag(λ/n) − w·M, with λ = δ + w·m_SS.
+        system *= -damping
+        lam = self._block_degree + damping * self._self_density[parent]
+        system[np.diag_indices_from(system)] += lam / self._block_sizes
+        return _gauss_jordan_inverse(system), lam
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``Â x`` for a vector with one entry per node."""
@@ -253,3 +349,64 @@ def _solve_damped(
     observe("repro_solver_iterations", iterations, bounds=DEFAULT_SIZE_BOUNDS, query=query)
     count("repro_solver_unconverged_total", 0.0 if converged else 1.0, query=query)
     return solution
+
+
+def _solve_direct(
+    op: ReconstructedOperator, damping: float, node: int, *, query: str
+) -> "np.ndarray | None":
+    """``x = (D − damping·Â)⁻¹ e_node`` exactly, or ``None`` without a direct system.
+
+    The solve runs on the positive-degree nodes; ``x`` is 0 off them, and
+    all 0 for an isolated *node*.  ``None`` (a graph source, or a system
+    above :data:`DIRECT_MAX_BLOCKS`) leaves the caller to CG.  With
+    ``b = e_node`` in block ``j``, ``H y = e_j / n_j``: ``y`` is column
+    ``j`` of ``H⁻¹`` over ``n_j``.  And since ``w·M y = (λ/n)·y − e_j/n_j``,
+    the map back ``x_u = (b_u + w·(M y)_{s(u)}) / λ_{s(u)}`` is
+    ``y_{s(u)} / n_{s(u)}``, plus ``(b_u − 1/n_j) / λ_j`` on block ``j``:
+    no product with ``M``.  Records 0 iterations and no miss, like a CG
+    solve that converged before its first product.
+    """
+    system = op.direct_inverse(damping)
+    if system is None:
+        return None
+    inverse, lam = system
+    observe("repro_solver_iterations", 0, bounds=DEFAULT_SIZE_BOUNDS, query=query)
+    count("repro_solver_unconverged_total", 0.0, query=query)
+    sizes = op._block_sizes
+    block = op._labels[node]
+    if block == sizes.size:
+        return np.zeros(op.num_nodes, dtype=np.float64)
+    values = np.zeros(sizes.size + 1, dtype=np.float64)
+    np.divide(inverse[:, block] / sizes[block], sizes, out=values[:-1])
+    values[block] -= 1.0 / (sizes[block] * lam[block])
+    potential = values[op._labels]
+    potential[node] += 1.0 / lam[block]
+    return potential
+
+
+def _gauss_jordan_inverse(matrix: np.ndarray, panel: int = _PANEL) -> np.ndarray:
+    """Invert the symmetric positive definite *matrix* in place.
+
+    Blocked Gauss–Jordan: pivoting on a panel ``p`` of indices maps
+    ``A_pp → A_pp⁻¹``, ``A_pj → A_pp⁻¹·A_pj``, ``A_ip → −A_ip·A_pp⁻¹`` and
+    ``A_ij → A_ij − A_ip·A_pp⁻¹·A_pj``; once every panel has pivoted,
+    ``A`` holds the inverse.  Each pivot block is a Schur complement of an
+    SPD matrix, hence SPD, so no row exchanges are needed; it is inverted
+    by the same sweep one index at a time.  The largest product is the
+    (k×panel)·(panel×k) update, which numpy's BLAS keeps on the calling
+    thread up to :data:`DIRECT_MAX_BLOCKS`; no LAPACK routine is called.
+    """
+    size = matrix.shape[0]
+    update = np.empty_like(matrix)
+    for start in range(0, size, panel):
+        p = slice(start, start + panel)
+        block = matrix[p, p]
+        pivot = 1.0 / block if panel == 1 else _gauss_jordan_inverse(block.copy(), 1)
+        column = matrix[:, p].copy()
+        row = pivot @ matrix[p, :]
+        np.matmul(column, row, out=update)
+        matrix -= update
+        matrix[p, :] = row
+        matrix[:, p] = -(column @ pivot)
+        matrix[p, p] = pivot
+    return matrix

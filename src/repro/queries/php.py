@@ -8,10 +8,18 @@ PHP of node ``u`` w.r.t. a query node ``q`` is defined recursively:
 with continuation ``c = 0.95`` in the paper; degree-0 nodes score 0.
 Multiplying each equation by ``w_u`` and moving ``PHP_q = 1`` to the right
 gives ``(D − c·Â)_UU p_U = c·(Â e_q)_U`` over the positive-degree nodes
-``U`` other than ``q``: a symmetric positive definite system that
-:func:`php_scores` solves with preconditioned conjugate gradients over
-:class:`~repro.queries.operator.ReconstructedOperator`, so on summary
-graphs every product runs in supernode space.
+``U`` other than ``q``: a symmetric positive definite system.
+
+On summary and residual sources :func:`php_scores` solves it with the
+full system ``K = D − c·Â`` instead.  With ``z = K⁻¹·c·Â e_q`` and
+``g = K⁻¹ e_q``, ``x = z − (z_q/g_q)·g`` vanishes at ``q`` and satisfies
+the ``U`` rows.  Because ``c·Â e_q = D_q e_q − K e_q``, ``z = D_q g − e_q``,
+and the two solves collapse to one: ``p = g / g_q``, one column of the
+cached supernode-space inverse (:mod:`repro.queries.operator`), the same
+column RWR reads when both damp by 0.95.  On graph sources, and quotient
+systems above :data:`~repro.queries.operator.DIRECT_MAX_BLOCKS` blocks,
+preconditioned conjugate gradients solve the ``U`` system over
+:class:`~repro.queries.operator.ReconstructedOperator`.
 :func:`php_scores_reference` keeps the fixed-point loop as the test oracle.
 """
 
@@ -24,6 +32,7 @@ from repro.queries.operator import (
     QuerySource,
     ReconstructedOperator,
     _solve_damped,
+    _solve_direct,
     check_query_node,
 )
 
@@ -43,23 +52,29 @@ def php_scores(
     """PHP score vector w.r.t. *query* (entries in ``[0, 1]``).
 
     Parameters mirror :func:`repro.queries.rwr.rwr_scores`; ``continuation``
-    is the penalty factor ``c`` (paper: 0.95).  ``tolerance`` bounds the
-    relative preconditioned residual ``‖r‖_{D⁻¹} / ‖c·Â e_q‖_{D⁻¹}`` of
-    the linear solve, and ``max_iterations`` caps its operator products
-    beyond the one that forms the right-hand side.
+    is the penalty factor ``c`` (paper: 0.95).  On the CG path,
+    ``tolerance`` bounds the relative preconditioned residual
+    ``‖r‖_{D⁻¹} / ‖c·Â e_q‖_{D⁻¹}`` and ``max_iterations`` caps the
+    operator products beyond the one that forms the right-hand side; a
+    direct solve is exact and ignores both.
     """
     if not 0.0 < continuation < 1.0:
         raise QueryError(f"continuation must be in (0, 1), got {continuation}")
     op = operator if operator is not None else ReconstructedOperator(source, use_weights=use_weights)
     node = check_query_node(query, op.num_nodes)
-    unit = np.zeros(op.num_nodes, dtype=np.float64)
-    unit[node] = 1.0
-    active = op.degrees() > 0.0
-    active[node] = False
-    scores = _solve_damped(
-        op, continuation, continuation * op.matvec(unit), active,
-        tolerance=tolerance, max_iterations=max_iterations, query="php",
-    )
+    potential = _solve_direct(op, continuation, node, query="php")
+    if potential is not None:
+        # g_q > 0 unless q is isolated, where g = 0 and PHP is e_q.
+        scores = potential / potential[node] if potential[node] > 0.0 else potential
+    else:
+        unit = np.zeros(op.num_nodes, dtype=np.float64)
+        unit[node] = 1.0
+        active = op.degrees() > 0.0
+        active[node] = False
+        scores = _solve_damped(
+            op, continuation, continuation * op.matvec(unit), active,
+            tolerance=tolerance, max_iterations=max_iterations, query="php",
+        )
     scores[node] = 1.0
     return np.clip(scores, 0.0, 1.0)
 

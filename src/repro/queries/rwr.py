@@ -10,10 +10,13 @@ to the query node, so its fixed point is ``x = y / Σy`` with
 ``(I − p·Â D⁻¹) y = e_q``; degree-0 nodes other than ``q`` get 0.
 Substituting ``y = D z`` on the positive-degree nodes gives the symmetric
 positive definite system ``(D − p·Â) z = e_q``, which :func:`rwr_scores`
-solves directly with preconditioned conjugate gradients instead of
-iterating Alg. 6 (whose error shrinks only by ``p`` per step: ~450 steps
-at ``p = 0.95``).  :func:`rwr_scores_reference` keeps the literal loop as
-the test oracle.
+solves directly instead of iterating Alg. 6 (whose error shrinks only by
+``p`` per step: ~450 steps at ``p = 0.95``).  On a summary or residual
+source ``z`` is one column of the cached inverse of the supernode-space
+system (:mod:`repro.queries.operator`); on a graph, or a quotient system
+above :data:`~repro.queries.operator.DIRECT_MAX_BLOCKS` blocks,
+preconditioned conjugate gradients find it.  :func:`rwr_scores_reference`
+keeps the literal loop as the test oracle.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from repro.queries.operator import (
     QuerySource,
     ReconstructedOperator,
     _solve_damped,
+    _solve_direct,
     check_query_node,
 )
 
@@ -53,11 +57,14 @@ def rwr_scores(
         Restart probability (paper: 0.05).
     tolerance:
         Bound on the relative preconditioned residual
-        ``‖r‖_{D⁻¹} / ‖e_q‖_{D⁻¹}`` of the linear solve at which it stops.
+        ``‖r‖_{D⁻¹} / ‖e_q‖_{D⁻¹}`` at which a CG solve stops.  Direct
+        solves (summary and residual sources within the size cap) are
+        exact and ignore it.
     max_iterations:
-        Cap on the solver's operator products; a solve that reaches it
+        Cap on a CG solve's operator products; a solve that reaches it
         returns its last iterate and is counted in
-        ``repro_solver_unconverged_total{query="rwr"}``.
+        ``repro_solver_unconverged_total{query="rwr"}``.  Direct solves
+        make no products and record 0 iterations.
     use_weights:
         Decode weighted summaries through block densities (Sect. V-A).
     operator:
@@ -71,10 +78,12 @@ def rwr_scores(
     degrees = op.degrees()
     unit = np.zeros(op.num_nodes, dtype=np.float64)
     unit[node] = 1.0
-    potential = _solve_damped(
-        op, 1.0 - restart, unit, degrees > 0.0,
-        tolerance=tolerance, max_iterations=max_iterations, query="rwr",
-    )
+    potential = _solve_direct(op, 1.0 - restart, node, query="rwr")
+    if potential is None:
+        potential = _solve_damped(
+            op, 1.0 - restart, unit, degrees > 0.0,
+            tolerance=tolerance, max_iterations=max_iterations, query="rwr",
+        )
     # Clipping drops solver round-off; an isolated query solves to all
     # zeros and keeps all of the walker's mass.
     scores = np.maximum(degrees * potential, 0.0)

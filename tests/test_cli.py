@@ -88,6 +88,25 @@ def test_query_with_summary_comparison(capsys):
     assert "SMAPE" in output and "Spearman" in output
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--ratio", "0"], "compression_ratio must be positive"),
+        (["--alpha", "0.5"], "alpha must be >= 1"),
+    ],
+)
+def test_query_compare_summary_rejects_bad_input(capsys, flags, message):
+    code = main(
+        ["query", "--dataset", "lastfm_asia", "--scale", "0.12", "--node", "0",
+         "--compare-summary", *flags]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1 and not captured.out
+
+
 def test_query_node_out_of_range():
     assert main(["query", "--dataset", "caida", "--scale", "0.2", "--node", "999999"]) == 2
 
