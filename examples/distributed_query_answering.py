@@ -45,10 +45,10 @@ def main() -> None:
     ssumm = ssumm_summarize(graph, budget_bits=budget, seed=1).summary
 
     queries = sample_query_nodes(graph, 25, seed=5)
-    # Batch serving: queries grouped per machine, one operator build per
-    # machine, machine batches fanned out over the pool.
-    pegasus_answers = personalized.answer_batch(queries, "rwr", workers=0)
-    subgraph_answers = subgraphs.answer_batch(queries, "rwr", workers=0)
+    # Batch answering: queries grouped per machine, one operator build per
+    # machine.
+    pegasus_answers = personalized.answer_batch(queries, "rwr")
+    subgraph_answers = subgraphs.answer_batch(queries, "rwr")
     scores = {"PeGaSus cluster": [], "SSumM replicated": [], "Subgraph cluster": []}
     correlations = {name: [] for name in scores}
     for q in queries:

@@ -55,10 +55,10 @@ from repro._util import format_table
 from repro.baselines import ssumm_summarize
 from repro.core import PegasusConfig, summarize
 from repro.core.summary_io import save_summary
+from repro.distributed.cluster import QUERY_TYPES, answer_query
 from repro.errors import ReproError
 from repro.eval import smape, spearman_correlation
 from repro.graph import dataset_names, load_dataset, read_edgelist, table2_rows
-from repro.queries import hop_distances, php_scores, rwr_scores
 
 
 def _load_graph(args) -> "tuple":
@@ -140,14 +140,7 @@ def _cmd_query(args) -> int:
         print(f"error: node {node} out of range for {name}", file=sys.stderr)
         return 2
 
-    def answer(source):
-        if args.type == "rwr":
-            return rwr_scores(source, node)
-        if args.type == "hop":
-            return hop_distances(source, node).astype(np.float64)
-        return php_scores(source, node)
-
-    exact = answer(graph)
+    exact = answer_query(graph, node, args.type)
     top = np.argsort(exact)[::-1][: args.top]
     rows: List[Sequence[object]] = [(int(u), f"{exact[u]:.6f}") for u in top]
     headers = ["Node", f"{args.type.upper()} (exact)"]
@@ -157,7 +150,7 @@ def _cmd_query(args) -> int:
         except ReproError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        approx = answer(result.summary)
+        approx = answer_query(result.summary, node, args.type)
         rows = [(int(u), f"{exact[u]:.6f}", f"{approx[u]:.6f}") for u in top]
         headers.append(f"{args.type.upper()} (summary @ {result.summary.compression_ratio():.2f})")
         print(
@@ -995,7 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     query_cmd = sub.add_parser("query", help="answer a node-similarity query")
     _add_graph_arguments(query_cmd)
-    query_cmd.add_argument("--type", choices=("rwr", "hop", "php"), default="rwr")
+    query_cmd.add_argument("--type", choices=QUERY_TYPES, default="rwr")
     query_cmd.add_argument("--node", type=int, default=0, help="query node")
     query_cmd.add_argument("--top", type=int, default=10, help="rows to print")
     query_cmd.add_argument(

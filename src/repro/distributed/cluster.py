@@ -19,11 +19,32 @@ import numpy as np
 
 from repro.errors import PartitionError, QueryError
 from repro.graph.graph import Graph
-from repro.parallel import ParallelExecutor
 from repro.queries.hop import hop_distances
-from repro.queries.operator import QuerySource, ReconstructedOperator
+from repro.queries.operator import QuerySource, ReconstructedOperator, check_query_node
 from repro.queries.php import php_scores
 from repro.queries.rwr import rwr_scores
+
+#: The query types every machine answers (Sect. V-A's three queries).
+QUERY_TYPES = ("rwr", "hop", "php")
+
+
+def answer_query(
+    source: "QuerySource | ReconstructedOperator", node: int, query_type: str
+) -> np.ndarray:
+    """The answer vector of one *query_type* query on *node*.
+
+    The one ``query_type → kernel`` switch: machines, the accuracy
+    harness and the CLI all answer through it.  It calls the kernels
+    through this module's names, which perfbench's tracer wraps; HOP's
+    hop counts come back as floats, like the scores.
+    """
+    if query_type == "rwr":
+        return rwr_scores(source, node)
+    if query_type == "hop":
+        return hop_distances(source, node).astype(np.float64)
+    if query_type == "php":
+        return php_scores(source, node)
+    raise QueryError(f"unknown query type {query_type!r}; choose from {QUERY_TYPES}")
 
 
 @dataclass
@@ -69,27 +90,10 @@ class Machine:
         self._operator = None
 
     def answer(self, node: int, query_type: str) -> np.ndarray:
-        """Answer one query locally (no communication)."""
-        if query_type == "rwr":
-            return rwr_scores(self.source, node, operator=self.operator())
-        if query_type == "hop":
-            return hop_distances(self.source, node).astype(np.float64)
-        if query_type == "php":
-            return php_scores(self.source, node, operator=self.operator())
-        raise QueryError(f"unknown query type {query_type!r}")
-
-
-def _machine_batch_task(shared, task) -> List[np.ndarray]:
-    """Answer one machine's routed batch (the inline, no-shipping path).
-
-    The machine's reconstruction operator is built once and reused across
-    the whole batch (``Machine.operator`` caches it).  The parallel path
-    of :meth:`DistributedCluster.answer_batch` does not use this: it ships
-    the serving blueprint's array reduction instead of Machine objects.
-    """
-    query_type = shared
-    machine, nodes = task
-    return [machine.answer(node, query_type) for node in nodes]
+        """Answer one query locally (no communication) on the cached operator."""
+        if query_type not in QUERY_TYPES:  # before building an operator for it
+            raise QueryError(f"unknown query type {query_type!r}; choose from {QUERY_TYPES}")
+        return answer_query(self.operator(), node, query_type)
 
 
 class DistributedCluster:
@@ -115,10 +119,13 @@ class DistributedCluster:
         return len(self.machines)
 
     def machine_for(self, node: int) -> Machine:
-        """The machine whose part contains *node* (Alg. 3, line 6)."""
-        if not 0 <= node < self.graph.num_nodes:
-            raise QueryError(f"node {node} out of range")
-        return self.machines[int(self._route[node])]
+        """The machine whose part contains *node* (Alg. 3, line 6).
+
+        Runs the kernels' node check, so every routed entry point rejects
+        a non-integral, boolean or out-of-range node with
+        :class:`QueryError`.
+        """
+        return self.machines[int(self._route[check_query_node(node, self.graph.num_nodes)])]
 
     def answer(self, node: int, query_type: str) -> np.ndarray:
         """Route and answer one query; never touches another machine."""
@@ -134,59 +141,30 @@ class DistributedCluster:
         (:class:`repro.serving.QueryServer`) therefore keeps one future
         per *request* and never routes through this dict.
         """
-        return {int(q): self.answer(int(q), query_type) for q in nodes}
+        return {node: self.answer(node, query_type) for node in nodes}
 
-    def answer_batch(
-        self, nodes, query_type: str, *, workers: "int | None" = 1
-    ) -> Dict[int, np.ndarray]:
+    def answer_batch(self, nodes, query_type: str) -> Dict[int, np.ndarray]:
         """Serve a batch of routed queries with per-machine batching.
 
-        Queries are grouped by owning machine (Alg. 3's routing), each
-        machine answers its whole group against one reconstruction
-        operator built once per machine — not once per query — and the
-        groups optionally fan out over a
-        :class:`~repro.parallel.ParallelExecutor` (*workers* processes;
-        ``1`` = inline).  Answers are exactly those of
+        Queries are grouped by owning machine (Alg. 3's routing) and each
+        machine answers its whole group, in machine order, against its
+        one cached reconstruction operator.  Answers are exactly those of
         :meth:`answer_many`, keyed by node in input order, and no
-        inter-machine communication happens in either mode.
+        inter-machine communication happens.  Concurrent serving lives in
+        :class:`repro.serving.QueryServer` (``serve_queries``).
 
         Like :meth:`answer_many`, the dict return **dedupes repeated
         query nodes** (pinned by a regression test); per-request
         answering lives in :class:`repro.serving.QueryServer`.
         """
-        node_list = [int(q) for q in nodes]
+        node_list = list(nodes)
         groups: Dict[int, List[int]] = {}
         for node in node_list:
-            machine = self.machine_for(node)  # validates the node id
-            groups.setdefault(machine.machine_id, []).append(node)
-        executor = ParallelExecutor(workers)
-        order = sorted(groups)
-        shipping = executor.workers > 1 and len(groups) > 1
-        if shipping:
-            # Every summary holds a reference to the full input graph, so
-            # pickling Machine objects would ship the graph once per
-            # machine.  Ship the serving layer's array reduction instead:
-            # workers rebuild each machine from its determining arrays
-            # and build its operator once.
-            from repro.serving.blueprint import BatchTask, ClusterBlueprint, serve_batch_task
-
-            blueprint = ClusterBlueprint(self)
-            tasks = [
-                BatchTask(
-                    machine_id,
-                    [(node, query_type, None) for node in groups[machine_id]],
-                    blueprint.source(machine_id),
-                )
-                for machine_id in order
-            ]
-            replies = executor.map(serve_batch_task, tasks, shared=blueprint.session())
-            batches = [reply.answers for reply in replies]
-        else:
-            inline_tasks = [(self.machines[machine_id], groups[machine_id]) for machine_id in order]
-            batches = executor.map(_machine_batch_task, inline_tasks, shared=query_type)
+            groups.setdefault(self.machine_for(node).machine_id, []).append(node)
         answers: Dict[int, np.ndarray] = {}
-        for machine_id, vectors in zip(order, batches):
-            answers.update(zip(groups[machine_id], vectors))
+        for machine_id in sorted(groups):
+            machine = self.machines[machine_id]
+            answers.update((node, machine.answer(node, query_type)) for node in groups[machine_id])
         return {node: answers[node] for node in node_list}
 
     def memory_per_machine(self) -> List[float]:

@@ -18,15 +18,11 @@ from typing import Callable, Dict, Iterable, List, Tuple
 import numpy as np
 
 from repro._util import ensure_rng
+from repro.distributed.cluster import QUERY_TYPES, answer_query
 from repro.errors import QueryError
 from repro.eval.metrics import smape, spearman_correlation
 from repro.graph.graph import Graph
-from repro.queries.hop import hop_distances
 from repro.queries.operator import QuerySource, ReconstructedOperator
-from repro.queries.php import php_scores
-from repro.queries.rwr import rwr_scores
-
-QUERY_TYPES = ("rwr", "hop", "php")
 
 
 @dataclass
@@ -46,16 +42,6 @@ def sample_query_nodes(
     rng = ensure_rng(seed)
     count = min(count, graph.num_nodes)
     return np.sort(rng.choice(graph.num_nodes, size=count, replace=False))
-
-
-def _answer(source: QuerySource, query_type: str, node: int, operator: "ReconstructedOperator | None") -> np.ndarray:
-    if query_type == "rwr":
-        return rwr_scores(source, node, operator=operator)
-    if query_type == "hop":
-        return hop_distances(source, node).astype(np.float64)
-    if query_type == "php":
-        return php_scores(source, node, operator=operator)
-    raise QueryError(f"unknown query type {query_type!r}; choose from {QUERY_TYPES}")
 
 
 def evaluate_query_accuracy(
@@ -85,11 +71,9 @@ def evaluate_query_accuracy(
         settings where different queries hit different sources (the
         distributed application, Alg. 3).
     """
-    nodes = [int(q) for q in query_nodes]
+    nodes = list(query_nodes)
     exact_operator = ReconstructedOperator(graph)
-    summary_operator = None
-    if answer_on is None and not isinstance(summary, Graph):
-        summary_operator = ReconstructedOperator(summary)
+    summary_operator = ReconstructedOperator(summary) if answer_on is None else None
 
     results: Dict[str, QueryAccuracy] = {}
     for query_type in query_types:
@@ -98,11 +82,11 @@ def evaluate_query_accuracy(
         smape_values: List[float] = []
         spearman_values: List[float] = []
         for node in nodes:
-            exact = _answer(graph, query_type, node, exact_operator)
+            exact = answer_query(exact_operator, node, query_type)
             if answer_on is not None:
                 approximate = answer_on(node, query_type)
             else:
-                approximate = _answer(summary, query_type, node, summary_operator)
+                approximate = answer_query(summary_operator, node, query_type)
             smape_values.append(smape(exact, approximate))
             spearman_values.append(spearman_correlation(exact, approximate))
         results[query_type] = QueryAccuracy(

@@ -64,7 +64,7 @@ def _runtime_point(shared, point) -> RuntimeRow:
     operator = ReconstructedOperator(summary)
     started = time.perf_counter()
     for q in queries:
-        rwr_scores(summary, int(q), operator=operator)
+        rwr_scores(operator, int(q))
     rwr_time = time.perf_counter() - started
     return RuntimeRow(
         dataset=name,

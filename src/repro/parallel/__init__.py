@@ -11,8 +11,6 @@ per worker under ``spawn``).  Consumers:
 * :func:`repro.distributed.pipeline.build_summary_cluster` /
   :func:`~repro.distributed.pipeline.build_subgraph_cluster` — the ``m``
   per-machine artifacts of Alg. 3 build concurrently;
-* :meth:`repro.distributed.cluster.DistributedCluster.answer_batch` —
-  batch query serving with per-machine batching;
 * :func:`repro.experiments.common.sweep` — experiment points of
   Figs. 5/6/8/9/11/12 fan out across datasets × methods × parameters;
 * :class:`repro.streaming.StreamingSummarizer` — the construction build

@@ -19,9 +19,9 @@ from repro.queries.neighbors import approximate_neighbors
 from repro.queries.operator import QuerySource, ReconstructedOperator
 
 
-def degree_vector(source: QuerySource, *, use_weights: bool = True) -> np.ndarray:
+def degree_vector(source: QuerySource) -> np.ndarray:
     """(Reconstructed) degrees of all nodes — the degree query of [10]."""
-    return ReconstructedOperator(source, use_weights=use_weights).degrees()
+    return ReconstructedOperator(source).degrees()
 
 
 def _has_edge(source: QuerySource, u: int, v: int) -> bool:
@@ -68,7 +68,6 @@ def pagerank(
     damping: float = 0.85,
     tolerance: float = 1e-10,
     max_iterations: int = 200,
-    use_weights: bool = True,
 ) -> np.ndarray:
     """Global PageRank on the (reconstructed) graph; sums to 1.
 
@@ -76,7 +75,7 @@ def pagerank(
     """
     if not 0.0 < damping < 1.0:
         raise QueryError(f"damping must be in (0, 1), got {damping}")
-    op = ReconstructedOperator(source, use_weights=use_weights)
+    op = ReconstructedOperator(source)
     n = op.num_nodes
     if n == 0:
         return np.empty(0, dtype=np.float64)
@@ -100,14 +99,13 @@ def eigenvector_centrality(
     *,
     tolerance: float = 1e-10,
     max_iterations: int = 500,
-    use_weights: bool = True,
 ) -> np.ndarray:
     """Principal-eigenvector centrality (power iteration, L2-normalized).
 
     The centrality the paper cites [11] as answerable from summary graphs.
     Returns the all-zero vector for edgeless graphs.
     """
-    op = ReconstructedOperator(source, use_weights=use_weights)
+    op = ReconstructedOperator(source)
     n = op.num_nodes
     if n == 0:
         return np.empty(0, dtype=np.float64)

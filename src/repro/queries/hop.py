@@ -1,12 +1,17 @@
 """HOP queries — shortest-path hop counts from a query node (Alg. 5).
 
-On a summary graph the BFS runs over the **supernode quotient graph**:
-every member of a supernode is structurally identical in ``Ĝ`` (identical
-reconstructed neighborhoods up to self-exclusion), so a whole supernode is
-assigned a distance the moment it is first reached.  Only the query node's
-own supernode needs care: its *other* members are not at distance 0 — they
-are reached when some frontier supernode (possibly ``S_q`` itself, through
-a self-loop) has a superedge to ``S_q``.
+:func:`hop_distances` reads its source through a
+:class:`~repro.queries.operator.ReconstructedOperator`, like RWR and PHP.
+On a summary or residual source the BFS runs over the operator's
+quotient blocks (the refined partition its direct solve keeps): the
+members of a block share their neighborhood in ``Ĝ`` apart from each
+other, so a whole block takes its distance the moment it is first
+reached.  Only the query's own block needs care: its *other* members
+are at 1 when the block has a positive self density, else at 2 when it
+has any neighbor block, else out of reach.  A graph source keeps the
+node-level :func:`~repro.graph.traversal.bfs_distances` over its own
+CSR.  :func:`hop_distances_reference` keeps the literal
+``getNeighbors``-driven loop as the test oracle and Fig. 8's timing.
 
 Unreachable nodes get the length of the longest shortest path observed
 (the convention of Sect. V-A), or ``-1`` with ``unreachable="raw"``.
@@ -16,11 +21,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.summary import SummaryGraph
 from repro.errors import QueryError
 from repro.graph.graph import Graph
 from repro.graph.traversal import bfs_distances
-from repro.queries.operator import QuerySource, as_residual_source, check_query_node
+from repro.queries.operator import (
+    QuerySource,
+    ReconstructedOperator,
+    _quotient_bfs,
+    as_operator,
+    check_query_node,
+)
 
 _UNREACHABLE_MODES = ("longest", "raw")
 
@@ -33,101 +43,6 @@ def _fill_unreachable(dist: np.ndarray, mode: str) -> np.ndarray:
     filled = dist.copy()
     filled[filled < 0] = longest
     return filled
-
-
-def _summary_bfs(summary: SummaryGraph, query: int) -> np.ndarray:
-    """BFS distances in ``Ĝ`` computed over the supernode quotient graph."""
-    dist = np.full(summary.num_nodes, -1, dtype=np.int64)
-    dist[query] = 0
-    home = int(summary.supernode_of[query])
-
-    def present(a: int, b: int) -> bool:
-        # Weighted summaries: positive-weight superedges are present.
-        return summary.superedge_density(a, b) > 0.0 if summary.is_weighted else True
-
-    visited = set()  # supernodes whose members are all assigned
-    home_complete = summary.member_count(home) == 1
-    if home_complete:
-        visited.add(home)
-    frontier = [home]
-    level = 0
-    while frontier:
-        level += 1
-        reached = set()
-        for a in frontier:
-            for b in summary.superedge_neighbors(a):
-                if present(a, b):
-                    reached.add(b)
-        frontier = []
-        for b in reached:
-            if b in visited:
-                continue
-            members = summary.member_list(b)
-            if b == home:
-                for u in members:
-                    if u != query:
-                        dist[u] = level
-                home_complete = True
-            else:
-                for u in members:
-                    dist[u] = level
-                frontier.append(b)
-            visited.add(b)
-        # The home supernode never re-expands: its superedge neighbors were
-        # already assigned level 1 when the walk started from the query.
-    return dist
-
-
-def _residual_bfs(source, query: int) -> np.ndarray:
-    """BFS distances in ``Ĝ_residual`` (summary quotient plus residual edges).
-
-    Runs the quotient-space expansion of :func:`_summary_bfs` — a
-    supernode expands at most once, assigning a whole member block per
-    superedge — interleaved with node-level expansion along the residual
-    correction edges.  With no residual edges the produced distances are
-    exactly those of :func:`_summary_bfs` (pinned by a regression test):
-    the level sets of a BFS depend only on the reachability structure,
-    which is identical.
-    """
-    summary = source.summary
-    dist = np.full(summary.num_nodes, -1, dtype=np.int64)
-    dist[query] = 0
-    supernode_of = summary.supernode_of
-    weighted = summary.is_weighted
-
-    def present(a: int, b: int) -> bool:
-        return summary.superedge_density(a, b) > 0.0 if weighted else True
-
-    expanded = set()  # supernodes whose superedge neighborhood was applied
-    frontier = [query]
-    level = 0
-    while frontier:
-        level += 1
-        next_frontier = []
-        reached = set()
-        for u in frontier:
-            home = int(supernode_of[u])
-            if home not in expanded:
-                expanded.add(home)
-                for b in summary.superedge_neighbors(home):
-                    if present(home, b):
-                        reached.add(b)
-        for b in reached:
-            # Every member of an adjacent supernode is a reconstructed
-            # neighbor of every frontier member of the expanding one; the
-            # per-node self-exclusion of Alg. 4 is moot here because the
-            # expanding node already has a distance.
-            for v in summary.member_list(b):
-                if dist[v] < 0:
-                    dist[v] = level
-                    next_frontier.append(v)
-        for u in frontier:
-            for v in source.extra_neighbors(u).tolist():
-                if dist[v] < 0:
-                    dist[v] = level
-                    next_frontier.append(v)
-        frontier = next_frontier
-    return dist
 
 
 def hop_distances_reference(
@@ -164,13 +79,17 @@ def hop_distances_reference(
     return _fill_unreachable(dist, unreachable)
 
 
-def hop_distances(source: QuerySource, query: int, *, unreachable: str = "longest") -> np.ndarray:
+def hop_distances(
+    source: "QuerySource | ReconstructedOperator", query: int, *, unreachable: str = "longest"
+) -> np.ndarray:
     """Hop counts from *query* to every node (Alg. 5).
 
     Parameters
     ----------
     source:
-        Graph (exact) or summary graph (approximate, quotient-space BFS).
+        Graph (exact), summary graph or residual source (approximate), or
+        a :class:`~repro.queries.operator.ReconstructedOperator` over one,
+        reused across queries.
     query:
         The query node ``q``.
     unreachable:
@@ -179,14 +98,10 @@ def hop_distances(source: QuerySource, query: int, *, unreachable: str = "longes
     """
     if unreachable not in _UNREACHABLE_MODES:
         raise QueryError(f"unreachable must be one of {_UNREACHABLE_MODES}")
-    if isinstance(source, Graph):
-        bfs = bfs_distances
-    elif isinstance(source, SummaryGraph):
-        bfs = _summary_bfs
+    op = as_operator(source)
+    node = check_query_node(query, op.num_nodes)
+    if isinstance(op.source, Graph):
+        dist = bfs_distances(op.source, node)
     else:
-        residual = as_residual_source(source)
-        if residual is None:
-            raise QueryError(f"unsupported query source: {type(source).__name__}")
-        source, bfs = residual, _residual_bfs
-    dist = bfs(source, check_query_node(query, source.num_nodes))
+        dist = _quotient_bfs(op, node)
     return _fill_unreachable(dist, unreachable)

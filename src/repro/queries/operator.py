@@ -1,4 +1,4 @@
-"""Products with, and exact solves over, the reconstructed adjacency ``Â``.
+"""Products with, exact solves over, and BFS across the reconstructed adjacency ``Â``.
 
 RWR and PHP are damped systems ``K x = b`` with ``K = D − w·Â`` on the
 positive-degree nodes, where ``D`` holds the row sums of ``Â`` and
@@ -32,11 +32,18 @@ unweighted summaries, stored-count/pairs for weighted ones).  A product
 costs ``O(|V| + |P|)`` instead of ``O(|Ê|)`` — the reason queries on
 sparse PeGaSus summaries are fast in Fig. 8 while queries on the dense
 baseline summaries are not.
+
+**BFS over the quotient blocks** (HOP on summary and residual sources).
+:func:`_quotient_bfs` walks the refined partition the direct solve
+keeps: two blocks are adjacent when their parent supernodes have a
+positive density, or when a correction edge joins them.
+:meth:`ReconstructedOperator.block_adjacency` builds that adjacency on
+first use and caches it like ``H⁻¹``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -67,6 +74,9 @@ QuerySource = Union[Graph, SummaryGraph, "ResidualSource"]
 #: Both paths solve the same system, so the cap only picks the cheaper one.
 DIRECT_MAX_BLOCKS = 353
 
+#: ``(parent, reach, extra)`` of :meth:`ReconstructedOperator.block_adjacency`.
+BlockAdjacency = Tuple[List[int], List[List[int]], Dict[int, List[int]]]
+
 #: Pivots per Gauss–Jordan panel: the inner dimension of the sweep's
 #: rank-``_PANEL`` updates (see :data:`DIRECT_MAX_BLOCKS`).
 _PANEL = 8
@@ -75,14 +85,27 @@ _PANEL = 8
 def check_query_node(query: object, num_nodes: int) -> int:
     """*query* as a node id of a source with *num_nodes* nodes.
 
-    The one node check every query kernel runs, on every source type: a
-    non-integral or out-of-range node raises :class:`QueryError`.
+    The one node check every query kernel and the cluster's routing run,
+    on every source type: a non-integral, boolean or out-of-range node
+    raises :class:`QueryError`.
     """
-    if not isinstance(query, (int, np.integer)):
+    if isinstance(query, bool) or not isinstance(query, (int, np.integer)):
         raise QueryError(f"query node must be an integer, got {query!r}")
     if not 0 <= query < num_nodes:
         raise QueryError(f"query node {query} out of range [0, {num_nodes})")
     return int(query)
+
+
+def as_operator(source: "QuerySource | ReconstructedOperator") -> "ReconstructedOperator":
+    """*source* if it already is an operator, else a new operator over it.
+
+    Every query kernel reads its source through this, so a caller that
+    answers many queries on one source builds the operator once and
+    passes it in the source position.
+    """
+    if isinstance(source, ReconstructedOperator):
+        return source
+    return ReconstructedOperator(source)
 
 
 def as_residual_source(source: object):
@@ -100,21 +123,16 @@ def as_residual_source(source: object):
 class ReconstructedOperator:
     """Linear operator for ``Â`` of a graph, summary graph, or residual source.
 
-    Parameters
-    ----------
-    source:
-        A :class:`Graph` (``Â = A``, exact), a :class:`SummaryGraph`, or a
-        :class:`~repro.streaming.residual.ResidualSource` (summary plus
-        residual correction edges, ``Â = Â_summary + A_residual``).
-    use_weights:
-        For weighted summaries, decode superedges as densities; with
-        ``False`` any superedge is treated as a full block (presence-only).
-        Ignored for graphs and unweighted summaries.
+    *source* is a :class:`Graph` (``Â = A``, exact), a :class:`SummaryGraph`
+    (weighted superedges decode as block densities, Sect. V-A), or a
+    :class:`~repro.streaming.residual.ResidualSource` (summary plus
+    residual correction edges, ``Â = Â_summary + A_residual``).  Every
+    query kernel takes an operator in its source position, so one
+    operator per machine serves RWR, PHP and HOP alike.
     """
 
-    def __init__(self, source: QuerySource, *, use_weights: bool = True):
+    def __init__(self, source: QuerySource):
         self.source = source
-        self.use_weights = use_weights
         if isinstance(source, Graph):
             self._init_graph(source)
         elif isinstance(source, SummaryGraph):
@@ -129,11 +147,12 @@ class ReconstructedOperator:
     # construction
     # ------------------------------------------------------------------
     def _init_graph(self, graph: Graph) -> None:
+        # O(|V|): a HOP read, which walks the graph's own CSR, never pays
+        # for the edge-length head array, and a mapped graph stays mapped.
         self.num_nodes = graph.num_nodes
         self._mode = "graph"
-        self._heads = np.repeat(np.arange(graph.num_nodes, dtype=np.int64), graph.degrees())
-        self._tails = graph.indices
         self._degrees = graph.degrees().astype(np.float64)
+        self._heads: "np.ndarray | None" = None  # built on the first matvec
 
     def _init_summary(self, summary: SummaryGraph) -> np.ndarray:
         self.num_nodes = summary.num_nodes
@@ -153,7 +172,7 @@ class ReconstructedOperator:
         lo, hi, weights = summary.superedge_arrays()
         lo_pos = np.searchsorted(order, lo)
         hi_pos = np.searchsorted(order, hi)
-        if summary.is_weighted and self.use_weights and weights is not None:
+        if summary.is_weighted and weights is not None:
             pairs = np.where(
                 lo == hi,
                 sizes[lo_pos] * (sizes[lo_pos] - 1.0) / 2.0,
@@ -232,6 +251,7 @@ class ReconstructedOperator:
         self._block_degree = degree[keep]
         self._degrees = np.append(self._block_degree, 0.0)[self._labels]
         self._inverses: "Dict[float, Tuple[np.ndarray, np.ndarray]]" = {}
+        self._adjacency: "BlockAdjacency | None" = None
 
     # ------------------------------------------------------------------
     # operator interface
@@ -254,6 +274,51 @@ class ReconstructedOperator:
         if system is None:
             system = self._inverses[damping] = self._build_inverse(damping)
         return system
+
+    def block_adjacency(self) -> "BlockAdjacency | None":
+        """``(parent, reach, extra)``: the quotient blocks' adjacency in ``Â``.
+
+        ``None`` for graph sources, which have no blocks (HOP walks their
+        CSR).  Built on a source's first HOP read and cached, like
+        :meth:`direct_inverse`.  The blocks are those of the refined
+        partition (``_labels``), ``parent[a]`` is block ``a``'s summary
+        supernode, and ``reach[p]`` lists every block whose parent has a
+        positive density with ``p`` (``p`` included when its self density
+        is positive), so a BFS expands each parent once however many
+        blocks it was refined into.  ``extra[a]`` lists the blocks a
+        correction edge joins to the singleton block ``a``.
+        """
+        if self._mode == "graph":
+            return None
+        if self._adjacency is None:
+            self._adjacency = self._build_adjacency()
+        return self._adjacency
+
+    def _build_adjacency(self) -> "BlockAdjacency":
+        k = self._num_supernodes
+        parent = self._block_parent
+        loops = np.flatnonzero(self._self_density > 0.0)
+        heads = np.concatenate([self._cross_a, self._cross_b, loops])
+        tails = np.concatenate([self._cross_b, self._cross_a, loops])
+        order = np.argsort(heads, kind="stable")
+        heads, tails = heads[order], tails[order]
+        # Parent edge (h, t) reaches every block of t: gather those runs
+        # of the blocks sorted by parent, in edge order.
+        by_parent = np.argsort(parent, kind="stable")
+        fanout = np.bincount(parent, minlength=k)
+        counts = fanout[tails]
+        ends = np.cumsum(counts)
+        offsets = np.arange(int(counts.sum())) - np.repeat(ends - counts, counts)
+        reached = by_parent[np.repeat((np.cumsum(fanout) - fanout)[tails], counts) + offsets]
+        cuts = np.concatenate([[0], ends])[np.searchsorted(heads, np.arange(k + 1))].tolist()
+        flat = reached.tolist()
+        reach = [flat[cuts[p] : cuts[p + 1]] for p in range(k)]
+        extra: "Dict[int, List[int]]" = {}
+        if self._mode == "residual":
+            labels = self._labels
+            for a, b in zip(labels[self._extra_heads].tolist(), labels[self._extra_tails].tolist()):
+                extra.setdefault(a, []).append(b)
+        return parent.tolist(), reach, extra
 
     def _build_inverse(self, damping: float) -> "Tuple[np.ndarray, np.ndarray]":
         k = self._num_supernodes
@@ -278,9 +343,10 @@ class ReconstructedOperator:
         if x.shape != (self.num_nodes,):
             raise QueryError(f"vector must have shape ({self.num_nodes},), got {x.shape}")
         if self._mode == "graph":
-            if self._tails.size == 0:
-                return np.zeros(self.num_nodes, dtype=np.float64)
-            return np.bincount(self._heads, weights=x[self._tails], minlength=self.num_nodes)
+            graph = self.source
+            if self._heads is None:
+                self._heads = np.repeat(np.arange(self.num_nodes, dtype=np.int64), graph.degrees())
+            return np.bincount(self._heads, weights=x[graph.indices], minlength=self.num_nodes)
         block_sums = np.bincount(self._compact, weights=x, minlength=self._num_supernodes)
         contrib = self._self_density * block_sums
         if self._cross_a.size:
@@ -382,6 +448,49 @@ def _solve_direct(
     potential = values[op._labels]
     potential[node] += 1.0 / lam[block]
     return potential
+
+
+def _quotient_bfs(op: ReconstructedOperator, node: int) -> np.ndarray:
+    """Hop counts from *node* in ``Â`` (``-1`` unreached), by a BFS over blocks.
+
+    The members of a block have the same neighbors in ``Â`` apart from
+    each other, so every block but the query's own is reached whole:
+    its members' distance is the block's BFS level.  The other members
+    of the query's block ``h`` share the query's neighbors, so they sit at
+    1 when ``h``'s self density is positive, else at 2 when ``h`` has any
+    neighbor block, else out of reach.  Zero-degree nodes, which share the
+    label one past the kept blocks, are isolated.
+    """
+    labels = op._labels
+    home = int(labels[node])
+    parent, reach, extra = op.block_adjacency()
+    level = [-1] * (len(parent) + 1)
+    if home < len(parent):
+        level[home] = 0
+        expanded = set()
+        frontier = [home]
+        depth = 0
+        while frontier:
+            depth += 1
+            found = []
+            for a in frontier:
+                p = parent[a]
+                if p not in expanded:
+                    expanded.add(p)
+                    for b in reach[p]:
+                        if level[b] < 0:
+                            level[b] = depth
+                            found.append(b)
+                for b in extra.get(a, ()):
+                    if level[b] < 0:
+                        level[b] = depth
+                        found.append(b)
+            frontier = found
+        # A block at level 1 is a neighbor block of home.
+        level[home] = 1 if op._self_density[parent[home]] > 0.0 else 2 if 1 in level else -1
+    dist = np.array(level, dtype=np.int64)[labels]
+    dist[node] = 0
+    return dist
 
 
 def _gauss_jordan_inverse(matrix: np.ndarray, panel: int = _PANEL) -> np.ndarray:

@@ -15,12 +15,14 @@ full system ``K = D − c·Â`` instead.  With ``z = K⁻¹·c·Â e_q`` and
 ``g = K⁻¹ e_q``, ``x = z − (z_q/g_q)·g`` vanishes at ``q`` and satisfies
 the ``U`` rows.  Because ``c·Â e_q = D_q e_q − K e_q``, ``z = D_q g − e_q``,
 and the two solves collapse to one: ``p = g / g_q``, one column of the
-cached supernode-space inverse (:mod:`repro.queries.operator`), the same
-column RWR reads when both damp by 0.95.  On graph sources, and quotient
-systems above :data:`~repro.queries.operator.DIRECT_MAX_BLOCKS` blocks,
-preconditioned conjugate gradients solve the ``U`` system over
-:class:`~repro.queries.operator.ReconstructedOperator`.
-:func:`php_scores_reference` keeps the fixed-point loop as the test oracle.
+cached supernode-space inverse, the same column RWR reads when both damp
+by 0.95.  On graph sources, and quotient systems above
+:data:`~repro.queries.operator.DIRECT_MAX_BLOCKS` blocks, preconditioned
+conjugate gradients solve the ``U`` system.  Either way the source is
+read through a :class:`~repro.queries.operator.ReconstructedOperator`,
+which a caller answering many queries passes in the source position, as
+for RWR and HOP.  :func:`php_scores_reference` keeps the fixed-point
+loop as the test oracle.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.queries.operator import (
     ReconstructedOperator,
     _solve_damped,
     _solve_direct,
+    as_operator,
     check_query_node,
 )
 
@@ -40,14 +43,12 @@ DEFAULT_CONTINUATION = 0.95
 
 
 def php_scores(
-    source: QuerySource,
+    source: "QuerySource | ReconstructedOperator",
     query: int,
     *,
     continuation: float = DEFAULT_CONTINUATION,
     tolerance: float = 1e-10,
     max_iterations: int = 200,
-    use_weights: bool = True,
-    operator: "ReconstructedOperator | None" = None,
 ) -> np.ndarray:
     """PHP score vector w.r.t. *query* (entries in ``[0, 1]``).
 
@@ -60,7 +61,7 @@ def php_scores(
     """
     if not 0.0 < continuation < 1.0:
         raise QueryError(f"continuation must be in (0, 1), got {continuation}")
-    op = operator if operator is not None else ReconstructedOperator(source, use_weights=use_weights)
+    op = as_operator(source)
     node = check_query_node(query, op.num_nodes)
     potential = _solve_direct(op, continuation, node, query="php")
     if potential is not None:

@@ -11,12 +11,14 @@ to the query node, so its fixed point is ``x = y / Σy`` with
 Substituting ``y = D z`` on the positive-degree nodes gives the symmetric
 positive definite system ``(D − p·Â) z = e_q``, which :func:`rwr_scores`
 solves directly instead of iterating Alg. 6 (whose error shrinks only by
-``p`` per step: ~450 steps at ``p = 0.95``).  On a summary or residual
-source ``z`` is one column of the cached inverse of the supernode-space
-system (:mod:`repro.queries.operator`); on a graph, or a quotient system
-above :data:`~repro.queries.operator.DIRECT_MAX_BLOCKS` blocks,
-preconditioned conjugate gradients find it.  :func:`rwr_scores_reference`
-keeps the literal loop as the test oracle.
+``p`` per step: ~450 steps at ``p = 0.95``).  The source is read through
+a :class:`~repro.queries.operator.ReconstructedOperator`, which a caller
+answering many queries passes in the source position.  On a summary or
+residual source ``z`` is one column of the operator's cached inverse of
+the supernode-space system; on a graph, or a quotient system above
+:data:`~repro.queries.operator.DIRECT_MAX_BLOCKS` blocks, preconditioned
+conjugate gradients find it.  :func:`rwr_scores_reference` keeps the
+literal loop as the test oracle.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.queries.operator import (
     ReconstructedOperator,
     _solve_damped,
     _solve_direct,
+    as_operator,
     check_query_node,
 )
 
@@ -36,21 +39,21 @@ DEFAULT_RESTART = 0.05
 
 
 def rwr_scores(
-    source: QuerySource,
+    source: "QuerySource | ReconstructedOperator",
     query: int,
     *,
     restart: float = DEFAULT_RESTART,
     tolerance: float = 1e-10,
     max_iterations: int = 200,
-    use_weights: bool = True,
-    operator: "ReconstructedOperator | None" = None,
 ) -> np.ndarray:
     """RWR score vector w.r.t. *query* (non-negative, sums to 1).
 
     Parameters
     ----------
     source:
-        Graph (exact) or summary graph (approximate).
+        Graph (exact), summary graph or residual source (approximate), or
+        a :class:`~repro.queries.operator.ReconstructedOperator` over one,
+        reused across many queries (the multi-query setting of Sect. IV).
     query:
         The restart node ``q``.
     restart:
@@ -65,15 +68,10 @@ def rwr_scores(
         returns its last iterate and is counted in
         ``repro_solver_unconverged_total{query="rwr"}``.  Direct solves
         make no products and record 0 iterations.
-    use_weights:
-        Decode weighted summaries through block densities (Sect. V-A).
-    operator:
-        Optional prebuilt operator, reused across many queries on the same
-        source (the multi-query setting of Sect. IV).
     """
     if not 0.0 < restart < 1.0:
         raise QueryError(f"restart must be in (0, 1), got {restart}")
-    op = operator if operator is not None else ReconstructedOperator(source, use_weights=use_weights)
+    op = as_operator(source)
     node = check_query_node(query, op.num_nodes)
     degrees = op.degrees()
     unit = np.zeros(op.num_nodes, dtype=np.float64)

@@ -20,6 +20,7 @@ per-tenant quotas and ledgers), and :class:`~repro.serving.net.NetServer`
 length-prefixed codec of :mod:`repro.serving.protocol`).
 """
 
+from repro.distributed.cluster import QUERY_TYPES
 from repro.serving.blueprint import (
     BatchReply,
     BatchTask,
@@ -39,7 +40,7 @@ from repro.serving.protocol import (
     pack_array,
     unpack_array,
 )
-from repro.serving.server import QUERY_TYPES, QueryServer, ServingStats, serve_queries
+from repro.serving.server import QueryServer, ServingStats, serve_queries
 from repro.serving.tenancy import TenantConfig, TenantHost
 
 __all__ = [

@@ -29,8 +29,8 @@ exports a new version with its own arrays).  Once a lane's worker holds
 them, a batch task carries only the token, the version and its items.
 Workers rebuild a :class:`~repro.distributed.cluster.Machine` per machine
 id on first use and keep one generation per machine, so the
-reconstruction operator — the expensive part of RWR/PHP answering — is
-built **once per worker per machine generation**, not once per batch.  A
+reconstruction operator — which RWR, PHP and HOP all read — is built
+**once per worker per machine generation**, not once per batch.  A
 worker asked for a session or generation it does not hold raises
 :class:`~repro.errors.ServingError` rather than answer from another one.
 

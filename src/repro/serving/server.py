@@ -68,10 +68,11 @@ from typing import Any, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.distributed.cluster import DistributedCluster, Machine
+from repro.distributed.cluster import QUERY_TYPES, DistributedCluster, Machine
 from repro.errors import DeadlineExceeded, QueryError, ServingError
 from repro.obs import DEFAULT_SIZE_BOUNDS, Counter, MetricsRegistry, ObsConfig, TraceHandle
 from repro.parallel.lanes import LaneExecutor, Parcel
+from repro.queries.operator import check_query_node
 from repro.resilience.breaker import BreakerBoard
 from repro.resilience.policy import Deadline, RetryPolicy
 from repro.serving.blueprint import (
@@ -81,8 +82,6 @@ from repro.serving.blueprint import (
     release_session,
     serve_batch_task,
 )
-
-QUERY_TYPES = ("rwr", "hop", "php")
 
 #: Queue sentinel that tells the dispatcher to flush everything and exit.
 _STOP = object()
@@ -578,9 +577,10 @@ class QueryServer:
             raise ServingError("server is not accepting queries")
         if query_type not in QUERY_TYPES:
             raise QueryError(f"unknown query type {query_type!r}")
-        machine = self._cluster.machine_for(int(node))  # validates the node
+        node = check_query_node(node, self._cluster.graph.num_nodes)
+        machine = self._cluster.machine_for(node)
         future: "asyncio.Future[np.ndarray]" = asyncio.get_running_loop().create_future()
-        request = _Request(int(node), query_type, machine.machine_id, future)
+        request = _Request(node, query_type, machine.machine_id, future)
         if deadline is None and self._deadline_ms is not None:
             deadline = Deadline.after_ms(self._deadline_ms)
         if deadline is not None and not deadline.unbounded:

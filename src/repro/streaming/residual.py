@@ -15,12 +15,14 @@ list is priced at ``2·log2|V|`` bits per edge, which is exactly the
 cost-drift signal :class:`~repro.streaming.summarizer.StreamingSummarizer`
 uses to decide when a full re-summarization pays for itself.
 
-Query integration: :mod:`repro.queries` answers RWR and PHP through a
-:class:`~repro.queries.operator.ReconstructedOperator` extended with the
-residual adjacency (``Â = Â_summary + A_residual``), and HOP through a
-residual-aware quotient BFS.  With an empty correction list every code
-path collapses to the plain summary paths, byte for byte — the anchor
-for the hot-swap determinism contract.
+Query integration: :mod:`repro.queries` reads a residual source through
+a :class:`~repro.queries.operator.ReconstructedOperator` extended with
+the residual adjacency (``Â = Â_summary + A_residual``): a summary over
+the refined partition in which every node a correction edge touches is
+its own block.  RWR and PHP solve over its quotient system and HOP runs
+one BFS over its blocks, the correction edges joining singleton blocks.
+With an empty correction list the operator is the plain summary's, byte
+for byte — the anchor for the hot-swap determinism contract.
 """
 
 from __future__ import annotations

@@ -97,6 +97,23 @@ class TestCluster:
         with pytest.raises(QueryError):
             summary_cluster.answer(10_000, "rwr")
 
+    @pytest.mark.parametrize("node", [3.7, True])
+    def test_non_integral_and_boolean_nodes_rejected(self, summary_cluster, node):
+        """Routing runs the kernels' node check: no truncation, no bool as 1."""
+        with pytest.raises(QueryError):
+            summary_cluster.machine_for(node)
+        with pytest.raises(QueryError):
+            summary_cluster.answer(node, "rwr")
+        for api in (summary_cluster.answer_many, summary_cluster.answer_batch):
+            with pytest.raises(QueryError):
+                api([0, node], "hop")
+
+    def test_numpy_integer_nodes_answer(self, summary_cluster):
+        expected = summary_cluster.answer(3, "php")
+        assert np.array_equal(summary_cluster.answer(np.int64(3), "php"), expected)
+        batch = summary_cluster.answer_batch(np.asarray([3, 5]), "php")
+        assert np.array_equal(batch[3], expected)
+
     def test_overlapping_parts_rejected(self, graph):
         m = Machine(0, np.asarray([0, 1]), graph, 0.0)
         m2 = Machine(1, np.asarray([1, 2]), graph, 0.0)

@@ -1,10 +1,10 @@
 """Parallel cluster builds and batch serving: the determinism contract.
 
-Pins the PR-2 guarantees: (a) ``build_summary_cluster`` /
+Pins three guarantees: (a) ``build_summary_cluster`` /
 ``build_subgraph_cluster`` produce byte-identical machines at any worker
 count, (b) ``answer_batch`` answers exactly like the per-query loop for
-every query type, sequentially and in parallel, and (c) the
-communication-free property survives both parallel paths.
+every query type, and (c) the communication-free property survives a
+parallel build and batch answering.
 """
 
 from __future__ import annotations
@@ -135,14 +135,6 @@ class TestAnswerBatch:
         for node in expected:
             assert np.array_equal(expected[node], batch[node])
 
-    @pytest.mark.parametrize("query_type", QUERY_TYPES)
-    def test_parallel_matches_sequential(self, parallel_cluster, query_type):
-        nodes = [0, 5, 9, 40, 80, 121]
-        sequential = parallel_cluster.answer_batch(nodes, query_type, workers=1)
-        parallel = parallel_cluster.answer_batch(nodes, query_type, workers=2)
-        for node in sequential:
-            assert np.array_equal(sequential[node], parallel[node])
-
     def test_duplicate_nodes_preserved(self, sequential_cluster):
         batch = sequential_cluster.answer_batch([3, 3, 7], "hop")
         assert set(batch) == {3, 7}
@@ -171,13 +163,13 @@ class TestAnswerBatch:
             sequential_cluster.answer_batch([0], "pagerank")
 
     def test_batch_stays_communication_free(self, parallel_cluster):
-        parallel_cluster.answer_batch([0, 41, 81, 121], "rwr", workers=2)
+        parallel_cluster.answer_batch([0, 41, 81, 121], "rwr")
         parallel_cluster.assert_communication_free()
 
     def test_subgraph_cluster_batch(self, graph):
         cluster = build_subgraph_cluster(graph, 4, 0.4 * graph.size_in_bits())
         nodes = [1, 50, 100]
         expected = cluster.answer_many(nodes, "rwr")
-        batch = cluster.answer_batch(nodes, "rwr", workers=2)
+        batch = cluster.answer_batch(nodes, "rwr")
         for node in expected:
             assert np.array_equal(expected[node], batch[node])

@@ -52,6 +52,16 @@ class TestEmptyQuerySet:
             )
 
 
+class TestQueryNodeValidation:
+    @pytest.mark.parametrize("node", [3.7, True])
+    def test_non_integral_and_boolean_nodes_rejected(self, sbm_medium, node):
+        """The kernels' node check: no truncation to node 3, no bool as node 1."""
+        with pytest.raises(QueryError):
+            evaluate_query_accuracy(
+                sbm_medium, SummaryGraph(sbm_medium), [node], query_types=("rwr",)
+            )
+
+
 class TestSingleNodeGraph:
     def test_harness_survives_a_single_node_graph(self, single_node):
         queries = sample_query_nodes(single_node, 5, seed=0)

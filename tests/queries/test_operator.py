@@ -90,14 +90,6 @@ class TestSummaryOperator:
         assert op.degrees()[0] == pytest.approx(3.0 + 4.0 / 16.0)
         assert np.allclose(op.matvec(x), op.degrees())
 
-    def test_use_weights_false_treats_blocks_as_full(self, two_cliques, stored):
-        assignment = np.asarray([0, 0, 0, 0, 1, 1, 1, 1])
-        summary = SummaryGraph.from_partition(
-            two_cliques, assignment, weighted=True, superedge_rule="all_blocks"
-        )
-        op = ReconstructedOperator(stored(summary), use_weights=False)
-        assert op.degrees()[0] == pytest.approx(3.0 + 4.0)
-
     def test_unsupported_source(self):
         with pytest.raises(QueryError):
             ReconstructedOperator([1, 2, 3])

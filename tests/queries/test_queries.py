@@ -183,19 +183,29 @@ class TestPhp:
 class TestQueryNodeValidation:
     """Every kernel rejects a bad query node with ``QueryError`` on every source."""
 
-    @pytest.mark.parametrize("node", [-1, "n", 1.5])
-    @pytest.mark.parametrize("kind", ["graph", "summary", "residual"])
-    @pytest.mark.parametrize("kernel", [rwr_scores, php_scores, hop_distances])
-    def test_rejects_bad_node(self, kernel, kind, node, path4):
-        source = {
+    @staticmethod
+    def _source(kind, path4):
+        return {
             "graph": path4,
             "summary": SummaryGraph(path4),
             "residual": ResidualSource(SummaryGraph(path4), [(0, 3)]),
         }[kind]
+
+    @pytest.mark.parametrize("node", [-1, "n", 1.5, True])
+    @pytest.mark.parametrize("kind", ["graph", "summary", "residual"])
+    @pytest.mark.parametrize("kernel", [rwr_scores, php_scores, hop_distances])
+    def test_rejects_bad_node(self, kernel, kind, node, path4):
+        source = self._source(kind, path4)
         if node == "n":
             node = source.num_nodes
         with pytest.raises(QueryError):
             kernel(source, node)
+
+    @pytest.mark.parametrize("kind", ["graph", "summary", "residual"])
+    @pytest.mark.parametrize("kernel", [rwr_scores, php_scores, hop_distances])
+    def test_numpy_integer_node_answers(self, kernel, kind, path4):
+        source = self._source(kind, path4)
+        assert np.array_equal(kernel(source, np.int64(2)), kernel(source, 2))
 
 
 class TestAccuracyImprovesWithBudget:

@@ -1,18 +1,19 @@
-"""The RWR/PHP solves against a dense direct solve, and their telemetry.
+"""The RWR/PHP solves and HOP's BFS against dense oracles, and their telemetry.
 
 The oracle materializes ``Â`` column by column through
-``ReconstructedOperator.matvec`` on unit vectors and solves both systems
-with ``np.linalg.solve`` (numpy only):
+``ReconstructedOperator.matvec`` on unit vectors, solves both systems
+with ``np.linalg.solve`` (numpy only) and runs a BFS over its nonzeros:
 
 * RWR: ``(D − (1−c)·Â) p = e_q`` on the positive-degree nodes, answer
   ``D p / Σ D p``;
 * PHP: ``(D − c·Â)_UU p_U = c·(Â e_q)_U`` on the positive-degree nodes
-  ``U`` other than ``q``, with ``p_q = 1``.
+  ``U`` other than ``q``, with ``p_q = 1``;
+* HOP: hop counts along the pairs with ``Â_uv > 0``, at every node.
 
-An isolated query answers ``e_q`` for both.  Sources that take the
-``stored`` fixture run in RAM and memory-mapped.  Summary and residual
-sources within ``DIRECT_MAX_BLOCKS`` take the supernode-space direct
-solve; graphs and the ``capped`` summary take CG.
+An isolated query answers ``e_q`` for RWR and PHP.  Sources that take
+the ``stored`` fixture run in RAM and memory-mapped.  Summary and
+residual sources within ``DIRECT_MAX_BLOCKS`` take the supernode-space
+direct solve; graphs and the ``capped`` summary take CG.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import repro.queries.operator as operator_module
 from repro.core import PegasusConfig, SummaryGraph, summarize
 from repro.graph import Graph, planted_partition
 from repro.obs import MetricsRegistry, disable_profiling, enable_profiling, samples_for
-from repro.queries import ReconstructedOperator, php_scores, rwr_scores
+from repro.queries import ReconstructedOperator, hop_distances, php_scores, rwr_scores
+from repro.queries.hop import hop_distances_reference
 from repro.queries.php import DEFAULT_CONTINUATION
 from repro.queries.rwr import DEFAULT_RESTART
 from repro.streaming import ResidualSource
@@ -160,6 +162,18 @@ def _php_direct(adjacency: np.ndarray, query: int, continuation: float) -> np.nd
     return scores
 
 
+def _hop_direct(adjacency: np.ndarray, query: int) -> np.ndarray:
+    dist = np.full(adjacency.shape[0], -1, dtype=np.int64)
+    dist[query] = 0
+    frontier = np.asarray([query])
+    level = 0
+    while frontier.size:
+        level += 1
+        frontier = np.flatnonzero((adjacency[frontier] > 0.0).any(axis=0) & (dist < 0))
+        dist[frontier] = level
+    return dist
+
+
 DIRECT = {
     "rwr": lambda a, q: _rwr_direct(a, q, DEFAULT_RESTART),
     "php": lambda a, q: _php_direct(a, q, DEFAULT_CONTINUATION),
@@ -193,6 +207,17 @@ def test_matches_direct_solve(case, kind, registry):
     iterations = _by_query(registry, "repro_solver_iterations")[kind]
     assert iterations["count"] == len(queries)
     assert _by_query(registry, "repro_solver_unconverged_total")[kind]["value"] == 0.0
+
+
+def test_hop_matches_bfs_over_dense_adjacency(case):
+    """One quotient BFS answers HOP at every node of every source kind."""
+    source, _ = case
+    op = ReconstructedOperator(source)
+    adjacency = _dense(op)
+    for query in range(op.num_nodes):
+        expected = _hop_direct(adjacency, query)
+        assert np.array_equal(hop_distances(op, query, unreachable="raw"), expected), query
+        assert np.array_equal(hop_distances_reference(source, query, unreachable="raw"), expected)
 
 
 @pytest.mark.parametrize("kind", sorted(KERNELS))
@@ -241,7 +266,7 @@ def test_size_cap_picks_the_solver(over, pegasus_summary, registry, monkeypatch)
     op = ReconstructedOperator(pegasus_summary)
     for kind in sorted(KERNELS):
         for query in (0, 9):
-            KERNELS[kind](pegasus_summary, query, operator=op)
+            KERNELS[kind](op, query)
     iterations = _by_query(registry, "repro_solver_iterations")
     if over:
         assert not builds and len(products) > 4
@@ -279,8 +304,8 @@ summary = SummaryGraph.from_partition(
 op = ReconstructedOperator(summary)
 digest = hashlib.sha256()
 for query in (0, 451, 899):
-    digest.update(rwr_scores(summary, query, operator=op).tobytes())
-    digest.update(php_scores(summary, query, operator=op).tobytes())
+    digest.update(rwr_scores(op, query).tobytes())
+    digest.update(php_scores(op, query).tobytes())
 print(op.direct_inverse(0.95)[0].shape[0], digest.hexdigest())
 """
 

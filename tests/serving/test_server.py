@@ -270,6 +270,22 @@ class TestAdmissionControl:
 
         asyncio.run(_run())
 
+    @pytest.mark.parametrize("node", [3.7, True])
+    def test_non_integral_and_boolean_nodes_rejected(self, summary_cluster, node):
+        """No truncation to node 3, no bool answered as node 1."""
+        async def _run():
+            async with QueryServer(summary_cluster) as server:
+                with pytest.raises(QueryError):
+                    server.submit_nowait(node, "rwr")
+                with pytest.raises(QueryError):
+                    await server.submit(node, "rwr")
+                answer = await server.submit(np.int64(3), "rwr")
+                assert server.stats.admitted == 1
+                return answer
+
+        answer = asyncio.run(_run())
+        assert answer.tobytes() == summary_cluster.answer(3, "rwr").tobytes()
+
     def test_submit_nowait_sheds_load_when_full(self, summary_cluster):
         async def _run():
             async with QueryServer(summary_cluster, max_pending=2) as server:
