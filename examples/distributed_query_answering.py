@@ -45,10 +45,10 @@ def main() -> None:
     ssumm = ssumm_summarize(graph, budget_bits=budget, seed=1).summary
 
     queries = sample_query_nodes(graph, 25, seed=5)
-    # Batch answering: queries grouped per machine, one operator build per
-    # machine.
-    pegasus_answers = personalized.answer_batch(queries, "rwr")
-    subgraph_answers = subgraphs.answer_batch(queries, "rwr")
+    # Batch answering: each query routes to its machine, which builds its
+    # operator once and reuses it for every query it owns.
+    pegasus_answers = personalized.answer_many(queries, "rwr")
+    subgraph_answers = subgraphs.answer_many(queries, "rwr")
     scores = {"PeGaSus cluster": [], "SSumM replicated": [], "Subgraph cluster": []}
     correlations = {name: [] for name in scores}
     for q in queries:

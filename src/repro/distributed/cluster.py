@@ -134,38 +134,16 @@ class DistributedCluster:
     def answer_many(self, nodes, query_type: str) -> Dict[int, np.ndarray]:
         """Answer a batch of queries (the multi-query workload of Sect. IV).
 
-        Returns a dict keyed by node id, so **repeated query nodes
-        collapse to a single entry** — harmless for accuracy experiments
-        (every occurrence has the same answer) but wrong for serving,
-        where each request must get its own response.  The serving layer
-        (:class:`repro.serving.QueryServer`) therefore keeps one future
-        per *request* and never routes through this dict.
+        Every node passes the kernels' node check before any is answered.
+        Returns a dict keyed by ``int`` node id in input order, so
+        **repeated query nodes collapse to a single entry** — harmless for
+        accuracy experiments (every occurrence has the same answer) but
+        wrong for serving, where each request must get its own response.
+        The serving layer (:class:`repro.serving.QueryServer`) therefore
+        keeps one future per *request* and never routes through this dict.
         """
+        nodes = [check_query_node(node, self.graph.num_nodes) for node in nodes]
         return {node: self.answer(node, query_type) for node in nodes}
-
-    def answer_batch(self, nodes, query_type: str) -> Dict[int, np.ndarray]:
-        """Serve a batch of routed queries with per-machine batching.
-
-        Queries are grouped by owning machine (Alg. 3's routing) and each
-        machine answers its whole group, in machine order, against its
-        one cached reconstruction operator.  Answers are exactly those of
-        :meth:`answer_many`, keyed by node in input order, and no
-        inter-machine communication happens.  Concurrent serving lives in
-        :class:`repro.serving.QueryServer` (``serve_queries``).
-
-        Like :meth:`answer_many`, the dict return **dedupes repeated
-        query nodes** (pinned by a regression test); per-request
-        answering lives in :class:`repro.serving.QueryServer`.
-        """
-        node_list = list(nodes)
-        groups: Dict[int, List[int]] = {}
-        for node in node_list:
-            groups.setdefault(self.machine_for(node).machine_id, []).append(node)
-        answers: Dict[int, np.ndarray] = {}
-        for machine_id in sorted(groups):
-            machine = self.machines[machine_id]
-            answers.update((node, machine.answer(node, query_type)) for node in groups[machine_id])
-        return {node: answers[node] for node in node_list}
 
     def memory_per_machine(self) -> List[float]:
         """Bits held by each machine (must respect the per-machine budget)."""

@@ -22,7 +22,7 @@ from repro.distributed.cluster import QUERY_TYPES, answer_query
 from repro.errors import QueryError
 from repro.eval.metrics import smape, spearman_correlation
 from repro.graph.graph import Graph
-from repro.queries.operator import QuerySource, ReconstructedOperator
+from repro.queries.operator import QuerySource, ReconstructedOperator, check_query_node
 
 
 @dataclass
@@ -71,7 +71,7 @@ def evaluate_query_accuracy(
         settings where different queries hit different sources (the
         distributed application, Alg. 3).
     """
-    nodes = list(query_nodes)
+    nodes = [check_query_node(node, graph.num_nodes) for node in query_nodes]
     exact_operator = ReconstructedOperator(graph)
     summary_operator = ReconstructedOperator(summary) if answer_on is None else None
 

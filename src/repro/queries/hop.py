@@ -1,16 +1,14 @@
 """HOP queries — shortest-path hop counts from a query node (Alg. 5).
 
 :func:`hop_distances` reads its source through a
-:class:`~repro.queries.operator.ReconstructedOperator`, like RWR and PHP.
-On a summary or residual source the BFS runs over the operator's
-quotient blocks (the refined partition its direct solve keeps): the
-members of a block share their neighborhood in ``Ĝ`` apart from each
-other, so a whole block takes its distance the moment it is first
-reached.  Only the query's own block needs care: its *other* members
-are at 1 when the block has a positive self density, else at 2 when it
-has any neighbor block, else out of reach.  A graph source keeps the
-node-level :func:`~repro.graph.traversal.bfs_distances` over its own
-CSR.  :func:`hop_distances_reference` keeps the literal
+:class:`~repro.queries.operator.ReconstructedOperator`, like RWR and PHP,
+and runs the operator's BFS
+(:meth:`~repro.queries.operator.ReconstructedOperator.bfs_distances`):
+on a summary or residual source it walks the quotient blocks the direct
+solve keeps, a whole block taking its distance the moment it is first
+reached, and on a graph the node-level
+:func:`~repro.graph.traversal.bfs_distances` over the graph's own CSR.
+:func:`hop_distances_reference` keeps the literal
 ``getNeighbors``-driven loop as the test oracle and Fig. 8's timing.
 
 Unreachable nodes get the length of the longest shortest path observed
@@ -22,12 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import QueryError
-from repro.graph.graph import Graph
-from repro.graph.traversal import bfs_distances
 from repro.queries.operator import (
     QuerySource,
     ReconstructedOperator,
-    _quotient_bfs,
     as_operator,
     check_query_node,
 )
@@ -99,9 +94,5 @@ def hop_distances(
     if unreachable not in _UNREACHABLE_MODES:
         raise QueryError(f"unreachable must be one of {_UNREACHABLE_MODES}")
     op = as_operator(source)
-    node = check_query_node(query, op.num_nodes)
-    if isinstance(op.source, Graph):
-        dist = bfs_distances(op.source, node)
-    else:
-        dist = _quotient_bfs(op, node)
+    dist = op.bfs_distances(check_query_node(query, op.num_nodes))
     return _fill_unreachable(dist, unreachable)

@@ -34,11 +34,11 @@ sparse PeGaSus summaries are fast in Fig. 8 while queries on the dense
 baseline summaries are not.
 
 **BFS over the quotient blocks** (HOP on summary and residual sources).
-:func:`_quotient_bfs` walks the refined partition the direct solve
-keeps: two blocks are adjacent when their parent supernodes have a
-positive density, or when a correction edge joins them.
-:meth:`ReconstructedOperator.block_adjacency` builds that adjacency on
-first use and caches it like ``H⁻¹``.
+:meth:`ReconstructedOperator.bfs_distances` walks the refined partition
+the direct solve keeps: two blocks are adjacent when their parent
+supernodes have a positive density, or when a correction edge joins
+them.  That adjacency is built on first use and cached like ``H⁻¹``; a
+graph source runs the node-level BFS over its own CSR instead.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ import numpy as np
 
 from repro.core.summary import SummaryGraph
 from repro.errors import QueryError
+from repro.graph import traversal
 from repro.graph.graph import Graph
 from repro.obs.profile import count, observe
 from repro.obs.registry import DEFAULT_SIZE_BOUNDS
@@ -74,12 +75,22 @@ QuerySource = Union[Graph, SummaryGraph, "ResidualSource"]
 #: Both paths solve the same system, so the cap only picks the cheaper one.
 DIRECT_MAX_BLOCKS = 353
 
-#: ``(parent, reach, extra)`` of :meth:`ReconstructedOperator.block_adjacency`.
-BlockAdjacency = Tuple[List[int], List[List[int]], Dict[int, List[int]]]
-
 #: Pivots per Gauss–Jordan panel: the inner dimension of the sweep's
 #: rank-``_PANEL`` updates (see :data:`DIRECT_MAX_BLOCKS`).
 _PANEL = 8
+
+
+def query_node_id(query: object) -> int:
+    """*query* as an ``int`` node id, before any range check.
+
+    A non-integral or boolean node raises :class:`QueryError`: 3.7 is not
+    truncated to node 3, nor ``True`` read as node 1.  Numpy integers
+    pass.  Network clients, which do not know the node count, run this
+    half of :func:`check_query_node` before a node goes on the wire.
+    """
+    if isinstance(query, bool) or not isinstance(query, (int, np.integer)):
+        raise QueryError(f"query node must be an integer, got {query!r}")
+    return int(query)
 
 
 def check_query_node(query: object, num_nodes: int) -> int:
@@ -89,11 +100,10 @@ def check_query_node(query: object, num_nodes: int) -> int:
     on every source type: a non-integral, boolean or out-of-range node
     raises :class:`QueryError`.
     """
-    if isinstance(query, bool) or not isinstance(query, (int, np.integer)):
-        raise QueryError(f"query node must be an integer, got {query!r}")
-    if not 0 <= query < num_nodes:
-        raise QueryError(f"query node {query} out of range [0, {num_nodes})")
-    return int(query)
+    node = query_node_id(query)
+    if not 0 <= node < num_nodes:
+        raise QueryError(f"query node {node} out of range [0, {num_nodes})")
+    return node
 
 
 def as_operator(source: "QuerySource | ReconstructedOperator") -> "ReconstructedOperator":
@@ -251,7 +261,7 @@ class ReconstructedOperator:
         self._block_degree = degree[keep]
         self._degrees = np.append(self._block_degree, 0.0)[self._labels]
         self._inverses: "Dict[float, Tuple[np.ndarray, np.ndarray]]" = {}
-        self._adjacency: "BlockAdjacency | None" = None
+        self._adjacency: "Tuple[List[int], List[List[int]], Dict[int, List[int]]] | None" = None
 
     # ------------------------------------------------------------------
     # operator interface
@@ -275,26 +285,66 @@ class ReconstructedOperator:
             system = self._inverses[damping] = self._build_inverse(damping)
         return system
 
-    def block_adjacency(self) -> "BlockAdjacency | None":
-        """``(parent, reach, extra)``: the quotient blocks' adjacency in ``Â``.
+    def bfs_distances(self, node: int) -> np.ndarray:
+        """Hop counts from *node* in ``Â``, ``-1`` where unreached.
 
-        ``None`` for graph sources, which have no blocks (HOP walks their
-        CSR).  Built on a source's first HOP read and cached, like
-        :meth:`direct_inverse`.  The blocks are those of the refined
-        partition (``_labels``), ``parent[a]`` is block ``a``'s summary
-        supernode, and ``reach[p]`` lists every block whose parent has a
-        positive density with ``p`` (``p`` included when its self density
-        is positive), so a BFS expands each parent once however many
-        blocks it was refined into.  ``extra[a]`` lists the blocks a
-        correction edge joins to the singleton block ``a``.
+        A graph source runs the node-level BFS over its own CSR.  On a
+        summary or residual source the BFS runs over the quotient blocks:
+        the members of a block have the same neighbors in ``Â`` apart from
+        each other, so every block but the query's own is reached whole
+        and its members take the block's BFS level.  The other members of
+        the query's block ``h`` share the query's neighbors, so they sit
+        at 1 when ``h``'s self density is positive, else at 2 when ``h``
+        has any neighbor block, else out of reach.  Zero-degree nodes,
+        which share the label one past the kept blocks, are isolated.
+        The block adjacency is built on the first call and cached, like
+        :meth:`direct_inverse`.
         """
         if self._mode == "graph":
-            return None
+            return traversal.bfs_distances(self.source, node)
         if self._adjacency is None:
             self._adjacency = self._build_adjacency()
-        return self._adjacency
+        parent, reach, extra = self._adjacency
+        labels = self._labels
+        home = int(labels[node])
+        level = [-1] * (len(parent) + 1)
+        if home < len(parent):
+            level[home] = 0
+            expanded = set()
+            frontier = [home]
+            depth = 0
+            while frontier:
+                depth += 1
+                found = []
+                for a in frontier:
+                    p = parent[a]
+                    if p not in expanded:
+                        expanded.add(p)
+                        for b in reach[p]:
+                            if level[b] < 0:
+                                level[b] = depth
+                                found.append(b)
+                    for b in extra.get(a, ()):
+                        if level[b] < 0:
+                            level[b] = depth
+                            found.append(b)
+                frontier = found
+            # A block at level 1 is a neighbor block of home.
+            level[home] = 1 if self._self_density[parent[home]] > 0.0 else 2 if 1 in level else -1
+        dist = np.array(level, dtype=np.int64)[labels]
+        dist[node] = 0
+        return dist
 
-    def _build_adjacency(self) -> "BlockAdjacency":
+    def _build_adjacency(self) -> "Tuple[List[int], List[List[int]], Dict[int, List[int]]]":
+        """``(parent, reach, extra)``: the quotient blocks' adjacency in ``Â``.
+
+        ``parent[a]`` is block ``a``'s summary supernode, and ``reach[p]``
+        lists every block whose parent has a positive density with ``p``
+        (``p`` included when its self density is positive), so a BFS
+        expands each parent once however many blocks it was refined into.
+        ``extra[a]`` lists the blocks a correction edge joins to the
+        singleton block ``a``.
+        """
         k = self._num_supernodes
         parent = self._block_parent
         loops = np.flatnonzero(self._self_density > 0.0)
@@ -448,49 +498,6 @@ def _solve_direct(
     potential = values[op._labels]
     potential[node] += 1.0 / lam[block]
     return potential
-
-
-def _quotient_bfs(op: ReconstructedOperator, node: int) -> np.ndarray:
-    """Hop counts from *node* in ``Â`` (``-1`` unreached), by a BFS over blocks.
-
-    The members of a block have the same neighbors in ``Â`` apart from
-    each other, so every block but the query's own is reached whole:
-    its members' distance is the block's BFS level.  The other members
-    of the query's block ``h`` share the query's neighbors, so they sit at
-    1 when ``h``'s self density is positive, else at 2 when ``h`` has any
-    neighbor block, else out of reach.  Zero-degree nodes, which share the
-    label one past the kept blocks, are isolated.
-    """
-    labels = op._labels
-    home = int(labels[node])
-    parent, reach, extra = op.block_adjacency()
-    level = [-1] * (len(parent) + 1)
-    if home < len(parent):
-        level[home] = 0
-        expanded = set()
-        frontier = [home]
-        depth = 0
-        while frontier:
-            depth += 1
-            found = []
-            for a in frontier:
-                p = parent[a]
-                if p not in expanded:
-                    expanded.add(p)
-                    for b in reach[p]:
-                        if level[b] < 0:
-                            level[b] = depth
-                            found.append(b)
-                for b in extra.get(a, ()):
-                    if level[b] < 0:
-                        level[b] = depth
-                        found.append(b)
-            frontier = found
-        # A block at level 1 is a neighbor block of home.
-        level[home] = 1 if op._self_density[parent[home]] > 0.0 else 2 if 1 in level else -1
-    dist = np.array(level, dtype=np.int64)[labels]
-    dist[node] = 0
-    return dist
 
 
 def _gauss_jordan_inverse(matrix: np.ndarray, panel: int = _PANEL) -> np.ndarray:

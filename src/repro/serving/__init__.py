@@ -1,7 +1,7 @@
 """Async query serving over the communication-free cluster (Sect. IV, online).
 
 The batch pipeline answers a *fixed* query set
-(:meth:`~repro.distributed.cluster.DistributedCluster.answer_batch`);
+(:meth:`~repro.distributed.cluster.DistributedCluster.answer_many`);
 this package serves a *stream*: :class:`QueryServer` admits queries
 continuously on an asyncio event loop, micro-batches them per owning
 machine by arrival window, applies bounded-queue admission control, and

@@ -41,6 +41,7 @@ import numpy as np
 from repro import errors as _errors
 from repro.errors import CodecError, ProtocolError, ReproError, ServingError
 from repro.obs import ObsConfig
+from repro.queries.operator import query_node_id
 from repro.resilience.policy import Deadline, RetryPolicy
 from repro.serving.protocol import (
     FrameDecoder,
@@ -695,6 +696,8 @@ class NetClient:
     ) -> np.ndarray:
         """Answer one query over the wire; byte-identical to the cluster's.
 
+        A non-integral or boolean *node* raises
+        :class:`~repro.errors.QueryError` before anything is sent.
         *deadline_ms* ships with the request — the server tightens its
         own budget with it and sheds expired work with a typed
         ``DeadlineExceeded`` — and also bounds the local wait at the
@@ -703,7 +706,7 @@ class NetClient:
         message: "Dict[str, Any]" = {
             "op": "query",
             "tenant": tenant,
-            "node": int(node),
+            "node": query_node_id(node),
             "type": query_type,
         }
         timeout_ms = None
@@ -976,7 +979,7 @@ class ResilientClient:
             f"query:{tenant}:{node}",
             "query",
             tenant,
-            int(node),
+            query_node_id(node),
             query_type,
             deadline_ms=deadline_ms,
         )

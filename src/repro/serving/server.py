@@ -1,7 +1,7 @@
 """The asyncio query-serving front end (the Sect. IV workload, online).
 
 :class:`QueryServer` turns the batch boundary of
-:meth:`~repro.distributed.cluster.DistributedCluster.answer_batch` into a
+:meth:`~repro.distributed.cluster.DistributedCluster.answer_many` into a
 continuously admitting service:
 
 * **Admission** — ``await submit(node, qt)`` routes the query to its
@@ -42,7 +42,7 @@ continuously admitting service:
   onto the machine's lane, re-spawned, or the nearest lane whose breaker
   admits; clients never see the death, only the answer.
 * **Per-request futures** — every submission gets its own future, so
-  duplicate query nodes receive one answer *each* (``answer_batch``'s
+  duplicate query nodes receive one answer *each* (``answer_many``'s
   dict return collapses duplicates; the serving layer must not).
 * **Hot swap** — :meth:`QueryServer.swap_machine` replaces one machine's
   query source between micro-batches (the streaming layer's refresh

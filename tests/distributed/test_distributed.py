@@ -104,14 +104,14 @@ class TestCluster:
             summary_cluster.machine_for(node)
         with pytest.raises(QueryError):
             summary_cluster.answer(node, "rwr")
-        for api in (summary_cluster.answer_many, summary_cluster.answer_batch):
-            with pytest.raises(QueryError):
-                api([0, node], "hop")
+        with pytest.raises(QueryError):
+            summary_cluster.answer_many([0, node], "hop")
 
     def test_numpy_integer_nodes_answer(self, summary_cluster):
         expected = summary_cluster.answer(3, "php")
         assert np.array_equal(summary_cluster.answer(np.int64(3), "php"), expected)
-        batch = summary_cluster.answer_batch(np.asarray([3, 5]), "php")
+        batch = summary_cluster.answer_many(np.asarray([3, 5]), "php")
+        assert [type(node) for node in batch] == [int, int]  # JSON-ready keys
         assert np.array_equal(batch[3], expected)
 
     def test_overlapping_parts_rejected(self, graph):

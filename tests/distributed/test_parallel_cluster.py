@@ -2,7 +2,7 @@
 
 Pins three guarantees: (a) ``build_summary_cluster`` /
 ``build_subgraph_cluster`` produce byte-identical machines at any worker
-count, (b) ``answer_batch`` answers exactly like the per-query loop for
+count, (b) ``answer_many`` answers exactly like the per-query loop for
 every query type, and (c) the communication-free property survives a
 parallel build and batch answering.
 """
@@ -129,47 +129,43 @@ class TestAnswerBatch:
     @pytest.mark.parametrize("query_type", QUERY_TYPES)
     def test_matches_per_query_loop(self, sequential_cluster, query_type):
         nodes = [0, 5, 9, 40, 80, 121]
-        expected = sequential_cluster.answer_many(nodes, query_type)
-        batch = sequential_cluster.answer_batch(nodes, query_type)
-        assert list(batch) == [int(n) for n in nodes]
-        for node in expected:
-            assert np.array_equal(expected[node], batch[node])
+        batch = sequential_cluster.answer_many(nodes, query_type)
+        assert list(batch) == nodes
+        for node in nodes:
+            assert np.array_equal(batch[node], sequential_cluster.answer(node, query_type))
 
     def test_duplicate_nodes_preserved(self, sequential_cluster):
-        batch = sequential_cluster.answer_batch([3, 3, 7], "hop")
+        batch = sequential_cluster.answer_many([3, 3, 7], "hop")
         assert set(batch) == {3, 7}
         assert np.array_equal(batch[3], sequential_cluster.answer(3, "hop"))
 
     def test_dict_return_dedupes_duplicate_nodes(self, sequential_cluster):
-        """Documented contract: the dict-returning batch APIs collapse
+        """Documented contract: the dict-returning batch API collapses
         repeated query nodes to one entry, so callers that need one
         answer per *request* (the serving layer) must not route through
-        them.  ``repro.serving`` pins the per-request side."""
-        nodes = [5, 5, 5, 9]
-        for api in (sequential_cluster.answer_many, sequential_cluster.answer_batch):
-            answers = api(nodes, "rwr")
-            assert len(answers) == 2  # not 4: duplicates silently collapse
-            assert list(answers) == [5, 9]
+        it.  ``repro.serving`` pins the per-request side."""
+        answers = sequential_cluster.answer_many([5, 5, 5, 9], "rwr")
+        assert len(answers) == 2  # not 4: duplicates silently collapse
+        assert list(answers) == [5, 9]
 
     def test_empty_batch(self, sequential_cluster):
-        assert sequential_cluster.answer_batch([], "rwr") == {}
+        assert sequential_cluster.answer_many([], "rwr") == {}
 
     def test_out_of_range_node_rejected(self, sequential_cluster):
         with pytest.raises(QueryError):
-            sequential_cluster.answer_batch([0, 10_000], "rwr")
+            sequential_cluster.answer_many([0, 10_000], "rwr")
 
     def test_unknown_query_type_rejected(self, sequential_cluster):
         with pytest.raises(QueryError):
-            sequential_cluster.answer_batch([0], "pagerank")
+            sequential_cluster.answer_many([0], "pagerank")
 
     def test_batch_stays_communication_free(self, parallel_cluster):
-        parallel_cluster.answer_batch([0, 41, 81, 121], "rwr")
+        parallel_cluster.answer_many([0, 41, 81, 121], "rwr")
         parallel_cluster.assert_communication_free()
 
     def test_subgraph_cluster_batch(self, graph):
         cluster = build_subgraph_cluster(graph, 4, 0.4 * graph.size_in_bits())
         nodes = [1, 50, 100]
-        expected = cluster.answer_many(nodes, "rwr")
-        batch = cluster.answer_batch(nodes, "rwr")
-        for node in expected:
-            assert np.array_equal(expected[node], batch[node])
+        batch = cluster.answer_many(nodes, "rwr")
+        for node in nodes:
+            assert np.array_equal(batch[node], cluster.answer(node, "rwr"))

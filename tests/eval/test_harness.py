@@ -23,6 +23,7 @@ from repro.eval import (
     time_call,
 )
 from repro.graph import Graph
+from repro.queries import rwr_scores
 
 
 @pytest.fixture
@@ -60,6 +61,20 @@ class TestQueryNodeValidation:
             evaluate_query_accuracy(
                 sbm_medium, SummaryGraph(sbm_medium), [node], query_types=("rwr",)
             )
+
+    def test_answer_on_receives_int_nodes(self, sbm_medium):
+        """Numpy node arrays (what ``sample_query_nodes`` returns) reach
+        an ``answer_on`` callback as plain ``int`` node ids."""
+        seen = []
+
+        def answer_on(node, query_type):
+            seen.append(node)
+            return rwr_scores(sbm_medium, node)
+
+        evaluate_query_accuracy(
+            sbm_medium, None, np.asarray([3, 5]), query_types=("rwr",), answer_on=answer_on
+        )
+        assert seen == [3, 5] and [type(node) for node in seen] == [int, int]
 
 
 class TestSingleNodeGraph:

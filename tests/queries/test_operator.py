@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import SummaryGraph
 from repro.errors import QueryError
-from repro.queries import ReconstructedOperator
+from repro.queries import ReconstructedOperator, hop_distances
 
 
 def dense_adjacency(graph_or_summary):
@@ -49,6 +49,16 @@ class TestGraphOperator:
         op = ReconstructedOperator(triangle)
         with pytest.raises(QueryError):
             op.matvec(np.ones(5))
+
+    def test_hop_read_builds_no_edge_array(self, ba_small, stored):
+        """HOP walks the graph's own CSR, so a HOP read on a graph operator
+        (a mapped one included) copies no edge-length array into RAM; the
+        first product builds it."""
+        op = ReconstructedOperator(stored(ba_small))
+        assert np.array_equal(hop_distances(op, 0), hop_distances(ba_small, 0))
+        assert op._heads is None
+        op.matvec(np.ones(op.num_nodes))
+        assert op._heads is not None
 
 
 class TestSummaryOperator:

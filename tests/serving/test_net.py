@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import asyncio
 
+import numpy as np
 import pytest
 
 from repro.core import PegasusConfig
 from repro.distributed import build_summary_cluster
 from repro.errors import FrameError, ProtocolError, QueryError, ServingError, TenantError
 from repro.graph import planted_partition
-from repro.serving import NetClient, NetServer, TenantConfig, TenantHost
+from repro.serving import NetClient, NetServer, ResilientClient, TenantConfig, TenantHost
 from repro.serving.protocol import HEADER, encode_frame
 
 pytestmark = pytest.mark.filterwarnings("error::ResourceWarning")
@@ -181,6 +182,32 @@ class TestQueriesOverTheWire:
                 await host.close()
 
         asyncio.run(_run())
+
+    @pytest.mark.parametrize("node", [3.7, True])
+    def test_non_integral_and_boolean_nodes_rejected(self, clusters, node):
+        """Both clients run the kernels' node check before sending: no
+        truncation to node 3, no bool as node 1; numpy integers answer."""
+
+        async def _run():
+            host, server = await _serving(clusters)
+            try:
+                async with await NetClient.connect("127.0.0.1", server.port) as client:
+                    with pytest.raises(QueryError):
+                        await client.query("acme", node, "rwr")
+                    answer = await client.query("acme", np.int64(3), "rwr")
+                async with ResilientClient("127.0.0.1", server.port) as resilient:
+                    with pytest.raises(QueryError):
+                        await resilient.query("acme", node, "rwr")
+                    assert resilient.connects == 0  # rejected before connecting
+                stats = host.stats("acme").as_dict()
+                return answer, stats
+            finally:
+                await server.stop()
+                await host.close()
+
+        answer, stats = asyncio.run(_run())
+        assert answer.tobytes() == clusters["acme"].answer(3, "rwr").tobytes()
+        assert stats["admitted"] == 1  # only the numpy-integer query
 
     def test_stats_over_the_wire(self, clusters):
         async def _run():
