@@ -427,7 +427,6 @@ def _cmd_serve_net(args) -> int:
             workers=args.workers,
             chaos=chaos,
             obs=obs,
-            supervise_ms=args.supervise_ms,
             lane_breaker=BreakerConfig() if args.workers != 1 else None,
         ) as host:
             for tenant, cluster in clusters.items():
@@ -496,11 +495,11 @@ def _cmd_serve_net(args) -> int:
                     await asyncio.Event().wait()
                 if metrics_http is not None:
                     await metrics_http.stop()
-                return stats
+                return stats, host.executor.respawns
 
     started = time.perf_counter()
     try:
-        all_stats = asyncio.run(_run())
+        all_stats, respawns = asyncio.run(_run())
     finally:
         if tracer is not None:
             tracer.close()
@@ -521,7 +520,10 @@ def _cmd_serve_net(args) -> int:
         f"chaos={args.chaos or 'none'}"
     )
     print(f"queries         {total_answered} answered in {elapsed:.2f}s ({total_answered / elapsed:.1f} q/s)")
-    print(f"resilience      redispatches={redispatches}, hedged={hedged}, shed={total_shed}")
+    print(
+        f"resilience      redispatches={redispatches}, hedged={hedged}, shed={total_shed}, "
+        f"respawns={respawns}"
+    )
     print(f"latency         p50 {p50:.1f}ms, p99 {p99:.1f}ms")
     from repro.obs import quantile_from_sample, samples_for
 
@@ -1150,12 +1152,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=30000.0,
         help="close a connection stalled mid-frame for this long (slow-loris bound)",
-    )
-    serve_net_cmd.add_argument(
-        "--supervise-ms",
-        type=float,
-        default=100.0,
-        help="lane supervisor heartbeat interval (respawns dead lane workers)",
     )
     serve_net_cmd.add_argument(
         "--serve-forever",

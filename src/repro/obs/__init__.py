@@ -6,9 +6,10 @@ Three layers, all optional and all off the hot path when unused:
   mergeable log-bucket histograms, with Prometheus-text and JSON
   exposition (:class:`MetricsRegistry`, :func:`get_registry`).
 * :mod:`repro.obs.trace` — ``trace_id``/span request tracing
-  (:class:`Tracer`); ids are minted at the serving edge and propagated
-  through batch payloads across the fork boundary, so worker-side
-  compute spans land under the parent-minted trace.
+  (:class:`Tracer`); ids are minted at the serving edge and never cross
+  the fork boundary: the parent records each batch's worker-side
+  ``compute`` span under the request's id, from the reply's worker pid
+  and compute time.
 * :mod:`repro.obs.profile` — :func:`probe` phase timers threaded
   through the merge engines, the streaming swap path, and the store
   load/spill path; no-ops unless :func:`enable_profiling` ran.
@@ -86,16 +87,15 @@ class ObsConfig:
     ``registry=None`` keeps a query server's metrics in a private
     registry (and disables the net tier's), ``tracer=None`` disables
     tracing; ``tenant`` labels every metric the holder records (the
-    multi-tenant host stamps each tenant's server with its name).
-    ``profile_workers`` ships the profiling switch to lane workers so
-    worker-side probes (store loads, operator builds) record and are
-    harvested back per batch into ``registry``.
+    multi-tenant host stamps each tenant's server with its name).  With
+    a ``registry``, lane workers turn their probes on (store loads,
+    operator builds) and their metrics are harvested back per batch
+    into it.
     """
 
     registry: "MetricsRegistry | None" = None
     tracer: "Tracer | None" = None
     tenant: str = ""
-    profile_workers: bool = True
 
     @classmethod
     def default(cls, **kwargs: Any) -> "ObsConfig":

@@ -23,9 +23,10 @@ tier (see ``docs/architecture.md`` for the lifecycle diagram):
     Ingress to resolution, recorded by :meth:`TraceHandle.finish`.
 
 Trace ids are minted at the edge — :class:`~repro.serving.net.NetServer`
-ingress, or ``QueryServer.submit`` for in-process callers — and ride
-inside batch payloads across the process boundary, so a worker-side
-span lands under the parent-minted id.
+ingress, or ``QueryServer.submit`` for in-process callers — and stay in
+the parent: a batch task carries no trace id, and the parent records the
+worker's ``compute`` span under each request's id from the batch reply's
+``pid`` and ``compute_s``.
 
 Collected spans go to a bounded in-memory ring (cheap, always safe to
 leave on) and optionally to a JSONL sink, one span per line.  A

@@ -79,10 +79,8 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def default_context(mp_context=None):
-    """*mp_context*, or ``fork`` where available and ``spawn`` elsewhere."""
-    if mp_context is not None:
-        return mp_context
+def default_context():
+    """The ``fork`` context where available, ``spawn`` elsewhere."""
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     return multiprocessing.get_context(method)
 
@@ -121,11 +119,9 @@ class ParallelExecutor:
     ----------
     workers:
         Pool size, normalized by :func:`resolve_workers` (``1``/``None``
-        = inline sequential, ``0``/negative = all cores).
-    mp_context:
-        Optional :mod:`multiprocessing` context.  Defaults to ``fork``
-        where available (cheap, inherits the graph copy-on-write) and
-        ``spawn`` elsewhere; everything shipped is spawn-safe either way.
+        = inline sequential, ``0``/negative = all cores).  The pool
+        forks where available (cheap, inherits the graph copy-on-write)
+        and spawns elsewhere; everything shipped is spawn-safe either way.
 
     Example
     -------
@@ -136,9 +132,8 @@ class ParallelExecutor:
     [10, 40, 90]
     """
 
-    def __init__(self, workers: "int | None" = 1, *, mp_context=None):
+    def __init__(self, workers: "int | None" = 1):
         self.workers = resolve_workers(workers)
-        self._mp_context = mp_context
 
     def map(
         self,
@@ -164,7 +159,7 @@ class ParallelExecutor:
             return [fn(shared, task) for task in tasks]
         with ProcessPoolExecutor(
             max_workers=workers,
-            mp_context=default_context(self._mp_context),
+            mp_context=default_context(),
             initializer=_init_worker,
             initargs=(fn, shared),
         ) as pool:

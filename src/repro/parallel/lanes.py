@@ -37,14 +37,20 @@ arrives.  The worker is therefore reading whenever the parent writes, so
 the parent never blocks on a send while the worker blocks sending a
 large reply.
 
-**Death.**  EOF on a lane's pipe means its worker died: every future of
-that lane, queued ones included, fails with
-:class:`~concurrent.futures.process.BrokenProcessPool`, and the next
-:meth:`~LaneExecutor.submit` re-spawns the lane.  The caller re-dispatches;
-this class owns placement and lifecycle, not retry policy.  EOF seen by
-a worker means its parent died, and the worker exits.  That EOF arrives
-only because each forked worker closes every lane's parent end it
-inherited.
+**Death.**  EOF on a lane's pipe means its worker died, and while the
+executor is started that EOF heals the lane at once: a fresh worker
+takes the lane, then every future of the dead one, queued ones
+included, fails with :class:`~concurrent.futures.process.BrokenProcessPool`
+(so a retry from their callbacks lands on the fresh worker).  The lanes
+that :meth:`~LaneExecutor.start` and a re-spawn fork are watched by the
+running event loop, if any, so a worker that dies idle is replaced
+without traffic.  A replacement that dies before its first reply is
+left dead for the next :meth:`~LaneExecutor.submit` to re-spawn: a
+worker that cannot stay up costs at most one fork per submit, never a
+fork loop on the event loop.  The caller re-dispatches; this class owns
+placement and lifecycle, not retry policy.  EOF seen by a worker means
+its parent died, and the worker exits.  That EOF arrives only because
+each forked worker closes every lane's parent end it inherited.
 
 ``workers=1`` (or ``None``) is the inline reference path: no processes,
 tasks run immediately in the caller with their parcels whole, and
@@ -64,7 +70,7 @@ import weakref
 from collections import deque
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Deque, Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.parallel.executor import TaskFn, default_context, resolve_workers
 
@@ -112,9 +118,14 @@ def _lane_main(conn) -> None:
 
 
 class _Lane:
-    """One worker process, the parent end of its pipe, and its task FIFO."""
+    """One worker process, the parent end of its pipe, and its task FIFO.
 
-    def __init__(self, context):
+    *on_eof* is called with the lane when its pipe reports the worker's
+    death; it must end in :meth:`die`.  *heals* says whether that death
+    re-spawns the lane at once; a lane sets it itself on its first reply.
+    """
+
+    def __init__(self, context, on_eof: "Callable[[_Lane], None]", *, heals: bool):
         conn, child_end = context.Pipe(duplex=True)
         _PARENT_ENDS.add(conn)
         try:
@@ -146,6 +157,8 @@ class _Lane:
         self._naming: "List[Tuple[Hashable, Hashable]]" = []
         self.loop: "Optional[asyncio.AbstractEventLoop]" = None
         self.dead = False
+        self.heals = heals
+        self._on_eof = on_eof
 
     def alive(self) -> bool:
         """Whether the lane can take work.  Reads the process sentinel, so
@@ -184,7 +197,7 @@ class _Lane:
             try:
                 self.conn.send((fn, self._unheld(shared), self._unheld(task)))
             except OSError:
-                self.die()
+                self._on_eof(self)
             except Exception as exc:  # noqa: BLE001 - the task does not pickle
                 self.running = None
                 future.set_exception(exc)
@@ -223,8 +236,9 @@ class _Lane:
         try:
             data = self.conn.recv_bytes()
         except (EOFError, OSError):
-            self.die()
+            self._on_eof(self)
             return
+        self.heals = True
         try:
             ok, value = pickle.loads(data)
         except Exception as exc:  # noqa: BLE001 - a reply that does not unpickle
@@ -302,33 +316,19 @@ class LaneExecutor:
     workers:
         Number of lanes, normalized by
         :func:`~repro.parallel.executor.resolve_workers` (``1``/``None``
-        = inline, ``0``/negative = one lane per core).
-    mp_context:
-        Optional :mod:`multiprocessing` context for the workers
-        (default: ``fork`` where available, else ``spawn``).
-    standby:
-        Keep one extra worker forked and ready, so a re-spawn promotes
-        it instead of starting a cold process.
+        = inline, ``0``/negative = one lane per core).  Workers fork
+        where the platform can, and spawn elsewhere.
 
     Use :meth:`start` / :meth:`shutdown` (or a ``with`` block) around a
     serving session.  :meth:`submit` places one task on one lane.
+    ``respawns`` counts the workers forked to replace dead ones.
     """
 
-    def __init__(
-        self,
-        workers: "int | None" = 1,
-        *,
-        mp_context=None,
-        standby: bool = False,
-    ):
+    def __init__(self, workers: "int | None" = 1):
         self.workers = resolve_workers(workers)
-        self._mp_context = mp_context
         self._lanes: "List[_Lane]" = []
-        self._standby: "Optional[_Lane]" = None
-        self._keep_standby = bool(standby)
         self._started = False
         self.respawns = 0
-        self.standby_promotions = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -348,8 +348,11 @@ class LaneExecutor:
         """Number of placement lanes (1 when inline)."""
         return max(1, self.workers)
 
-    def _spawn(self) -> _Lane:
-        return _Lane(default_context(self._mp_context))
+    def _spawn(self, *, heals: bool) -> _Lane:
+        """Fork one lane's worker, watched by the running loop if any."""
+        lane = _Lane(default_context(), self._on_eof, heals=heals)
+        lane.watch()
+        return lane
 
     def start(self) -> "LaneExecutor":
         """Fork every lane's worker (none when inline); raises if started."""
@@ -358,9 +361,7 @@ class LaneExecutor:
         if not self.inline:
             try:
                 for _ in range(self.workers):
-                    self._lanes.append(self._spawn())
-                if self._keep_standby:
-                    self._standby = self._spawn()
+                    self._lanes.append(self._spawn(heals=True))
             except BaseException:
                 self.shutdown(wait=False)
                 raise
@@ -368,16 +369,13 @@ class LaneExecutor:
         return self
 
     def shutdown(self, *, wait: bool = True) -> None:
-        """Tear every lane down (idempotent).
+        """Tear every lane down (idempotent); nothing is re-spawned.
 
         ``wait=True`` lets queued and running tasks finish first;
         ``wait=False`` fails them with ``BrokenProcessPool`` and kills
         the workers.  Either way every worker is reaped before return.
         """
         lanes, self._lanes = self._lanes, []
-        if self._standby is not None:
-            lanes.append(self._standby)
-            self._standby = None
         self._started = False
         for lane in lanes:
             lane.stop(drain=wait)
@@ -399,32 +397,25 @@ class LaneExecutor:
         return self._lanes[index]
 
     def _replace(self, index: int) -> None:
-        """Swap in a fresh worker for lane *index*: the warm standby when
-        one is armed and alive (re-armed right away), else a cold spawn.
-        The old worker's tasks fail with ``BrokenProcessPool``."""
+        """Fork a fresh worker for lane *index*; the old worker's tasks
+        fail with ``BrokenProcessPool``."""
         old = self._lanes[index]
         try:
-            standby, self._standby = self._standby, None
-            if standby is not None and standby.alive():
-                self._lanes[index] = standby
-                self.standby_promotions += 1
-            else:
-                if standby is not None:
-                    standby.stop(drain=False)
-                self._lanes[index] = self._spawn()
+            self._lanes[index] = self._spawn(heals=False)
             self.respawns += 1
-            if self._keep_standby:
-                self._standby = self._spawn()
         finally:
             # Last: failing the old futures runs their callbacks, and a
             # callback that submits again must find the new worker here.
             old.stop(drain=False)
 
-    def respawn_lane(self, lane: int) -> None:
-        """Force-replace one lane's worker (used after a detected death)."""
-        if self.inline or not self._started:
-            return
-        self._replace(lane % self.lanes)
+    def _on_eof(self, lane: _Lane) -> None:
+        """A lane's pipe reported its worker's death: re-spawn the lane
+        at once while started, unless it is a replacement that never
+        replied (the next submit re-spawns that one)."""
+        if self._started and lane.heals:
+            self._replace(self._lanes.index(lane))
+        else:
+            lane.die()
 
     def forget(self, slots: "Iterable[Hashable]") -> None:
         """Drop *slots* from every lane's record, once no worker keeps
@@ -437,11 +428,10 @@ class LaneExecutor:
     def lane_health(self) -> "List[bool]":
         """Liveness per lane, read from each worker's process sentinel.
 
-        The supervisor's heartbeat source.  Inline mode reports a single
-        healthy lane (the caller itself).  A lane whose worker died
-        while idle shows unhealthy *before* any submit trips over it —
-        proactive detection instead of paying a ``BrokenProcessPool`` on
-        a live request.
+        What the ``health`` wire op reports.  Inline mode reports a
+        single healthy lane (the caller itself).  A worker that died, or
+        was reaped elsewhere, reads as dead here before its lane's EOF
+        is handled.
         """
         if self.inline:
             return [True]

@@ -1,6 +1,8 @@
-"""Resilience layer: deadlines, retry policies, breakers, supervision, recovery.
+"""Resilience layer: deadlines, retry policies, breakers, recovery.
 
-Four small modules, each owning one failure domain of the serving stack:
+Three small modules, each owning one failure domain of the serving stack
+(a dead lane worker is re-spawned by its own lane, see
+:mod:`repro.parallel.lanes`):
 
 * :mod:`repro.resilience.policy` — :class:`Deadline` budgets (minted at
   network ingress, propagated into worker batch payloads) and
@@ -9,16 +11,12 @@ Four small modules, each owning one failure domain of the serving stack:
   redispatch.
 * :mod:`repro.resilience.breaker` — closed/open/half-open circuit
   breakers with failure-rate windows, per lane and per tenant.
-* :mod:`repro.resilience.health` — a lane supervisor that heartbeats
-  worker pids and proactively respawns unhealthy lanes (optionally from
-  a warm standby), exporting ``repro_lane_state`` gauges.
 * :mod:`repro.resilience.recovery` — whole-server crash-restart:
   persist tenant serving state under ``--state-dir`` with the store
   layer's crash-atomic discipline, verify + replay + rebuild on restart.
 """
 
 from repro.resilience.breaker import BreakerBoard, BreakerConfig, CircuitBreaker
-from repro.resilience.health import LaneSupervisor
 from repro.resilience.policy import Deadline, RetryPolicy
 from repro.resilience.recovery import (
     HostState,
@@ -33,7 +31,6 @@ __all__ = [
     "CircuitBreaker",
     "Deadline",
     "HostState",
-    "LaneSupervisor",
     "RecoveredTenant",
     "RetryPolicy",
     "doctor_report",

@@ -388,12 +388,12 @@ class NetServer:
             )
 
     async def _reply_health(self, connection: _Connection, message: Dict[str, Any]) -> None:
-        """The ``health`` wire op: lane liveness, breakers, supervisor.
+        """The ``health`` wire op: lane liveness and respawns, breakers.
 
         The payload is :meth:`~repro.serving.tenancy.TenantHost.health`
-        — supervisor snapshot (or a direct lane probe), the shared lane
-        breaker board, and every tenant's deadline-burn breaker — plus
-        this server's connection count.
+        — per-lane liveness, worker pids and the executor's respawn
+        count, the shared lane breaker board, and every tenant's
+        deadline-burn breaker — plus this server's connection count.
         """
         payload = dict(self._tenants.health())
         payload["connections"] = len(self._connections)
@@ -758,9 +758,10 @@ class NetClient:
     async def health(self) -> Dict[str, Any]:
         """The server's resilience snapshot (the ``health`` wire op).
 
-        Lane liveness (supervisor snapshot when one runs), the shared
-        lane breaker board, every tenant's deadline-burn breaker, and
-        the live connection count.
+        Per-lane liveness (``lanes``), worker pids (``lane_pids``) and
+        the count of replaced workers (``respawns``), the shared lane
+        breaker board, every tenant's deadline-burn breaker, and the
+        live connection count.
         """
         reply = await self._request({"op": "health"})
         payload = reply.get("health")

@@ -258,8 +258,6 @@ class QueryServer:
         Bound on admitted-but-undispatched requests (the admission
         queue).  Full queue ⇒ ``submit`` backpressures, ``submit_nowait``
         raises.
-    mp_context:
-        Optional multiprocessing context for the serving lanes.
     executor:
         Optional **external, already started**
         :class:`~repro.parallel.lanes.LaneExecutor` shared with other
@@ -322,7 +320,6 @@ class QueryServer:
         max_batch: int = 16,
         max_wait_ms: float = 2.0,
         max_pending: int = 1024,
-        mp_context=None,
         executor: "LaneExecutor | None" = None,
         lane_offset: int = 0,
         hedge_ms: "float | None" = None,
@@ -345,7 +342,6 @@ class QueryServer:
         self._max_batch = int(max_batch)
         self._max_wait = float(max_wait_ms) / 1000.0
         self._max_pending = int(max_pending)
-        self._mp_context = mp_context
         self._external_executor = executor
         self._lane_offset = int(lane_offset)
         self._hedge = None if hedge_ms is None else float(hedge_ms) / 1000.0
@@ -364,7 +360,7 @@ class QueryServer:
         # Lane workers profile and ship their metrics back only when
         # there is a caller's registry to merge them into.
         self._ppid = os.getpid()
-        self._profile_workers = obs.registry is not None and obs.profile_workers
+        self._profile_workers = obs.registry is not None
         self._ledger = _ledger_instruments(registry, tenant)
         self._queue_wait = registry.histogram(
             "repro_queue_wait_seconds", "Admission-to-flush wait per request", tenant=tenant
@@ -455,7 +451,7 @@ class QueryServer:
         self._session = self._blueprint.session()
         self._owns_executor = self._external_executor is None
         if self._owns_executor:
-            self._executor = LaneExecutor(self._workers, mp_context=self._mp_context).start()
+            self._executor = LaneExecutor(self._workers).start()
         else:
             self._executor = self._external_executor
         self._queue = asyncio.Queue(maxsize=self._max_pending)
@@ -957,9 +953,9 @@ class QueryServer:
             and self._retry.should_retry(job.attempts + 1)
             and self._running
         ):
-            # The worker died mid-batch.  The lane is re-spawned lazily
-            # by the next submit; re-dispatch this batch onto it after
-            # the policy's backoff (none by default).
+            # The worker died mid-batch, and its lane's EOF already
+            # re-spawned it (or the next submit will); re-dispatch this
+            # batch onto it after the policy's backoff (none by default).
             job.attempts += 1
             self._ledger["redispatches"].inc()
             machine_id = job.task.machine_id

@@ -46,7 +46,6 @@ from repro.errors import DeadlineExceeded, Overloaded, TenantError
 from repro.obs import ObsConfig, TraceHandle
 from repro.parallel.lanes import LaneExecutor
 from repro.resilience.breaker import BreakerBoard, BreakerConfig, CircuitBreaker
-from repro.resilience.health import LaneSupervisor
 from repro.resilience.policy import Deadline, RetryPolicy
 from repro.serving.blueprint import release_session_task
 from repro.serving.server import STATS_FIELDS, QueryServer, ServingStats
@@ -104,9 +103,9 @@ class TenantHost:
     ----------
     workers:
         Lane count of the shared executor (``1`` = inline reference
-        path; every tenant then answers in the event loop).
-    mp_context:
-        Optional multiprocessing context for the shared lanes.
+        path; every tenant then answers in the event loop).  A lane
+        whose worker dies is re-spawned at once (see
+        :mod:`repro.parallel.lanes`).
     chaos:
         Optional fault-injection spec applied to every tenant's batches
         (see :func:`~repro.serving.blueprint.serve_batch_task`).
@@ -128,15 +127,11 @@ class TenantHost:
         self,
         *,
         workers: "int | None" = 1,
-        mp_context=None,
         chaos: "Dict | None" = None,
         obs: "ObsConfig | None" = None,
         lane_breaker: "BreakerConfig | None" = None,
-        supervise_ms: "float | None" = None,
-        standby: bool = False,
     ):
         self._workers = workers
-        self._mp_context = mp_context
         self._chaos = chaos
         self._obs = obs
         self._executor: "LaneExecutor | None" = None
@@ -144,7 +139,6 @@ class TenantHost:
         self._offsets = 0
         self._started = False
         registry = obs.registry if obs is not None and obs.enabled else None
-        self._registry = registry
         # One lane breaker board shared by every tenant's server: a
         # flapping lane trips for all tenants at once, and recovery
         # probes are host-wide rather than per-tenant.
@@ -153,9 +147,6 @@ class TenantHost:
             if lane_breaker is None
             else BreakerBoard("lane", lane_breaker, metrics=registry)
         )
-        self._supervise_ms = supervise_ms
-        self._standby = bool(standby)
-        self._supervisor: "LaneSupervisor | None" = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -171,11 +162,6 @@ class TenantHost:
         return self._executor
 
     @property
-    def supervisor(self) -> "LaneSupervisor | None":
-        """The lane supervisor (``None`` unless ``supervise_ms`` was set)."""
-        return self._supervisor
-
-    @property
     def lane_breakers(self) -> "BreakerBoard | None":
         """The shared per-lane breaker board (``None`` when disabled)."""
         return self._lane_breakers
@@ -184,15 +170,8 @@ class TenantHost:
         """Spawn the shared lanes; tenants are added afterwards."""
         if self._started:
             raise TenantError("tenant host already started")
-        self._executor = LaneExecutor(
-            self._workers, mp_context=self._mp_context, standby=self._standby
-        ).start()
+        self._executor = LaneExecutor(self._workers).start()
         self._started = True
-        if self._supervise_ms is not None:
-            self._supervisor = LaneSupervisor(
-                self._executor, interval_ms=self._supervise_ms, metrics=self._registry
-            )
-            await self._supervisor.start()
         return self
 
     async def close(self) -> None:
@@ -200,9 +179,6 @@ class TenantHost:
         if not self._started:
             return
         try:
-            if self._supervisor is not None:
-                await self._supervisor.stop()
-                self._supervisor = None
             for name in list(self._tenants):
                 await self.evict(name, drain=True)
         finally:
@@ -390,20 +366,20 @@ class TenantHost:
     def health(self) -> "Dict[str, object]":
         """Liveness/breaker snapshot behind the ``health`` wire op.
 
-        Lane health comes from the supervisor when one runs (its cached
-        view plus respawn counters) or a direct executor probe
-        otherwise; breaker snapshots cover the shared lane board and
-        every tenant's deadline-burn breaker.
+        While started, the shared executor reports each lane's liveness
+        (``lanes``), its worker pid (``lane_pids``), and how many dead
+        workers it has replaced (``respawns``); breaker snapshots cover
+        the shared lane board and every tenant's deadline-burn breaker.
         """
         executor = self._executor
         payload: "Dict[str, object]" = {
             "started": self._started,
             "tenants": list(self._tenants),
         }
-        if self._supervisor is not None:
-            payload["supervisor"] = self._supervisor.snapshot()
-        elif executor is not None:
+        if executor is not None:
             payload["lanes"] = executor.lane_health()
+            payload["lane_pids"] = executor.lane_pids()
+            payload["respawns"] = executor.respawns
         if self._lane_breakers is not None:
             payload["lane_breakers"] = self._lane_breakers.snapshot()
         tenant_breakers = {

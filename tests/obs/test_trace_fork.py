@@ -1,12 +1,12 @@
-"""Trace propagation across the fork boundary — the PR's acceptance test.
+"""Tracing across the fork boundary.
 
 A trace id is minted in the parent (at ``submit`` or at NetServer
-ingress) and rides inside the batch payload into a lane worker; the
-worker measures its compute time and the parent records it as a
-``compute`` span **with the worker's pid**.  A trace that shows a
-compute span from a different process than its ingress is the proof
-that tracing crossed the process boundary; the chaos hooks then show it
-surviving hedges and worker death/respawn.
+ingress) and stays there: the batch task carries no trace id.  The lane
+worker measures its compute time, and the parent records it from the
+batch reply as a ``compute`` span **with the worker's pid**.  A trace
+that shows a compute span from a different process than its ingress is
+the proof that tracing crossed the process boundary; the chaos hooks
+then show it surviving hedges and worker death/respawn.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.parallel import ParallelExecutor, derive_seed, resolve_workers
+from repro.parallel.executor import default_context
 
 
 def _square(shared, task):
@@ -43,6 +44,17 @@ class TestResolveWorkers:
 
     def test_positive_is_literal(self):
         assert resolve_workers(3) == 3
+
+
+class TestDefaultContext:
+    def test_forks_where_the_platform_can_and_spawns_elsewhere(self, monkeypatch):
+        import repro.parallel.executor as executor_module
+
+        methods = executor_module.multiprocessing
+        monkeypatch.setattr(methods, "get_all_start_methods", lambda: ["fork", "spawn"])
+        assert default_context().get_start_method() == "fork"
+        monkeypatch.setattr(methods, "get_all_start_methods", lambda: ["spawn", "forkserver"])
+        assert default_context().get_start_method() == "spawn"
 
 
 class TestDeriveSeed:

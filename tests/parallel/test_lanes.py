@@ -2,11 +2,11 @@
 
 The serving tiers above (`TenantHost`, `QueryServer` failover) treat
 `LaneExecutor` as a primitive; this suite pins the primitive itself:
-placement arithmetic, inline equivalence, lifecycle rules, the
-broken-lane re-spawn path the chaos harness depends on, the pipe
-lanes' invariants (no parent thread, one task in a pipe, death fails
-every future of the lane, workers never outlive their parent), and
-parcels crossing a lane's pipe once per worker.
+placement arithmetic, inline equivalence, lifecycle rules, lanes that
+heal on their own EOF (with no fork loop and nothing re-spawned at
+shutdown), the pipe lanes' invariants (no parent thread, one task in a
+pipe, death fails every future of the lane, workers never outlive their
+parent), and parcels crossing a lane's pipe once per worker.
 """
 
 from __future__ import annotations
@@ -66,6 +66,14 @@ def _refuse(shared, task):
 class _Task(NamedTuple):
     name: str
     parcel: Parcel
+
+
+async def _until(predicate, timeout_s: float = 10.0) -> None:
+    """Let the running loop work until *predicate* holds."""
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        await asyncio.sleep(0.005)
 
 
 class TestLifecycle:
@@ -161,29 +169,125 @@ class TestDeathAndRespawn:
             assert executor.submit(_echo_pid, 9, lane=1).result(timeout=30)[2] == 9
 
     def test_submit_from_a_failing_future_lands_on_the_replacement(self):
-        """``respawn_lane`` fails the old worker's futures, and their done
-        callbacks may submit to the same lane at once: the task must land
-        on the replacement, not on a second worker nobody tracks."""
+        """A SIGKILLed worker's EOF installs the replacement before it
+        fails the old futures, so a done callback that submits to the same
+        lane at once lands there, not on a second worker nobody tracks."""
         before = {child.pid for child in multiprocessing.active_children()}
         with LaneExecutor(2) as executor:
+            victim = executor.lane_pids()[0][0]
             running = executor.submit(_sleep, 30.0, lane=0)
             resubmitted = []
             running.add_done_callback(
                 lambda _f: resubmitted.append(executor.submit(_echo_pid, 4, lane=0))
             )
-            executor.respawn_lane(0)
+            os.kill(victim, signal.SIGKILL)
             with pytest.raises(BrokenProcessPool):
-                running.result(timeout=0)
+                running.result(timeout=30)
             assert executor.respawns == 1
             pid, _, task = resubmitted[0].result(timeout=30)
-            assert task == 4 and pid == executor.lane_pids()[0][0]
+            assert task == 4 and pid == executor.lane_pids()[0][0] != victim
             children = {child.pid for child in multiprocessing.active_children()} - before
             assert children == {pids[0] for pids in executor.lane_pids()}
 
-    def test_respawn_lane_is_inline_noop(self):
-        with LaneExecutor(1) as executor:
-            executor.respawn_lane(0)
-            assert executor.respawns == 0
+    def test_inline_executor_never_respawns(self):
+        async def _run():
+            with LaneExecutor(1) as executor:
+                with pytest.raises(ValueError, match="boom:0"):
+                    executor.submit(_boom, 0).result()
+                assert executor.submit(_echo_pid, 1).result()[2] == 1
+                await asyncio.sleep(0.01)
+                assert executor.lane_health() == [True]
+                assert executor.lane_pids() == [] and executor.respawns == 0
+
+        asyncio.run(_run())
+
+
+class TestHealingOnEof:
+    """Inside a running loop a lane's EOF is the one signal that heals it."""
+
+    def test_idle_death_heals_without_traffic(self):
+        async def _run():
+            with LaneExecutor(2) as executor:
+                victim = executor.lane_pids()[0][0]
+                os.kill(victim, signal.SIGKILL)
+                os.waitpid(victim, 0)  # reaped here, its EOF still heals the lane
+                await _until(lambda: executor.respawns == 1)
+                healed = executor.lane_pids()[0][0]
+                assert healed != victim and executor.lane_health() == [True, True]
+                pid, _, task = await asyncio.wrap_future(executor.submit(_echo_pid, 7, lane=0))
+                assert (pid, task) == (healed, 7) and executor.respawns == 1
+
+        asyncio.run(_run())
+
+    def test_replacement_dead_before_its_first_reply_waits_for_a_submit(self):
+        """No fork loop: a healed-in worker that dies before it ever
+        replied is left dead until a submit needs its lane."""
+
+        async def _run():
+            with LaneExecutor(2) as executor:
+                os.kill(executor.lane_pids()[0][0], signal.SIGKILL)
+                await _until(lambda: executor.respawns == 1)
+                lane = executor._lanes[0]
+                os.kill(lane.process.pid, signal.SIGKILL)
+                await _until(lambda: lane.dead)
+                await asyncio.sleep(0.05)
+                assert executor.respawns == 1 and executor._lanes[0] is lane
+                assert executor.lane_health() == [False, True]
+                pid, _, _ = await asyncio.wrap_future(executor.submit(_echo_pid, 1, lane=0))
+                assert pid != lane.process.pid and executor.respawns == 2
+
+        asyncio.run(_run())
+
+    def test_a_replacement_that_replied_heals_on_its_own_eof(self):
+        """Its first reply makes a healed-in worker a full lane: its idle
+        death then heals without traffic, like a lane forked at start."""
+
+        async def _run():
+            with LaneExecutor(2) as executor:
+                os.kill(executor.lane_pids()[0][0], signal.SIGKILL)
+                await _until(lambda: executor.respawns == 1)
+                replacement = executor.lane_pids()[0][0]
+                await asyncio.wrap_future(executor.submit(_echo_pid, 0, lane=0))
+                os.kill(replacement, signal.SIGKILL)
+                await _until(lambda: executor.respawns == 2)
+                healed = executor.lane_pids()[0][0]
+                assert healed != replacement and executor.lane_health() == [True, True]
+                pid, _, _ = await asyncio.wrap_future(executor.submit(_echo_pid, 1, lane=0))
+                assert pid == healed and executor.respawns == 2
+
+        asyncio.run(_run())
+
+    def test_eof_read_without_a_loop_heals_at_once(self):
+        """Outside a loop the EOF surfaces where a result is awaited, and
+        the lane is re-spawned right there, before any further submit."""
+        with LaneExecutor(2) as executor:
+            victim = executor.lane_pids()[0][0]
+            running = executor.submit(_sleep, 30.0, lane=0)
+            os.kill(victim, signal.SIGKILL)
+            with pytest.raises(BrokenProcessPool):
+                running.result(timeout=30)
+            assert executor.respawns == 1 and executor.lane_health() == [True, True]
+            healed = executor.lane_pids()[0][0]
+            assert healed != victim
+            assert executor.submit(_echo_pid, 2, lane=0).result(timeout=30)[0] == healed
+            assert executor.respawns == 1
+
+    def test_shutdown_heals_nothing(self):
+        before = {child.pid for child in multiprocessing.active_children()}
+
+        async def _run():
+            executor = LaneExecutor(2).start()
+            running = executor.submit(_sleep, 30.0, lane=0)
+            for pids in executor.lane_pids():
+                os.kill(pids[0], signal.SIGKILL)
+            executor.shutdown()  # reads lane 0's EOF while it drains
+            await asyncio.sleep(0.05)
+            with pytest.raises(BrokenProcessPool):
+                running.result(timeout=0)
+            assert executor.respawns == 0 and executor.lane_pids() == []
+
+        asyncio.run(_run())
+        assert {child.pid for child in multiprocessing.active_children()} == before
 
 
 class TestPipeLanes:
@@ -282,9 +386,13 @@ class TestPipeLanes:
             parent.stdout.close()
         assert surviving(workers, timeout_s=5.0) == []
 
-    def test_pool_runs_under_spawn(self):
-        context = multiprocessing.get_context("spawn")
-        with LaneExecutor(2, mp_context=context) as executor:
+    def test_pool_runs_under_spawn(self, monkeypatch):
+        import repro.parallel.executor as executor_module
+
+        monkeypatch.setattr(
+            executor_module.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        with LaneExecutor(2) as executor:
             replies = [
                 executor.submit(_echo_pid, i, lane=i, shared="payload").result(timeout=60)
                 for i in (0, 1)

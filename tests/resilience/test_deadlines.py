@@ -75,11 +75,18 @@ class TestQueryServerDeadlines:
         asyncio.run(_run())
 
     def test_mixed_batch_sheds_only_the_expired(self, cluster):
+        """Nodes 0 and 1 live on machine 0, whose batches stall 50 ms in
+        the worker: the 20 ms request expires there and is skipped, the
+        unbounded one is answered."""
+        assert cluster.machine_for(0).machine_id == cluster.machine_for(1).machine_id == 0
+        chaos = {"hook": "repro.serving.blueprint:chaos_delay", "machine": 0, "delay_s": 0.05}
+
         async def _run():
-            async with QueryServer(cluster, max_wait_ms=20.0, max_batch=64) as server:
-                doomed = server.submit_nowait(0, "rwr", deadline=Deadline.after_ms(0.5))
+            async with QueryServer(
+                cluster, max_wait_ms=20.0, max_batch=64, chaos=chaos
+            ) as server:
+                doomed = server.submit_nowait(0, "rwr", deadline=Deadline.after_ms(20.0))
                 healthy = server.submit_nowait(1, "rwr")
-                await asyncio.sleep(0.01)  # same arrival window, one expires in it
                 with pytest.raises(DeadlineExceeded):
                     await doomed
                 answer = await healthy

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
 import struct
 import time
 
@@ -25,8 +27,8 @@ from repro.serving import NetClient, NetServer, ResilientClient, TenantConfig, T
 pytestmark = pytest.mark.filterwarnings("error::ResourceWarning")
 
 
-async def _serving(cluster, *, config=None, **server_kwargs):
-    host = TenantHost(workers=1)
+async def _serving(cluster, *, workers=1, config=None, **server_kwargs):
+    host = TenantHost(workers=workers)
     await host.start()
     await host.add_tenant("acme", cluster, config=config)
     server = await NetServer(host, **server_kwargs).start()
@@ -171,9 +173,12 @@ class TestDeadlinesOverTheWire:
 
 
 class TestHealthWireOp:
-    def test_health_reports_supervisor_breakers_and_connections(self, cluster):
+    def test_health_reports_a_healed_lane_and_connections(self, cluster):
+        """SIGKILL a lane worker: its lane heals without traffic, and the
+        ``health`` op reports the live lanes, the new pid and one respawn."""
+
         async def _run():
-            host, server = await _serving(cluster)
+            host, server = await _serving(cluster, workers=2)
             try:
                 client = await NetClient.connect("127.0.0.1", server.port)
                 async with client:
@@ -181,7 +186,19 @@ class TestHealthWireOp:
                     assert health["started"]
                     assert health["tenants"] == ["acme"]
                     assert health["connections"] >= 1
-                    assert "lanes" in health or "supervisor" in health
+                    assert health["lanes"] == [True, True] and health["respawns"] == 0
+                    victim = health["lane_pids"][0][0]
+                    os.kill(victim, signal.SIGKILL)
+                    deadline = time.monotonic() + 10.0
+                    while health["respawns"] == 0 and time.monotonic() < deadline:
+                        await asyncio.sleep(0.01)
+                        health = await client.health()
+                    assert health["respawns"] == 1
+                    assert health["lanes"] == [True, True]
+                    assert len(health["lane_pids"]) == 2
+                    assert victim not in [pids[0] for pids in health["lane_pids"]]
+                    answer = await client.query("acme", 0, "rwr")
+                    assert answer.tobytes() == cluster.answer(0, "rwr").tobytes()
             finally:
                 await server.stop()
                 await host.close()

@@ -187,6 +187,27 @@ class TestFaultMatrix:
 
         asyncio.run(_run())
 
+    def test_a_death_mid_batch_costs_one_redispatch_and_one_fork(self, clusters, tmp_path):
+        """The dying worker's EOF re-spawns its lane before the batch's
+        future fails, so the re-dispatch lands on that replacement: one
+        death costs one fork and one redispatch, and the answer holds."""
+        cluster = clusters["acme"]
+        victim_node = next(
+            n for n in range(cluster.graph.num_nodes) if cluster.machine_for(n).machine_id == 0
+        )
+
+        async def _run():
+            async with QueryServer(
+                cluster, workers=2, max_wait_ms=0.0, chaos=_chaos_spec("kill-worker", tmp_path)
+            ) as server:
+                answer = await server.submit(victim_node, "rwr")
+                assert answer.tobytes() == cluster.answer(victim_node, "rwr").tobytes()
+                assert server.executor.respawns == 1
+                assert server.stats.redispatches == 1
+                assert server.stats.answered == server.stats.admitted == 1
+
+        asyncio.run(_run())
+
 
 class TestExactlyOnce:
     def test_double_completion_resolves_each_request_once(self, clusters):

@@ -69,8 +69,8 @@ class _PipeLog:
         self.sent = []
         spawn = LaneExecutor._spawn
 
-        def spawning(executor):
-            lane = spawn(executor)
+        def spawning(executor, **options):
+            lane = spawn(executor, **options)
             send = lane.conn.send
 
             def recording(wire, lane=lane):

@@ -310,3 +310,26 @@ class TestStats:
                 assert host.stats("acme").answered == 1
 
         asyncio.run(_run())
+
+
+class TestHealth:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_health_reads_lanes_pids_and_respawns_from_the_executor(self, workers):
+        """While started, ``health`` reports the shared executor's own
+        lane liveness, worker pids and respawn count; before start and
+        after close it reports no lanes."""
+
+        async def _run():
+            host = TenantHost(workers=workers)
+            assert host.health() == {"started": False, "tenants": []}
+            async with host:
+                executor = host.executor
+                health = host.health()
+                assert health["started"] and health["tenants"] == []
+                assert health["lanes"] == [True] * executor.lanes
+                assert health["lane_pids"] == executor.lane_pids()
+                assert len(health["lane_pids"]) == (0 if workers == 1 else workers)
+                assert health["respawns"] == executor.respawns == 0
+            assert host.health() == {"started": False, "tenants": []}
+
+        asyncio.run(_run())
