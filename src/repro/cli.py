@@ -303,7 +303,7 @@ def _cmd_serve_net(args) -> int:
     from repro.distributed import build_summary_cluster
     from repro.errors import DeadlineExceeded, Overloaded
     from repro.obs import MetricsHTTPServer, MetricsRegistry, ObsConfig, Tracer, slow_log
-    from repro.resilience import BreakerConfig, HostState, RetryPolicy, recover_host
+    from repro.resilience import HostState, RetryPolicy, recover_host
     from repro.serving import (
         QUERY_TYPES,
         NetClient,
@@ -423,12 +423,7 @@ def _cmd_serve_net(args) -> int:
         return http
 
     async def _run():
-        async with TenantHost(
-            workers=args.workers,
-            chaos=chaos,
-            obs=obs,
-            lane_breaker=BreakerConfig() if args.workers != 1 else None,
-        ) as host:
+        async with TenantHost(workers=args.workers, chaos=chaos, obs=obs) as host:
             for tenant, cluster in clusters.items():
                 await host.add_tenant(tenant, cluster, config=config)
             metrics_http = await _serve_metrics()

@@ -262,29 +262,6 @@ class MetricsRegistry:
         resolved = tuple(float(b) for b in bounds) if bounds is not None else DEFAULT_LATENCY_BOUNDS
         return self._instrument(name, "histogram", help, resolved, labels)
 
-    def enum_gauge(
-        self,
-        name: str,
-        help: str = "",
-        *,
-        state: str,
-        states: Sequence[str],
-        **labels: str,
-    ) -> None:
-        """Set a one-hot gauge family encoding a state machine's state.
-
-        The Prometheus idiom for enums: one gauge per possible state,
-        ``1`` on the current state and ``0`` on the rest, e.g.
-        ``repro_breaker_state{key="3",state="open"} 1``.  Dashboards can
-        then ``max by (key)`` without parsing magic numbers.
-        """
-        if state not in states:
-            raise ValueError(f"state {state!r} not in {tuple(states)}")
-        for candidate in states:
-            self.gauge(name, help, **labels, state=candidate).set(
-                1.0 if candidate == state else 0.0
-            )
-
     # ------------------------------------------------------------------
     # snapshots and merging
     # ------------------------------------------------------------------

@@ -62,6 +62,7 @@ pooled lanes by the same argument as
 from __future__ import annotations
 
 import asyncio
+import multiprocessing.process
 import pickle
 import select
 import time
@@ -290,6 +291,11 @@ class _Lane:
         if not drain and not self._exited.poll(0):
             self.process.kill()
         self.process.join()
+        if self.process.exitcode is None and self._exited.poll(0):
+            # Reaped elsewhere (``os.waitpid``): its return code is gone,
+            # so multiprocessing would list it for good, and signal its
+            # pid at exit, whoever owns that pid by then.
+            multiprocessing.process._children.discard(self.process)
 
 
 class _LaneFuture(Future):

@@ -10,13 +10,13 @@ Three small modules, each owning one failure domain of the serving stack
   deterministic jitter) shared by client reconnects and server
   redispatch.
 * :mod:`repro.resilience.breaker` — closed/open/half-open circuit
-  breakers with failure-rate windows, per lane and per tenant.
+  breakers with failure-rate windows, one per tenant.
 * :mod:`repro.resilience.recovery` — whole-server crash-restart:
   persist tenant serving state under ``--state-dir`` with the store
   layer's crash-atomic discipline, verify + replay + rebuild on restart.
 """
 
-from repro.resilience.breaker import BreakerBoard, BreakerConfig, CircuitBreaker
+from repro.resilience.breaker import BreakerConfig, CircuitBreaker
 from repro.resilience.policy import Deadline, RetryPolicy
 from repro.resilience.recovery import (
     HostState,
@@ -26,7 +26,6 @@ from repro.resilience.recovery import (
 )
 
 __all__ = [
-    "BreakerBoard",
     "BreakerConfig",
     "CircuitBreaker",
     "Deadline",

@@ -1,21 +1,17 @@
 """Circuit breakers: closed / open / half-open with failure-rate windows.
 
 A :class:`CircuitBreaker` watches a rolling window of outcomes for one
-resource (a worker lane, a tenant's deadline budget).  While **closed**
-it admits everything; once the window holds enough samples and the
-failure rate crosses the threshold it **opens** and rejects for a
-cooldown; after the cooldown it goes **half-open**, admitting a limited
-number of probes — a probe success closes it, a probe failure re-opens
-it with a fresh cooldown.
+resource (a tenant's deadline budget).  While **closed** it admits
+everything; once the window holds enough samples and the failure rate
+crosses the threshold it **opens** and rejects for a cooldown; after
+the cooldown it goes **half-open**, admitting a limited number of
+probes — a probe success closes it, a probe failure re-opens it with a
+fresh cooldown.
 
-Rejection is always *explicit*: callers that find a breaker open raise
-typed :class:`~repro.errors.CircuitOpen` / :class:`~repro.errors.Overloaded`
-errors carrying the breaker's ``retry_after_ms`` hint, never a silently
-wrong (or silently dropped) answer.
-
-:class:`BreakerBoard` is a keyed family of breakers sharing one config,
-with optional obs-registry export: a ``repro_breaker_state`` one-hot
-gauge per (scope, key, state) plus open/shed counters.
+Rejection is always *explicit*: a tenant whose breaker is open is shed
+with a typed :class:`~repro.errors.Overloaded` carrying the breaker's
+``retry_after_ms`` hint, never a silently wrong (or silently dropped)
+answer.
 """
 
 from __future__ import annotations
@@ -23,13 +19,11 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable
 
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
-
-STATES = (CLOSED, OPEN, HALF_OPEN)
 
 
 @dataclass(frozen=True)
@@ -77,11 +71,9 @@ class CircuitBreaker:
         config: "BreakerConfig | None" = None,
         *,
         clock: Callable[[], float] = time.monotonic,
-        on_transition: "Callable[[str, str], None] | None" = None,
     ):
         self.config = config or BreakerConfig()
         self._clock = clock
-        self._on_transition = on_transition
         self._outcomes: "deque[bool]" = deque(maxlen=self.config.window)
         self._state = CLOSED
         self._opened_at = 0.0
@@ -104,12 +96,10 @@ class CircuitBreaker:
         return (self._clock() - self._opened_at) * 1000.0 >= self.config.open_ms
 
     def _transition(self, state: str) -> None:
-        previous, self._state = self._state, state
+        self._state = state
         if state == OPEN:
             self._opened_at = self._clock()
             self.opens += 1
-        if previous != state and self._on_transition is not None:
-            self._on_transition(previous, state)
 
     def _failure_rate(self) -> float:
         if not self._outcomes:
@@ -119,24 +109,21 @@ class CircuitBreaker:
     # ------------------------------------------------------------------
     # protocol: allow() before the call, record_*() after
     # ------------------------------------------------------------------
-    def admits(self) -> bool:
-        """Whether :meth:`allow` would admit a call now.  Only looks: it
-        uses up no half-open probe and counts no rejection."""
-        state = self.state
-        return state == CLOSED or (state == HALF_OPEN and self._probes_left > 0)
-
     def allow(self) -> bool:
         """Whether a call may proceed right now (consumes a half-open probe)."""
-        if not self.admits():
-            self.rejections += 1
-            return False
-        if self._state == HALF_OPEN:
+        state = self.state
+        if state == CLOSED:
+            return True
+        if state == HALF_OPEN and self._probes_left > 0:
             self._probes_left -= 1
-        return True
+            return True
+        self.rejections += 1
+        return False
 
     def release(self) -> None:
-        """Give back the half-open probe of an admitted call that never
-        ran (cancelled before it reached the resource)."""
+        """Give back the half-open probe of an admitted call whose end
+        tells nothing about the resource (it never reached it, or failed
+        for an unrelated reason)."""
         if self.state == HALF_OPEN:
             self._probes_left = min(self._probes_left + 1, self.config.half_open_probes)
 
@@ -177,78 +164,3 @@ class CircuitBreaker:
             "rejections": self.rejections,
             "retry_after_ms": round(self.retry_after_ms(), 3),
         }
-
-
-class BreakerBoard:
-    """A keyed family of breakers sharing one config and obs scope.
-
-    ``scope`` labels the exported gauges (``"lane"``, ``"tenant"``);
-    breakers are created lazily per key.  When an obs registry is
-    attached, every transition updates the one-hot
-    ``repro_breaker_state{scope,key,state}`` gauge family and bumps
-    ``repro_breaker_opens_total`` on close → open.
-    """
-
-    def __init__(
-        self,
-        scope: str,
-        config: "BreakerConfig | None" = None,
-        *,
-        clock: Callable[[], float] = time.monotonic,
-        metrics=None,
-    ):
-        self.scope = scope
-        self.config = config or BreakerConfig()
-        self._clock = clock
-        self._metrics = metrics
-        self._breakers: "Dict[str, CircuitBreaker]" = {}
-
-    def get(self, key: "str | int") -> CircuitBreaker:
-        """The breaker for *key*, created closed on first use."""
-        name = str(key)
-        breaker = self._breakers.get(name)
-        if breaker is None:
-            breaker = CircuitBreaker(
-                self.config,
-                clock=self._clock,
-                on_transition=self._exporter(name),
-            )
-            self._breakers[name] = breaker
-            self._export_state(name, breaker.state)
-        return breaker
-
-    def _exporter(self, name: str) -> "Optional[Callable[[str, str], None]]":
-        if self._metrics is None:
-            return None
-
-        def on_transition(previous: str, state: str) -> None:
-            self._export_state(name, state)
-            if state == OPEN:
-                self._metrics.counter(
-                    "repro_breaker_opens_total",
-                    "Circuit breaker close/half-open -> open transitions.",
-                    scope=self.scope,
-                    key=name,
-                ).inc()
-
-        return on_transition
-
-    def _export_state(self, name: str, state: str) -> None:
-        if self._metrics is None:
-            return
-        self._metrics.enum_gauge(
-            "repro_breaker_state",
-            "Circuit breaker state (one-hot over closed/open/half_open).",
-            state=state,
-            states=STATES,
-            scope=self.scope,
-            key=name,
-        )
-
-    def allow(self, key: "str | int") -> bool:
-        """Shorthand for ``get(key).allow()``."""
-        return self.get(key).allow()
-
-    def snapshot(self) -> dict:
-        """Per-key breaker snapshots (insertion order)."""
-        return {name: breaker.snapshot() for name, breaker in self._breakers.items()}

@@ -392,8 +392,8 @@ class NetServer:
 
         The payload is :meth:`~repro.serving.tenancy.TenantHost.health`
         — per-lane liveness, worker pids and the executor's respawn
-        count, the shared lane breaker board, and every tenant's
-        deadline-burn breaker — plus this server's connection count.
+        count, and every tenant's deadline-burn breaker — plus this
+        server's connection count.
         """
         payload = dict(self._tenants.health())
         payload["connections"] = len(self._connections)
@@ -759,9 +759,9 @@ class NetClient:
         """The server's resilience snapshot (the ``health`` wire op).
 
         Per-lane liveness (``lanes``), worker pids (``lane_pids``) and
-        the count of replaced workers (``respawns``), the shared lane
-        breaker board, every tenant's deadline-burn breaker, and the
-        live connection count.
+        the count of replaced workers (``respawns``), every tenant's
+        deadline-burn breaker (``tenant_breakers``), and the live
+        connection count.
         """
         reply = await self._request({"op": "health"})
         payload = reply.get("health")

@@ -28,6 +28,7 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import math
 import struct
 from typing import Any, Dict, List, Sequence, Tuple
 
@@ -212,9 +213,13 @@ def unpack_array(obj: Any) -> np.ndarray:
         raise CodecError(f"malformed packed array: {exc}") from exc
     if any(n < 0 for n in shape):
         raise CodecError(f"negative dimension in packed array shape {shape}")
-    expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dtype.itemsize
+    # Python ints: an int64 product wraps, and a wrapped count can match.
+    expected = dtype.itemsize * math.prod(shape)
     if len(raw) != expected:
         raise CodecError(
             f"packed array carries {len(raw)} bytes, dtype/shape need {expected}"
         )
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    try:
+        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    except ValueError as exc:  # object, zero-size and subarray dtypes
+        raise CodecError(f"packed array dtype {dtype.str!r} cannot be read: {exc}") from exc

@@ -39,8 +39,8 @@ continuously admitting service:
   the EOF surfaces as ``BrokenProcessPool`` on that batch's future (and
   on every batch queued behind it on that lane).  The server re-dispatches
   the batch as its retry policy allows (by default at once, up to twice)
-  onto the machine's lane, re-spawned, or the nearest lane whose breaker
-  admits; clients never see the death, only the answer.
+  onto the machine's own lane, which the EOF already re-spawned; clients
+  never see the death, only the answer.
 * **Per-request futures** — every submission gets its own future, so
   duplicate query nodes receive one answer *each* (``answer_many``'s
   dict return collapses duplicates; the serving layer must not).
@@ -73,7 +73,6 @@ from repro.errors import DeadlineExceeded, QueryError, ServingError
 from repro.obs import DEFAULT_SIZE_BOUNDS, Counter, MetricsRegistry, ObsConfig, TraceHandle
 from repro.parallel.lanes import LaneExecutor, Parcel
 from repro.queries.operator import check_query_node
-from repro.resilience.breaker import BreakerBoard
 from repro.resilience.policy import Deadline, RetryPolicy
 from repro.serving.blueprint import (
     BatchReply,
@@ -283,11 +282,6 @@ class QueryServer:
         are shed with :class:`~repro.errors.DeadlineExceeded` before
         dispatch (and skipped inside workers) rather than computed.
         ``None`` (default) = unbounded.
-    breakers:
-        Optional per-lane
-        :class:`~repro.resilience.breaker.BreakerBoard` (typically
-        shared host-wide).  Dispatch walks past lanes whose breaker is
-        open, and every batch copy's outcome feeds its lane's breaker.
     chaos:
         Optional fault-injection spec dict, shipped to workers inside
         the blueprint payload and applied by
@@ -325,7 +319,6 @@ class QueryServer:
         hedge_ms: "float | None" = None,
         retry_policy: "RetryPolicy | None" = None,
         deadline_ms: "float | None" = None,
-        breakers: "BreakerBoard | None" = None,
         chaos: "Dict | None" = None,
         obs: "ObsConfig | None" = None,
     ):
@@ -349,7 +342,6 @@ class QueryServer:
         if deadline_ms is not None and deadline_ms <= 0:
             raise ServingError(f"deadline_ms must be positive, got {deadline_ms}")
         self._deadline_ms = None if deadline_ms is None else float(deadline_ms)
-        self._breakers = breakers
         self._chaos = chaos
         obs = obs or ObsConfig()
         self._tracer = obs.tracer
@@ -716,8 +708,8 @@ class QueryServer:
                 return
 
     def _lane_slot(self, machine_id: int) -> int:
-        """The executor lane a machine's primary copy would go to now."""
-        return self._lane_for(machine_id, hedged=False, peek=True) % self._executor.lanes
+        """The executor lane a machine's primary copy goes to."""
+        return self._lane_for(machine_id, hedged=False) % self._executor.lanes
 
     def _on_copy_replied(self, slot: int) -> None:
         """A batch copy left lane *slot*; once this server has none left
@@ -789,25 +781,10 @@ class QueryServer:
                 self._hedge, self._fire_hedge, job
             )
 
-    def _lane_for(self, machine_id: int, *, hedged: bool, peek: bool = False) -> int:
+    def _lane_for(self, machine_id: int, *, hedged: bool) -> int:
         # Sticky affinity: one lane per machine, so its operator cache
         # lives on exactly one worker.  The hedge copy goes next door.
-        preferred = self._lane_offset + machine_id + (1 if hedged else 0)
-        if self._breakers is None or self._executor is None or self._executor.inline:
-            return preferred
-        # Breaker-aware: walk past lanes whose breaker is open (flapping
-        # workers) to the nearest admitting lane.  All-open falls back to
-        # the preferred lane — total outage beats refusing everything.
-        # A *peek* (a lookup that dispatches nothing) uses up no half-open
-        # probe: the probe belongs to the copy whose outcome the breaker
-        # records.
-        lanes = self._executor.lanes
-        for step in range(lanes):
-            candidate = (preferred + step) % lanes
-            breaker = self._breakers.get(candidate)
-            if breaker.admits() if peek else breaker.allow():
-                return candidate
-        return preferred % lanes
+        return self._lane_offset + machine_id + (1 if hedged else 0)
 
     def _dispatch_job(self, job: _BatchJob, *, hedged: bool = False) -> None:
         """Submit one copy of a batch to its lane (primary, hedge, retry)."""
@@ -826,13 +803,6 @@ class QueryServer:
                 for request in job.batch:
                     self._fail_request(request, error)
             return
-        if self._breakers is not None:
-            # Fed from the lane future, which completes even when this
-            # copy's asyncio wrapper is cancelled (a hedge loser): every
-            # dispatched copy reports to its lane's breaker exactly once,
-            # before the lane's waiting machines are flushed below.
-            breaker = self._breakers.get(lane % max(1, self._executor.lanes))
-            pool_future.add_done_callback(lambda done: self._feed_breaker(breaker, done))
         if not self._executor.inline:
             # The lane stays busy until the worker replies, even if this
             # copy's asyncio wrapper is cancelled (a hedge loser) first.
@@ -848,20 +818,6 @@ class QueryServer:
             )
         )
 
-    def _feed_breaker(self, breaker, done) -> None:
-        """One batch copy's lane outcome: worker deaths are lane failures;
-        application errors are not (the lane computed fine).  A copy
-        cancelled before it reached the worker tells nothing and gives
-        back the probe it may have spent."""
-        if done.cancelled():
-            breaker.release()
-            return
-        error = done.exception()
-        if error is None:
-            breaker.record_success()
-        elif self._retryable(error):
-            breaker.record_failure()
-
     def _fire_hedge(self, job: _BatchJob) -> None:
         """Hedge deadline passed: duplicate the batch onto the next lane."""
         job.hedge_timer = None
@@ -876,7 +832,7 @@ class QueryServer:
                         request.trace.trace_id,
                         "hedge",
                         machine=machine_id,
-                        lane=self._lane_for(machine_id, hedged=True, peek=True),
+                        lane=self._lane_for(machine_id, hedged=True),
                     )
         self._dispatch_job(job, hedged=True)
 

@@ -45,7 +45,7 @@ from repro.distributed.cluster import DistributedCluster
 from repro.errors import DeadlineExceeded, Overloaded, TenantError
 from repro.obs import ObsConfig, TraceHandle
 from repro.parallel.lanes import LaneExecutor
-from repro.resilience.breaker import BreakerBoard, BreakerConfig, CircuitBreaker
+from repro.resilience.breaker import HALF_OPEN, BreakerConfig, CircuitBreaker
 from repro.resilience.policy import Deadline, RetryPolicy
 from repro.serving.blueprint import release_session_task
 from repro.serving.server import STATS_FIELDS, QueryServer, ServingStats
@@ -129,7 +129,6 @@ class TenantHost:
         workers: "int | None" = 1,
         chaos: "Dict | None" = None,
         obs: "ObsConfig | None" = None,
-        lane_breaker: "BreakerConfig | None" = None,
     ):
         self._workers = workers
         self._chaos = chaos
@@ -138,15 +137,6 @@ class TenantHost:
         self._tenants: "Dict[str, _Tenant]" = {}
         self._offsets = 0
         self._started = False
-        registry = obs.registry if obs is not None and obs.enabled else None
-        # One lane breaker board shared by every tenant's server: a
-        # flapping lane trips for all tenants at once, and recovery
-        # probes are host-wide rather than per-tenant.
-        self._lane_breakers = (
-            None
-            if lane_breaker is None
-            else BreakerBoard("lane", lane_breaker, metrics=registry)
-        )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -160,11 +150,6 @@ class TenantHost:
     def executor(self) -> "LaneExecutor | None":
         """The shared lane executor (``None`` before :meth:`start`)."""
         return self._executor
-
-    @property
-    def lane_breakers(self) -> "BreakerBoard | None":
-        """The shared per-lane breaker board (``None`` when disabled)."""
-        return self._lane_breakers
 
     async def start(self) -> "TenantHost":
         """Spawn the shared lanes; tenants are added afterwards."""
@@ -249,7 +234,6 @@ class TenantHost:
             hedge_ms=config.hedge_ms,
             retry_policy=config.retry_policy,
             deadline_ms=config.deadline_ms,
-            breakers=self._lane_breakers,
             chaos=self._chaos,
             obs=(self._obs or ObsConfig()).for_tenant(name),
         )
@@ -336,6 +320,8 @@ class TenantHost:
                 f"tenant {name!r} is shedding load (deadline-burn breaker open)",
                 retry_after_ms=tenant.breaker.retry_after_ms(),
             )
+        # An admitted call in a half-open breaker holds its probe.
+        probe = tenant.breaker is not None and tenant.breaker.state == HALF_OPEN
         server.book("inflight")
         try:
             answer = await server.submit(node, query_type, trace=trace, deadline=deadline)
@@ -343,6 +329,13 @@ class TenantHost:
             # The tenant burned a full deadline budget: a breaker signal.
             if tenant.breaker is not None:
                 tenant.breaker.record_failure()
+            raise
+        except BaseException:
+            # Any other end (a bad node, a full queue, a cancelled
+            # client) says nothing about the deadline budget: give the
+            # probe back, or the breaker would stay half-open with none.
+            if probe:
+                tenant.breaker.release()
             raise
         else:
             if tenant.breaker is not None:
@@ -368,8 +361,8 @@ class TenantHost:
 
         While started, the shared executor reports each lane's liveness
         (``lanes``), its worker pid (``lane_pids``), and how many dead
-        workers it has replaced (``respawns``); breaker snapshots cover
-        the shared lane board and every tenant's deadline-burn breaker.
+        workers it has replaced (``respawns``); ``tenant_breakers``
+        snapshots every tenant's deadline-burn breaker.
         """
         executor = self._executor
         payload: "Dict[str, object]" = {
@@ -380,8 +373,6 @@ class TenantHost:
             payload["lanes"] = executor.lane_health()
             payload["lane_pids"] = executor.lane_pids()
             payload["respawns"] = executor.respawns
-        if self._lane_breakers is not None:
-            payload["lane_breakers"] = self._lane_breakers.snapshot()
         tenant_breakers = {
             name: tenant.breaker.snapshot()
             for name, tenant in self._tenants.items()

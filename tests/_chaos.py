@@ -79,8 +79,8 @@ def delay_machine(spec: Dict[str, Any], machine_id: int) -> None:
 def slow_lane(spec: Dict[str, Any], machine_id: int) -> None:
     """Stall *every* batch on the targeted machine (no fire-once token).
 
-    Sustained pressure rather than a one-shot fault: the shape deadlines,
-    hedging, and lane circuit breakers exist for.
+    Sustained pressure rather than a one-shot fault: the shape deadlines
+    and hedging exist for.
     """
     if not _targets(spec, machine_id):
         return

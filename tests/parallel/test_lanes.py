@@ -216,8 +216,10 @@ class TestHealingOnEof:
                 assert healed != victim and executor.lane_health() == [True, True]
                 pid, _, task = await asyncio.wrap_future(executor.submit(_echo_pid, 7, lane=0))
                 assert (pid, task) == (healed, 7) and executor.respawns == 1
+            return victim
 
-        asyncio.run(_run())
+        victim = asyncio.run(_run())
+        assert victim not in {child.pid for child in multiprocessing.active_children()}
 
     def test_replacement_dead_before_its_first_reply_waits_for_a_submit(self):
         """No fork loop: a healed-in worker that dies before it ever
@@ -364,6 +366,8 @@ class TestPipeLanes:
             assert executor.lane_health() == [False, True]
             assert executor.submit(_echo_pid, 3, lane=0).result(timeout=30)[0] != victim
             assert executor.lane_health() == [True, True]
+        # Forgotten, so multiprocessing never signals that pid at exit.
+        assert victim not in {child.pid for child in multiprocessing.active_children()}
 
     def test_killed_parent_leaves_no_worker_alive(self):
         script = (

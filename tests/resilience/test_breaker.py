@@ -1,11 +1,10 @@
-"""Units for the circuit-breaker state machine and the keyed board."""
+"""Units for the circuit-breaker state machine."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs import MetricsRegistry
-from repro.resilience import BreakerBoard, BreakerConfig, CircuitBreaker
+from repro.resilience import BreakerConfig, CircuitBreaker
 
 
 class FakeClock:
@@ -70,17 +69,6 @@ class TestCircuitBreaker:
         assert breaker.state == "closed"
         assert breaker.allow()
 
-    def test_admits_looks_without_using_the_probe(self, clock):
-        breaker = _breaker(clock)
-        for _ in range(4):
-            breaker.record_failure()
-        assert not breaker.admits()
-        clock.advance_ms(1000.0)
-        assert breaker.admits() and breaker.admits()
-        assert breaker.allow()  # the probe is still there
-        assert not breaker.admits()
-        assert breaker.rejections == 0
-
     def test_release_gives_back_an_unused_probe(self, clock):
         breaker = _breaker(clock)
         breaker.release()  # closed: nothing to give back
@@ -88,11 +76,12 @@ class TestCircuitBreaker:
             breaker.record_failure()
         clock.advance_ms(1000.0)
         assert breaker.allow()
-        assert not breaker.admits()
         breaker.release()  # the admitted call was cancelled before it ran
-        assert breaker.admits()
+        assert breaker.allow()  # the probe came back
+        breaker.release()
         breaker.release()  # never more probes than the config grants
-        assert breaker.allow() and not breaker.admits()
+        assert breaker.allow() and not breaker.allow()
+        assert breaker.rejections == 1
         assert breaker.state == "half_open"
 
     def test_half_open_probe_failure_reopens_with_fresh_cooldown(self, clock):
@@ -146,33 +135,3 @@ class TestCircuitBreaker:
     def test_invalid_config_raises(self, kwargs):
         with pytest.raises(ValueError):
             BreakerConfig(**kwargs)
-
-
-class TestBreakerBoard:
-    def test_keys_are_independent(self, clock):
-        board = BreakerBoard("lane", BreakerConfig(min_samples=2, window=4), clock=clock)
-        for _ in range(2):
-            board.get(0).record_failure()
-        assert not board.allow(0)
-        assert board.allow(1)
-        assert board.get(0) is board.get("0")  # int and str keys coincide
-
-    def test_snapshot_lists_every_key(self, clock):
-        board = BreakerBoard("lane", BreakerConfig(min_samples=2, window=4), clock=clock)
-        board.allow(0)
-        board.get(1).record_failure()
-        snap = board.snapshot()
-        assert set(snap) == {"0", "1"}
-        assert snap["0"]["state"] == "closed"
-
-    def test_transitions_export_state_gauges_and_open_counter(self, clock):
-        registry = MetricsRegistry()
-        board = BreakerBoard(
-            "lane", BreakerConfig(min_samples=2, window=4), clock=clock, metrics=registry
-        )
-        for _ in range(2):
-            board.get(0).record_failure()
-        rendered = registry.render_prometheus()
-        assert 'repro_breaker_state{key="0",scope="lane",state="open"} 1' in rendered
-        assert 'repro_breaker_state{key="0",scope="lane",state="closed"} 0' in rendered
-        assert 'repro_breaker_opens_total{key="0",scope="lane"} 1' in rendered

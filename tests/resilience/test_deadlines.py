@@ -2,9 +2,8 @@
 
 Covers the admission-to-worker pipeline: expired work is dropped before
 compute and shed as typed :class:`DeadlineExceeded`, the ledger grows a
-``shed`` column and still balances, retries back off per policy, lane
-breakers steer dispatch, and tenant breakers shed with a retry-after
-hint.
+``shed`` column and still balances, retries back off per policy, and
+tenant breakers shed with a retry-after hint.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.errors import DeadlineExceeded, Overloaded
+from repro.errors import DeadlineExceeded, Overloaded, QueryError
 from repro.resilience import BreakerConfig, Deadline, RetryPolicy
 from repro.serving import QueryServer, TenantConfig, TenantHost
 
@@ -175,86 +174,6 @@ class TestRetryPolicyIntegration:
         asyncio.run(_run())
 
 
-class TestLaneBreakers:
-    def test_open_lane_is_walked_past(self, cluster):
-        """White-box: with machine 0's preferred lane forced open, dispatch
-        lands next door; with every lane open, it falls back."""
-
-        async def _run():
-            from repro.resilience import BreakerBoard
-
-            board = BreakerBoard("lane", BreakerConfig(min_samples=1, open_ms=60_000.0))
-            async with QueryServer(
-                cluster, workers=2, max_wait_ms=1.0, breakers=board
-            ) as server:
-                preferred = server._lane_for(0, hedged=False)
-                board.get(preferred % 2).record_failure()
-                walked = server._lane_for(0, hedged=False)
-                assert walked % 2 != preferred % 2
-                board.get(walked % 2).record_failure()
-                assert server._lane_for(0, hedged=False) == preferred
-                # Traffic still flows (fallback, then recovery).
-                answer = await server.submit(0, "rwr")
-                assert answer.tobytes() == cluster.answer(0, "rwr").tobytes()
-
-        asyncio.run(_run())
-
-    def test_half_open_lane_recovers_through_dispatch(self, cluster):
-        """After the cooldown, the half-open probe goes to the dispatched
-        batch copy, whose success closes the breaker: the lookups that
-        decide whether a batch may go out use up no probe."""
-
-        async def _run():
-            from repro.resilience import BreakerBoard
-
-            board = BreakerBoard("lane", BreakerConfig(min_samples=1, open_ms=50.0))
-            async with QueryServer(
-                cluster, workers=2, max_wait_ms=1.0, breakers=board
-            ) as server:
-                machine = cluster.machine_for(0).machine_id
-                breaker = board.get(server._lane_for(machine, hedged=False) % 2)
-                breaker.record_failure()
-                assert breaker.state == "open"
-                await asyncio.sleep(0.1)
-                answer = await server.submit(0, "rwr")
-                assert answer.tobytes() == cluster.answer(0, "rwr").tobytes()
-                assert breaker.state == "closed"
-                assert breaker.rejections == 0
-
-        asyncio.run(_run())
-
-    def test_cancelled_hedge_loser_reports_to_its_lane_breaker(self, cluster):
-        """The hedge copy spends its lane's half-open probe at dispatch.
-        When the primary wins, the copy's asyncio wrapper is cancelled,
-        but the lane future still completes, and its outcome closes the
-        breaker: the lane rejoins rotation."""
-
-        async def _run():
-            from repro.resilience import BreakerBoard
-
-            machine = cluster.machine_for(0).machine_id
-            chaos = {"hook": "_chaos:slow_lane", "machine": machine, "delay_s": 0.3}
-            board = BreakerBoard("lane", BreakerConfig(min_samples=1, open_ms=50.0))
-            async with QueryServer(
-                cluster, workers=2, max_wait_ms=1.0, hedge_ms=50.0, breakers=board,
-                chaos=chaos,
-            ) as server:
-                breaker = board.get(server._lane_for(machine, hedged=True, peek=True) % 2)
-                breaker.record_failure()
-                assert breaker.state == "open"
-                await asyncio.sleep(0.1)  # cooled down: half-open, one probe
-                answer = await server.submit(0, "rwr")
-                assert answer.tobytes() == cluster.answer(0, "rwr").tobytes()
-                assert (server.stats.hedged, server.stats.hedge_wins) == (1, 0)
-                loop = asyncio.get_running_loop()
-                give_up = loop.time() + 5.0
-                while not breaker.admits() and loop.time() < give_up:
-                    await asyncio.sleep(0.02)  # the loser finishes on its lane
-                assert breaker.state == "closed"
-
-        asyncio.run(_run())
-
-
 class TestTenantBreakers:
     def test_deadline_burn_opens_the_tenant_breaker(self, cluster, tmp_path):
         """A tenant whose queries keep burning their deadline budget gets
@@ -285,6 +204,40 @@ class TestTenantBreakers:
                 assert _ledger_balanced(stats)
                 snap = host.health()["tenant_breakers"]["acme"]
                 assert snap["state"] == "open"
+
+        asyncio.run(_run())
+
+    @pytest.mark.parametrize("probe_ends_in", ["bad-node", "cancelled"])
+    def test_a_probe_that_ends_otherwise_gives_its_probe_back(self, cluster, probe_ends_in):
+        """A half-open probe that ends in neither an answer nor a burned
+        deadline (a bad node, a cancelled client) tells nothing about the
+        budget and hands its probe back: the next valid submit probes,
+        answers, and closes the breaker."""
+        config = TenantConfig(
+            max_wait_ms=1.0, breaker=BreakerConfig(window=4, min_samples=1, open_ms=50.0)
+        )
+
+        async def _run():
+            async with TenantHost(workers=1) as host:
+                await host.add_tenant("acme", cluster, config=config)
+                with pytest.raises(DeadlineExceeded):
+                    await host.submit("acme", 0, "rwr", deadline=Deadline.after_ms(1e-6))
+                assert host.health()["tenant_breakers"]["acme"]["state"] == "open"
+                await asyncio.sleep(0.1)  # cooled down: half-open, one probe
+                if probe_ends_in == "bad-node":
+                    with pytest.raises(QueryError):
+                        await host.submit("acme", 10**9, "rwr")
+                else:
+                    probe = asyncio.ensure_future(host.submit("acme", 0, "rwr"))
+                    await asyncio.sleep(0)  # admitted, awaiting its answer
+                    probe.cancel()
+                    with pytest.raises(asyncio.CancelledError):
+                        await probe
+                for node in range(5):
+                    answer = await host.submit("acme", node, "rwr")
+                    assert answer.tobytes() == cluster.answer(node, "rwr").tobytes()
+                snap = host.health()["tenant_breakers"]["acme"]
+                assert snap["state"] == "closed" and snap["rejections"] == 0
 
         asyncio.run(_run())
 

@@ -163,26 +163,31 @@ class TestFaultMatrix:
 
         asyncio.run(_run())
 
-    def test_real_sigkill_on_a_lane_worker(self, clusters):
-        """Not a simulated death: SIGKILL an actual lane worker process
-        mid-service and require the answers to keep flowing, correct."""
+    @pytest.mark.parametrize("rounds", [1, 3])
+    def test_real_sigkill_on_a_lane_worker(self, clusters, rounds):
+        """Not a simulated death: SIGKILL lane 0's actual worker process
+        while a burst is in flight, *rounds* times on the one lane, and
+        require the answers to keep flowing, correct.  Each death costs
+        a burst at most one re-dispatch, within the default 3 attempts."""
         import signal
+
+        cluster = clusters["acme"]
+        nodes = range(12)
+        assert {cluster.machine_for(n).machine_id for n in nodes} == {0}  # all on lane 0
 
         async def _run():
             async with TenantHost(workers=4) as host:
-                await host.add_tenant("acme", clusters["acme"])
+                await host.add_tenant("acme", cluster)
                 warm = await host.submit("acme", 0, "rwr")
-                assert warm.tobytes() == clusters["acme"].answer(0, "rwr").tobytes()
-                pids = [p for lane in host.executor.lane_pids() for p in lane]
-                assert pids, "pooled lanes must expose worker pids"
-                os.kill(pids[0], signal.SIGKILL)
-                answers = await asyncio.gather(
-                    *(host.submit("acme", n, "rwr") for n in range(12))
-                )
-                for n, answer in enumerate(answers):
-                    expected = clusters["acme"].answer(n, "rwr")
-                    assert answer.tobytes() == expected.tobytes()
-                assert host.executor.respawns >= 1
+                assert warm.tobytes() == cluster.answer(0, "rwr").tobytes()
+                for _ in range(rounds):
+                    burst = [asyncio.ensure_future(host.submit("acme", n, "rwr")) for n in nodes]
+                    await asyncio.sleep(0)  # every request admitted
+                    os.kill(host.executor.lane_pids()[0][0], signal.SIGKILL)
+                    for n, answer in zip(nodes, await asyncio.gather(*burst)):
+                        assert answer.tobytes() == cluster.answer(n, "rwr").tobytes()
+                assert host.all_stats()["acme"]["failed"] == 0
+                assert host.executor.respawns >= rounds
                 _assert_balanced(host)
 
         asyncio.run(_run())

@@ -12,6 +12,7 @@ below make that a test failure instead of a production incident.
 
 from __future__ import annotations
 
+import base64
 import json
 
 import numpy as np
@@ -204,6 +205,21 @@ class TestPackedArrayValidation:
         packed = pack_array(np.arange(4, dtype=np.float64))
         packed["shape"] = [-4]
         with pytest.raises(CodecError):
+            unpack_array(packed)
+
+    @pytest.mark.parametrize(
+        "dtype, shape, raw, message",
+        [
+            ("<f8", [2**32, 2**32], b"", f"need {8 * 2**64}$"),  # int64 wraps to 0
+            ("<f8", [2**63 - 1, 2], b"", f"need {16 * (2**63 - 1)}$"),  # wraps negative
+            ("|O", [1], bytes(8), "cannot be read"),
+            ("|S0", [3], b"", "cannot be read"),
+        ],
+        ids=["int64-wraps-to-zero", "int64-wraps-negative", "object", "zero-itemsize"],
+    )
+    def test_unreadable_shape_or_dtype_is_a_codec_error(self, dtype, shape, raw, message):
+        packed = {"dtype": dtype, "shape": shape, "b64": base64.b64encode(raw).decode()}
+        with pytest.raises(CodecError, match=message):
             unpack_array(packed)
 
     def test_non_dict_rejected(self):
