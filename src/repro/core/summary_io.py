@@ -16,13 +16,11 @@ live side by side:
   One ``S`` line per supernode, one ``P`` line per superedge (self-loops
   as ``a == b``).  Node order inside an ``S`` line is irrelevant.
 
-* the **binary store format** (:mod:`repro.store`) — checksummed,
-  memory-mappable columnar sections; :func:`save_summary_binary` /
-  :func:`load_summary_binary` here are thin conveniences over it so
-  callers that already import ``summary_io`` get both formats from one
-  place.  The two are round-trip equivalent (pinned by
-  ``tests/store/test_roundtrip.py``); ``repro convert`` translates
-  between them.
+* the **binary store format** — checksummed, memory-mappable columnar
+  sections, written and read by :func:`repro.store.save_summary_binary`
+  and :func:`repro.store.load_summary_binary`.  The two are round-trip
+  equivalent (pinned by ``tests/store/test_roundtrip.py``);
+  ``repro convert`` translates between them.
 
 Both writers are **crash-atomic**: they write to a temporary file in the
 destination directory and publish with :func:`os.replace`, so an
@@ -186,31 +184,3 @@ def load_summary(path: "str | os.PathLike[str]", graph: Graph) -> SummaryGraph:
     except GraphFormatError as exc:
         raise GraphFormatError(f"{path}: {exc}") from None
 
-
-def save_summary_binary(
-    summary: SummaryGraph, path: "str | os.PathLike[str]", *, include_graph: bool = True
-) -> None:
-    """Write *summary* to *path* in the binary store format, crash-atomically.
-
-    Convenience re-export of :func:`repro.store.save_summary_binary` (the
-    import is deferred to keep :mod:`repro.core` free of a package cycle);
-    see there for the section layout and the *include_graph* trade-off.
-    """
-    from repro.store import save_summary_binary as _save
-
-    _save(summary, path, include_graph=include_graph)
-
-
-def load_summary_binary(
-    path: "str | os.PathLike[str]",
-    graph: "Graph | None" = None,
-    *,
-    verify: bool = True,
-) -> SummaryGraph:
-    """Read a binary summary store from *path* as a zero-copy read-only view.
-
-    Convenience re-export of :func:`repro.store.load_summary_binary`.
-    """
-    from repro.store import load_summary_binary as _load
-
-    return _load(path, graph, verify=verify)

@@ -61,17 +61,6 @@ class Overloaded(ServingError):
         self.retry_after_ms = float(retry_after_ms)
 
 
-class CircuitOpen(ServingError):
-    """A circuit breaker is open for the requested resource (lane or
-    tenant): recent failures crossed the breaker's threshold and the
-    cooldown has not elapsed.  Carries a ``retry_after_ms`` hint.
-    """
-
-    def __init__(self, message: str = "circuit open", *, retry_after_ms: float = 0.0):
-        super().__init__(message)
-        self.retry_after_ms = float(retry_after_ms)
-
-
 class RecoveryError(ReproError):
     """A persisted serving state dir could not be recovered (missing or
     corrupt manifest, checksum mismatch, or an unreplayable delta log)."""
@@ -81,7 +70,7 @@ class ProtocolError(ReproError):
     """A network peer violated the serving wire protocol.
 
     Base class for every failure the framing/codec layer reports; raw
-    ``struct`` / ``json`` / ``msgpack`` exceptions never escape it.
+    ``struct`` / ``json`` exceptions never escape it.
     """
 
 
@@ -92,7 +81,7 @@ class FrameError(ProtocolError):
 
 class CodecError(ProtocolError):
     """A complete frame's payload could not be decoded into a message
-    (invalid JSON/msgpack, wrong top-level type, malformed array field)."""
+    (invalid JSON, wrong top-level type, malformed array field)."""
 
 
 class TenantError(ServingError):

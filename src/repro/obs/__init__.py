@@ -12,7 +12,8 @@ Three layers, all optional and all off the hot path when unused:
   and compute time.
 * :mod:`repro.obs.profile` — :func:`probe` phase timers threaded
   through the merge engines, the streaming swap path, and the store
-  load/spill path; no-ops unless :func:`enable_profiling` ran.
+  load/spill path, plus the query solvers' telemetry; no-ops unless
+  :func:`enable_profiling` ran or inside :func:`profiling_into`.
 
 :class:`ObsConfig` bundles a registry and a tracer and is what the
 serving stack takes: pass one to
@@ -20,14 +21,15 @@ serving stack takes: pass one to
 :class:`~repro.serving.tenancy.TenantHost`, or
 :class:`~repro.serving.net.NetServer` and metrics/tracing light up end
 to end.  ``None`` (the default) traces nothing, and a query server then
-keeps its ledger in a private registry.
+keeps its ledger in a private registry.  With a registry, each served
+batch records its probes into a registry of its own and ships that
+registry's snapshot with its reply, which the server merges in.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
-from typing import Any, Dict
+from typing import Any
 
 from repro.obs.http import MetricsHTTPServer
 from repro.obs.profile import (
@@ -37,6 +39,7 @@ from repro.obs.profile import (
     observe,
     probe,
     profiling_enabled,
+    profiling_into,
 )
 from repro.obs.registry import (
     DEFAULT_LATENCY_BOUNDS,
@@ -68,12 +71,12 @@ __all__ = [
     "disable_profiling",
     "enable_profiling",
     "get_registry",
-    "harvest_worker_metrics",
     "log_spaced_bounds",
     "new_trace_id",
     "observe",
     "probe",
     "profiling_enabled",
+    "profiling_into",
     "quantile_from_sample",
     "samples_for",
     "slow_log",
@@ -88,9 +91,9 @@ class ObsConfig:
     registry (and disables the net tier's), ``tracer=None`` disables
     tracing; ``tenant`` labels every metric the holder records (the
     multi-tenant host stamps each tenant's server with its name).  With
-    a ``registry``, lane workers turn their probes on (store loads,
-    operator builds) and their metrics are harvested back per batch
-    into it.
+    a ``registry``, every served batch, inline or on a lane, records its
+    probes (store loads, solver telemetry) into a registry of its own,
+    and the server merges that batch's snapshot into this one.
     """
 
     registry: "MetricsRegistry | None" = None
@@ -111,36 +114,3 @@ class ObsConfig:
     def enabled(self) -> bool:
         return self.registry is not None or self.tracer is not None
 
-
-#: Worker-process harvest cursor for :func:`harvest_worker_metrics`.
-_WORKER_HARVEST_CURSOR: Dict[str, Any] = {}
-
-
-def harvest_worker_metrics() -> Dict[str, Any]:
-    """This worker's default-registry delta since the previous harvest.
-
-    Called by :func:`~repro.serving.blueprint.serve_batch_task` once per
-    batch; the delta rides back with the batch reply and the parent
-    merges it, so lane compute metrics survive a later SIGKILL of the
-    worker (only the killed batch's own measurements are lost, and that
-    batch is re-dispatched and re-measured).
-    """
-    return get_registry().harvest_delta(_WORKER_HARVEST_CURSOR)
-
-
-def _forget_inherited_metrics() -> None:
-    """Give a forked child an empty default registry and harvest cursor.
-
-    A lane worker forked after traffic (a respawn) would otherwise
-    harvest the parent's metrics it inherited, and the parent would count
-    them twice — its serving ledger included, when the serving registry
-    is the process-wide one.
-    """
-    # Re-initialized rather than reset(): a registry lock some parent
-    # thread held at fork time would stay held in the child.
-    get_registry().__init__()
-    _WORKER_HARVEST_CURSOR.clear()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_inherited_metrics)

@@ -16,18 +16,19 @@ as a call counter.  :func:`count` and :func:`observe` record event
 counters and value histograms (e.g. the query solvers' iteration
 counts) under the same switch.
 
-Serving workers inherit the switch through the batch task: a server
-given an :class:`~repro.obs.ObsConfig` with a registry sets the task's
-``profile`` field and :func:`~repro.serving.blueprint.serve_batch_task`
-enables profiling in the worker before the first machine rebuild, so
-store loads and operator builds that happen *inside a lane worker* are
-captured and harvested back per batch.
+Serving batches carry the switch in the batch task: a server given an
+:class:`~repro.obs.ObsConfig` with a registry sets the task's
+``profile`` field, and :func:`~repro.serving.blueprint.serve_batch_task`
+runs such a batch under :func:`profiling_into` a registry of its own,
+inline and on a lane alike, so its store loads and solver telemetry
+ship back with the reply.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Sequence
+from contextlib import contextmanager
+from typing import Dict, Iterator, Sequence
 
 from repro.obs.registry import MetricsRegistry, get_registry
 
@@ -38,6 +39,7 @@ __all__ = [
     "observe",
     "probe",
     "profiling_enabled",
+    "profiling_into",
 ]
 
 #: Phase-timer buckets: 1 µs .. ~134 s, ×4 per bucket (phases span six
@@ -93,6 +95,18 @@ def disable_profiling() -> None:
     """Turn the probes back into no-ops."""
     _state["enabled"] = False
     _state["registry"] = None
+
+
+@contextmanager
+def profiling_into(registry: MetricsRegistry) -> Iterator[None]:
+    """Record every probe into *registry* for the block, then restore the
+    switch as it was (on or off, and its registry)."""
+    previous = dict(_state)
+    enable_profiling(registry)
+    try:
+        yield
+    finally:
+        _state.update(previous)
 
 
 def profiling_enabled() -> bool:

@@ -8,9 +8,10 @@ module is the storage layer for those numbers:
 * :class:`Gauge` — a last-write-wins instantaneous value.
 * :class:`Histogram` — **fixed log-spaced buckets**, so two histograms
   with the same bounds merge by adding their bucket counts.  That is
-  the property the serving tier leans on: lane workers record compute
-  time in *their* process and the parent merges the harvested deltas
-  into its registry — no locks, no shared memory, no drift.
+  the property the serving tier leans on: each served batch records
+  into a registry of its own, in whichever process answers it, and the
+  parent merges the batch's snapshot into its registry — no locks, no
+  shared memory, no drift.
 
 All three are "lock-cheap": the hot path (``inc`` / ``set`` /
 ``observe``) is plain attribute arithmetic — atomic enough under the
@@ -23,8 +24,8 @@ Prometheus text format (``name{label="v"} value`` plus
 ``_bucket``/``_sum``/``_count`` series for histograms) and
 :meth:`MetricsRegistry.snapshot` a JSON-safe dict that
 :meth:`MetricsRegistry.merge_snapshot` can fold into another registry —
-the cross-process path used by both the per-batch worker harvest and
-the ``metrics`` wire op.
+the cross-process path used by both the per-batch reply metrics and the
+``metrics`` wire op.
 """
 
 from __future__ import annotations
@@ -306,50 +307,6 @@ class MetricsRegistry:
                         name, family.get("help", ""), bounds=sample["bounds"], **labels
                     )
                     hist.merge_counts(sample["counts"], sample["sum"], sample["count"])
-
-    def harvest_delta(self, cursor: Dict[str, Any]) -> Dict[str, Any]:
-        """Snapshot of everything recorded since the last harvest.
-
-        *cursor* is caller-owned state (start with ``{}``); each call
-        returns only the increments since the previous call with the
-        same cursor and advances it.  This is the per-batch worker
-        harvest: a lane worker ships the delta with each batch reply, so
-        nothing is lost to a later SIGKILL beyond the killed batch
-        itself (which is re-dispatched and re-measured).  Gauges are
-        shipped whole (they are not additive).
-        """
-        current = self.snapshot()
-        previous: Dict[Tuple[str, _LabelKey], Dict[str, Any]] = cursor.setdefault("seen", {})
-        delta_families: List[Dict[str, Any]] = []
-        for family in current["families"]:
-            name, kind = family["name"], family["kind"]
-            kept: List[Dict[str, Any]] = []
-            for sample in family["samples"]:
-                key = (name, _label_key(sample["labels"]))
-                last = previous.get(key)
-                if kind == "gauge":
-                    kept.append(sample)
-                elif kind == "counter":
-                    delta = sample["value"] - (last["value"] if last else 0.0)
-                    if delta:
-                        kept.append({"labels": sample["labels"], "value": delta})
-                else:
-                    base_counts = last["counts"] if last else [0] * len(sample["counts"])
-                    counts = [c - b for c, b in zip(sample["counts"], base_counts)]
-                    if any(counts):
-                        kept.append(
-                            {
-                                "labels": sample["labels"],
-                                "bounds": sample["bounds"],
-                                "counts": counts,
-                                "sum": sample["sum"] - (last["sum"] if last else 0.0),
-                                "count": sample["count"] - (last["count"] if last else 0),
-                            }
-                        )
-                previous[key] = sample
-            if kept:
-                delta_families.append({**{k: family[k] for k in ("name", "kind", "help")}, "samples": kept})
-        return {"families": delta_families}
 
     # ------------------------------------------------------------------
     # exposition

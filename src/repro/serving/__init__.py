@@ -34,9 +34,7 @@ from repro.serving.protocol import (
     PROTOCOL_VERSION,
     FrameDecoder,
     MessageCodec,
-    available_encodings,
     encode_frame,
-    negotiate_encoding,
     pack_array,
     unpack_array,
 )
@@ -59,9 +57,7 @@ __all__ = [
     "ServingStats",
     "TenantConfig",
     "TenantHost",
-    "available_encodings",
     "encode_frame",
-    "negotiate_encoding",
     "pack_array",
     "release_session_task",
     "serve_batch_task",

@@ -34,6 +34,12 @@ reconstruction operator — which RWR, PHP and HOP all read — is built
 worker asked for a session or generation it does not hold raises
 :class:`~repro.errors.ServingError` rather than answer from another one.
 
+Telemetry travels the same way as answers: a batch task with
+``profile`` set records its probes into a registry of its own and its
+:class:`BatchReply` carries that registry's snapshot, which the server
+merges into its own registry.  The inline path (``workers=1``) runs the
+same code, so it reports the same metrics as a lane.
+
 Determinism: the rebuilt summary reproduces the original's
 ``supernode_of`` and lexsorted superedge arrays bit for bit, and every
 query answer is a pure function of those arrays (pinned by the mapped
@@ -47,6 +53,7 @@ from __future__ import annotations
 import os
 import time
 import uuid
+from contextlib import nullcontext
 from typing import Any, Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -365,15 +372,13 @@ class BatchTask(NamedTuple):
     deadline.  ``source`` is the parcel naming the machine's source
     generation the batch was flushed against
     (:meth:`ClusterBlueprint.source`); a lane sends its arrays only to a
-    worker that lacks them.  With ``profile`` set, a worker in a process
-    other than ``ppid`` (the dispatching server's) turns its probes on
-    and ships its metrics delta back with the reply.
+    worker that lacks them.  With ``profile`` set, the batch records its
+    probes into a registry of its own and ships it back with the reply.
     """
 
     machine_id: int
     items: List[Tuple[int, str, Optional[float]]]
     source: Parcel
-    ppid: int = 0
     profile: bool = False
 
 
@@ -382,8 +387,8 @@ class BatchReply(NamedTuple):
 
     ``answers`` come in item order, ``None`` for an item whose deadline
     expired before compute.  ``pid`` and ``compute_s`` say which process
-    answered and how long it took; ``metrics`` is the worker's registry
-    delta (``None`` unless the task asked for it).
+    answered and how long it took; ``metrics`` is the snapshot of the
+    batch's own registry (``None`` unless the task asked for it).
     """
 
     answers: List[Optional[np.ndarray]]
@@ -402,31 +407,29 @@ def serve_batch_task(shared: Parcel, task: BatchTask) -> BatchReply:
     ``DeadlineExceeded`` instead of burning worker compute on an answer
     nobody is waiting for.
 
-    The metrics delta is harvested per batch, and only in a true child
-    process: the inline path (``workers=1``) records into the parent's
-    registry directly, so a harvest there would double-count.  Shipping
-    it with every reply is what lets lane compute metrics survive a
-    later SIGKILL of the worker.
+    A ``profile`` task records its probes (store loads, solver
+    telemetry) into a fresh registry, inline and in a lane worker
+    alike, and the reply ships that registry's snapshot, so the parent
+    merges exactly this batch's measurements: nothing a worker
+    inherited or recorded for other work, and nothing twice.
     """
     session = attached_cluster(shared)
     if session.chaos is not None:
         _invoke_chaos(session.chaos, task.machine_id)
-    pid = os.getpid()
-    harvest = task.profile and pid != task.ppid
-    if harvest and not obs.profiling_enabled():
-        # First profiled batch on this (possibly respawned) worker: turn
-        # the probes on so store loads and operator builds below are
-        # captured and harvested back with the reply.
-        obs.enable_profiling()
+    registry = obs.MetricsRegistry() if task.profile else None
     t0 = time.perf_counter()
-    machine = session.machine(task.machine_id, task.source)
-    answers = [
-        None if deadline_expired(expires_at) else machine.answer(node, query_type)
-        for node, query_type, expires_at in task.items
-    ]
+    with obs.profiling_into(registry) if registry is not None else nullcontext():
+        machine = session.machine(task.machine_id, task.source)
+        answers = [
+            None if deadline_expired(expires_at) else machine.answer(node, query_type)
+            for node, query_type, expires_at in task.items
+        ]
     compute_s = time.perf_counter() - t0
     return BatchReply(
-        answers, pid, compute_s, obs.harvest_worker_metrics() if harvest else None
+        answers,
+        os.getpid(),
+        compute_s,
+        None if registry is None else registry.snapshot(),
     )
 
 

@@ -4,11 +4,10 @@
 protocol of :mod:`repro.serving.protocol` in front of a
 :class:`~repro.serving.tenancy.TenantHost`:
 
-* **Handshake** — the first frame of every connection is a JSON hello
-  ``{"op": "hello", "encodings": [...]}``; the server picks the message
-  encoding (msgpack when both sides have it, JSON otherwise), answers
-  with the chosen encoding and the tenant directory, and the connection
-  switches to it.
+* **Handshake** — the first frame of every connection is a hello
+  ``{"op": "hello", "protocol": ...}``; the server answers with its
+  protocol version and the tenant directory.  Every frame, the hello
+  included, is one JSON message.
 * **Pipelining** — query frames carry a client-chosen ``id`` and are
   answered concurrently, possibly out of order; the client matches
   replies by id.  One slow query never blocks the connection.
@@ -48,10 +47,7 @@ from repro.serving.protocol import (
     MAX_FRAME_BYTES,
     MessageCodec,
     PROTOCOL_VERSION,
-    available_encodings,
-    decode_hello,
     encode_frame,
-    negotiate_encoding,
     pack_array,
     unpack_array,
 )
@@ -65,7 +61,7 @@ class _Connection:
 
     def __init__(self, writer: asyncio.StreamWriter, max_frame: int):
         self.writer = writer
-        self.codec = MessageCodec("json")
+        self.codec = MessageCodec()
         self.decoder = FrameDecoder(max_frame=max_frame)
         self.max_frame = max_frame
         self.lock = asyncio.Lock()
@@ -300,24 +296,12 @@ class NetServer:
             raise CodecError(f"unknown or missing op {op!r}")
 
     async def _handshake(self, connection: _Connection, payload: bytes) -> None:
-        hello = decode_hello(payload)
+        hello = connection.codec.decode(payload)
         if hello.get("op") != "hello":
             raise CodecError(f"first frame must be a hello, got op {hello.get('op')!r}")
-        offered = hello.get("encodings", ["json"])
-        if not isinstance(offered, list):
-            raise CodecError("hello 'encodings' must be a list")
-        encoding = negotiate_encoding(offered)
-        # The hello reply is still JSON (the client only switches after
-        # reading it); every later frame uses the negotiated codec.
         await connection.send(
-            {
-                "op": "hello",
-                "protocol": PROTOCOL_VERSION,
-                "encoding": encoding,
-                "tenants": self._tenants.tenants(),
-            }
+            {"op": "hello", "protocol": PROTOCOL_VERSION, "tenants": self._tenants.tenants()}
         )
-        connection.codec = MessageCodec(encoding)
         connection.greeted = True
         self.connections_accepted += 1
 
@@ -411,7 +395,7 @@ class NetServer:
             "message": str(error),
             "fatal": False,
         }
-        # Overloaded / CircuitOpen sheds carry their cooldown hint so a
+        # An Overloaded shed carries its breaker's cooldown hint so a
         # resilient client backs off for the right amount of time.
         hint = getattr(error, "retry_after_ms", None)
         if hint:
@@ -532,14 +516,13 @@ class NetClient:
         self._request_timeout_ms = (
             None if request_timeout_ms is None else float(request_timeout_ms)
         )
-        self._codec = MessageCodec("json")
+        self._codec = MessageCodec()
         self._decoder = FrameDecoder(max_frame=max_frame)
         self._ids = itertools.count(1)
         self._replies: "Dict[Any, asyncio.Future]" = {}
         self._reader_task: "asyncio.Task | None" = None
         self._closed = False
         self._broken: "BaseException | None" = None
-        self.encoding = "json"
         self.tenants: List[str] = []
 
     @classmethod
@@ -548,7 +531,6 @@ class NetClient:
         host: str,
         port: int,
         *,
-        encodings: "List[str] | None" = None,
         max_frame: int = MAX_FRAME_BYTES,
         request_timeout_ms: "float | None" = None,
     ) -> "NetClient":
@@ -558,7 +540,7 @@ class NetClient:
             reader, writer, max_frame=max_frame, request_timeout_ms=request_timeout_ms
         )
         try:
-            await client._handshake(encodings or list(available_encodings()))
+            await client._handshake()
         except BaseException:
             writer.close()
             try:
@@ -568,18 +550,13 @@ class NetClient:
             raise
         return client
 
-    async def _handshake(self, encodings: List[str]) -> None:
-        await self._send(
-            {"op": "hello", "protocol": PROTOCOL_VERSION, "encodings": encodings}
-        )
+    async def _handshake(self) -> None:
+        await self._send({"op": "hello", "protocol": PROTOCOL_VERSION})
         reply = await self._read_message()
         if reply.get("op") == "error":
             raise self._map_error(reply)
         if reply.get("op") != "hello":
             raise ProtocolError(f"expected hello reply, got op {reply.get('op')!r}")
-        encoding = reply.get("encoding")
-        self._codec = MessageCodec(str(encoding))
-        self.encoding = str(encoding)
         self.tenants = [str(t) for t in reply.get("tenants", [])]
         self._reader_task = asyncio.create_task(self._read_loop())
 
@@ -842,10 +819,9 @@ class ResilientClient:
       connections, local request timeouts (``ProtocolError`` /
       ``ConnectionError`` / ``OSError``) — drop the connection,
       back off, reconnect, and re-send;
-    * **server sheds** — :class:`~repro.errors.Overloaded` /
-      :class:`~repro.errors.CircuitOpen` error frames — back off by at
-      least the server's ``retry_after_ms`` hint, on the same
-      connection;
+    * **server sheds** — :class:`~repro.errors.Overloaded` error frames
+      (a tenant's deadline-burn breaker is open) — back off by at least
+      the server's ``retry_after_ms`` hint, on the same connection;
     * everything else (``QueryError``, ``TenantError``,
       ``DeadlineExceeded``, …) is not retried: the request itself is
       wrong or its budget is spent, and a retry would just repeat that.
@@ -860,14 +836,12 @@ class ResilientClient:
         *,
         retry: "RetryPolicy | None" = None,
         request_timeout_ms: "float | None" = None,
-        encodings: "List[str] | None" = None,
         max_frame: int = MAX_FRAME_BYTES,
     ):
         self._host = host
         self._port = int(port)
         self._retry = retry if retry is not None else RetryPolicy()
         self._request_timeout_ms = request_timeout_ms
-        self._encodings = encodings
         self._max_frame = int(max_frame)
         self._client: "NetClient | None" = None
         self._closed = False
@@ -884,7 +858,6 @@ class ResilientClient:
         *,
         retry: "RetryPolicy | None" = None,
         request_timeout_ms: "float | None" = None,
-        encodings: "List[str] | None" = None,
         max_frame: int = MAX_FRAME_BYTES,
     ) -> "ResilientClient":
         """Open the first connection (retried under the policy) and return."""
@@ -893,7 +866,6 @@ class ResilientClient:
             port,
             retry=retry,
             request_timeout_ms=request_timeout_ms,
-            encodings=encodings,
             max_frame=max_frame,
         )
         await client._ensure_connected(attempt=1)
@@ -917,7 +889,6 @@ class ResilientClient:
                 self._client = await NetClient.connect(
                     self._host,
                     self._port,
-                    encodings=self._encodings,
                     max_frame=self._max_frame,
                     request_timeout_ms=self._request_timeout_ms,
                 )
@@ -947,7 +918,7 @@ class ResilientClient:
             try:
                 client = await self._ensure_connected(attempt=attempt)
                 return await getattr(client, method)(*args, **kwargs)
-            except (_errors.Overloaded, _errors.CircuitOpen) as error:
+            except _errors.Overloaded as error:
                 # Explicit shed: the connection is fine, the server just
                 # wants us to wait — honor its hint over our own backoff.
                 if not self._retry.should_retry(attempt):

@@ -2,25 +2,25 @@
 
 Wire format: every message is one **frame** — a 4-byte big-endian
 unsigned length prefix followed by exactly that many payload bytes.  The
-payload is one encoded *message*: a JSON object by default, or a msgpack
-map when both peers support it (negotiated by the hello exchange;
-msgpack is optional and this module degrades to JSON-only when the
-``msgpack`` package is absent).
+payload is one *message*: a UTF-8 JSON object.  Each connection keeps
+one :class:`MessageCodec` per side, and the hello exchange carries the
+protocol version.
 
 Error discipline: the decoding surface raises **only** typed errors from
 :mod:`repro.errors` — :class:`~repro.errors.FrameError` for framing
 violations (zero/oversized lengths, stray trailing bytes at EOF) and
 :class:`~repro.errors.CodecError` for payloads that are complete frames
 but not valid messages.  Raw ``struct`` / ``json`` / ``UnicodeDecodeError``
-/ msgpack exceptions never escape; the property suite in
+exceptions never escape; the property suite in
 ``tests/serving/test_protocol.py`` feeds this layer arbitrary garbage to
 pin that.
 
 Query answers are NumPy arrays and must survive the wire **byte for
 byte** (the serving tier's contract is byte-identity with
 ``cluster.answer``).  :func:`pack_array` therefore ships the raw little-
-endian buffer base64-encoded together with dtype and shape;
-:func:`unpack_array` reconstructs an identical array in both codecs.
+endian buffer base64-encoded together with dtype and shape
+(``{"dtype", "shape", "b64"}``); :func:`unpack_array` reconstructs an
+identical array.
 """
 
 from __future__ import annotations
@@ -30,16 +30,11 @@ import binascii
 import json
 import math
 import struct
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List
 
 import numpy as np
 
-from repro.errors import CodecError, FrameError, ProtocolError
-
-try:  # optional dependency; the protocol auto-negotiates down to JSON
-    import msgpack  # type: ignore
-except ImportError:  # pragma: no cover - exercised where msgpack is absent
-    msgpack = None
+from repro.errors import CodecError, FrameError
 
 #: Frame header: one big-endian u32 payload length.
 HEADER = struct.Struct(">I")
@@ -51,26 +46,6 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 #: Protocol revision carried in the hello exchange.
 PROTOCOL_VERSION = 1
-
-
-def available_encodings() -> Tuple[str, ...]:
-    """Message encodings this process can speak, preference-ordered."""
-    return ("msgpack", "json") if msgpack is not None else ("json",)
-
-
-def negotiate_encoding(offered: Sequence[str]) -> str:
-    """Pick the serving encoding from a peer's offered list.
-
-    The first locally available encoding in *our* preference order that
-    the peer also offers wins; a peer offering nothing we speak is a
-    :class:`~repro.errors.ProtocolError` (JSON is mandatory, so a
-    conforming peer always matches).
-    """
-    offers = [str(e) for e in offered]
-    for encoding in available_encodings():
-        if encoding in offers:
-            return encoding
-    raise ProtocolError(f"no common message encoding in offer {offers!r}")
 
 
 # ----------------------------------------------------------------------
@@ -140,36 +115,27 @@ class FrameDecoder:
 # message codec
 # ----------------------------------------------------------------------
 class MessageCodec:
-    """Encode/decode one message (a dict) to/from frame payload bytes."""
+    """Encode/decode one message (a dict) to/from JSON frame payload bytes.
 
-    def __init__(self, encoding: str = "json"):
-        if encoding not in available_encodings():
-            raise ProtocolError(
-                f"encoding {encoding!r} is not available here "
-                f"(have {', '.join(available_encodings())})"
-            )
-        self.encoding = encoding
+    Each side of a connection holds its own instance, so instrumentation
+    that wraps :meth:`encode`/:meth:`decode` can tell connections apart.
+    """
 
     def encode(self, message: Dict[str, Any]) -> bytes:
         """Message dict → payload bytes (exceptions become CodecError)."""
         if not isinstance(message, dict):
             raise CodecError(f"message must be a dict, got {type(message).__name__}")
         try:
-            if self.encoding == "msgpack":
-                return msgpack.packb(message, use_bin_type=True)
             return json.dumps(message, separators=(",", ":"), allow_nan=False).encode("utf-8")
         except (TypeError, ValueError) as exc:
-            raise CodecError(f"message not encodable as {self.encoding}: {exc}") from exc
+            raise CodecError(f"message not encodable as JSON: {exc}") from exc
 
     def decode(self, payload: bytes) -> Dict[str, Any]:
         """Payload bytes → message dict; anything else is a CodecError."""
         try:
-            if self.encoding == "msgpack":
-                message = msgpack.unpackb(payload, raw=False, strict_map_key=False)
-            else:
-                message = json.loads(payload.decode("utf-8"))
+            message = json.loads(payload.decode("utf-8"))
         except Exception as exc:  # noqa: BLE001 - every decoder failure is typed here
-            raise CodecError(f"undecodable {self.encoding} payload: {exc}") from exc
+            raise CodecError(f"undecodable JSON payload: {exc}") from exc
         if not isinstance(message, dict):
             raise CodecError(
                 f"top-level message must be an object, got {type(message).__name__}"
@@ -177,16 +143,11 @@ class MessageCodec:
         return message
 
 
-def decode_hello(payload: bytes) -> Dict[str, Any]:
-    """Decode the handshake frame (always JSON, before negotiation)."""
-    return MessageCodec("json").decode(payload)
-
-
 # ----------------------------------------------------------------------
 # array transport
 # ----------------------------------------------------------------------
 def pack_array(array: np.ndarray) -> Dict[str, Any]:
-    """A NumPy array as a JSON/msgpack-safe dict, bytes preserved exactly."""
+    """A NumPy array as a JSON-safe dict, bytes preserved exactly."""
     # np.asarray, not ascontiguousarray: the latter promotes 0-d to 1-d
     # and would silently change the answer's shape.  tobytes() already
     # yields C-order bytes for any layout.

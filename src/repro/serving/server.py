@@ -60,7 +60,6 @@ node.
 from __future__ import annotations
 
 import asyncio
-import os
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -292,8 +291,9 @@ class QueryServer:
         records the ``repro_*`` serving metric families (its
         :data:`STATS_FIELDS` ledger, queue wait, end-to-end latency,
         batch sizes, per-lane worker compute) labeled with the config's
-        tenant: into the config's registry when it has one, where lane
-        workers' probe deltas are merged too, and otherwise into a
+        tenant: into the config's registry when it has one, where each
+        batch's own probe snapshot (store loads, solver telemetry) is
+        merged too, inline and from lanes alike, and otherwise into a
         private registry.  With a tracer, every request gets a trace —
         minted here at :meth:`submit`, or adopted from the network
         ingress via the ``trace=`` argument — whose spans cover queue,
@@ -349,10 +349,9 @@ class QueryServer:
         self._registry = registry = (
             obs.registry if obs.registry is not None else MetricsRegistry()
         )
-        # Lane workers profile and ship their metrics back only when
-        # there is a caller's registry to merge them into.
-        self._ppid = os.getpid()
-        self._profile_workers = obs.registry is not None
+        # Batches record and ship back their probes only when there is
+        # a caller's registry to merge them into.
+        self._profile_batches = obs.registry is not None
         self._ledger = _ledger_instruments(registry, tenant)
         self._queue_wait = registry.histogram(
             "repro_queue_wait_seconds", "Admission-to-flush wait per request", tenant=tenant
@@ -751,11 +750,7 @@ class QueryServer:
             for request in batch
         ]
         task = BatchTask(
-            machine_id,
-            items,
-            self._blueprint.source(machine_id),
-            self._ppid,
-            self._profile_workers,
+            machine_id, items, self._blueprint.source(machine_id), self._profile_batches
         )
         job = _BatchJob(batch=batch, task=task)
         now = time.perf_counter()
@@ -968,7 +963,7 @@ class QueryServer:
     ) -> None:
         """Record one batch copy's round trip: dispatch span, compute span
         (with the worker's pid — the cross-process proof), worker compute
-        histogram, and the harvested worker-registry delta."""
+        histogram, and the batch's own registry snapshot."""
         machine_id = job.task.machine_id
         if self._tracer is not None:
             self._trace_each(

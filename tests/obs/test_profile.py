@@ -19,6 +19,7 @@ from repro.obs import (
     enable_profiling,
     probe,
     profiling_enabled,
+    profiling_into,
     samples_for,
 )
 from repro.obs.profile import _NOOP
@@ -36,6 +37,28 @@ class TestSwitch:
         assert profiling_enabled()
         disable_profiling()
         assert not profiling_enabled()
+
+    @pytest.mark.parametrize("before", ["off", "on"])
+    def test_profiling_into_restores_the_previous_switch(self, before):
+        outer, inner = MetricsRegistry(), MetricsRegistry()
+        if before == "on":
+            enable_profiling(outer)
+        else:
+            disable_profiling()
+        with pytest.raises(RuntimeError):
+            with profiling_into(inner):
+                assert profiling_enabled()
+                count("repro_stream_swaps_total", kind="inner")
+                raise RuntimeError("batch blew up")
+        assert profiling_enabled() == (before == "on")
+        count("repro_stream_swaps_total", kind="outer")
+
+        def kinds(registry):
+            samples = samples_for(registry.snapshot(), "repro_stream_swaps_total")
+            return [s["labels"]["kind"] for s in samples]
+
+        assert kinds(inner) == ["inner"]
+        assert kinds(outer) == (["outer"] if before == "on" else [])
 
     def test_count_noop_when_disabled(self):
         registry = MetricsRegistry()

@@ -2,10 +2,9 @@
 
 The property the serving tier leans on is **mergeability**: fixed
 log-spaced buckets mean two histograms with the same bounds combine by
-adding counts, which is how worker-side measurements harvested per batch
-fold into the parent registry without locks or shared memory.  These
-tests pin that, plus the cursor-delta harvest and both exposition
-formats.
+adding counts, which is how each served batch's own registry folds into
+the parent registry without locks or shared memory.  These tests pin
+that, plus both exposition formats.
 """
 
 from __future__ import annotations
@@ -154,58 +153,18 @@ class TestSnapshotsAndMerging:
         value = quantile_from_sample(samples_for(snap, "lat")[0], 0.5)
         assert 1.0 <= value <= 2.0
 
-
-class TestHarvestDelta:
-    def test_harvest_returns_only_increments(self):
-        registry = MetricsRegistry()
-        cursor = {}
-        counter = registry.counter("reqs")
-        hist = registry.histogram("lat", bounds=(1.0,))
-        counter.inc(3)
-        hist.observe(0.5)
-
-        first = registry.harvest_delta(cursor)
-        assert samples_for(first, "reqs")[0]["value"] == 3.0
-        assert samples_for(first, "lat")[0]["count"] == 1
-
-        # Nothing new: families with no increments are dropped entirely.
-        assert registry.harvest_delta(cursor) == {"families": []}
-
-        counter.inc(2)
-        second = registry.harvest_delta(cursor)
-        assert samples_for(second, "reqs")[0]["value"] == 2.0
-        assert samples_for(second, "lat") == []
-
-    def test_gauges_ship_whole_every_harvest(self):
-        registry = MetricsRegistry()
-        cursor = {}
-        registry.gauge("depth").set(5)
-        for _ in range(2):  # not additive, so never dropped or deltaed
-            delta = registry.harvest_delta(cursor)
-            assert samples_for(delta, "depth")[0]["value"] == 5.0
-
-    def test_independent_cursors_see_independent_deltas(self):
-        registry = MetricsRegistry()
-        a, b = {}, {}
-        registry.counter("reqs").inc(1)
-        registry.harvest_delta(a)
-        registry.counter("reqs").inc(1)
-        assert samples_for(registry.harvest_delta(a), "reqs")[0]["value"] == 1.0
-        assert samples_for(registry.harvest_delta(b), "reqs")[0]["value"] == 2.0
-
-    def test_harvested_deltas_recompose_exactly(self):
-        """Per-batch harvests merged into a parent equal one big snapshot."""
-        worker, parent = MetricsRegistry(), MetricsRegistry()
-        cursor = {}
+    def test_per_batch_snapshots_recompose_exactly(self):
+        """Per-batch registries merged into a parent equal one registry
+        that recorded every batch."""
+        parent, whole = MetricsRegistry(), MetricsRegistry()
         for batch in range(3):
-            worker.counter("reqs").inc(batch + 1)
-            worker.histogram("lat", bounds=(1.0, 2.0)).observe(float(batch))
-            parent.merge_snapshot(worker.harvest_delta(cursor))
+            own = MetricsRegistry()
+            for registry in (own, whole):
+                registry.counter("reqs").inc(batch + 1)
+                registry.histogram("lat", bounds=(1.0, 2.0)).observe(float(batch))
+            parent.merge_snapshot(own.snapshot())
         assert samples_for(parent.snapshot(), "reqs")[0]["value"] == 6.0
-        assert (
-            samples_for(parent.snapshot(), "lat")[0]
-            == samples_for(worker.snapshot(), "lat")[0]
-        )
+        assert parent.snapshot() == whole.snapshot()
 
 
 class TestPrometheusExposition:

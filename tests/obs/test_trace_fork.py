@@ -20,15 +20,28 @@ import pytest
 from repro.core import PegasusConfig
 from repro.distributed import build_summary_cluster
 from repro.graph import planted_partition
-from repro.obs import MetricsRegistry, ObsConfig, Tracer, get_registry, samples_for
+from repro.obs import (
+    MetricsRegistry,
+    ObsConfig,
+    Tracer,
+    disable_profiling,
+    enable_profiling,
+    get_registry,
+    profiling_enabled,
+    samples_for,
+)
 from repro.serving import (
     QUERY_TYPES,
+    BatchTask,
+    ClusterBlueprint,
     NetClient,
     NetServer,
     QueryServer,
     TenantConfig,
     TenantHost,
+    serve_batch_task,
 )
+from repro.serving.blueprint import release_session
 
 pytestmark = pytest.mark.filterwarnings("error::ResourceWarning")
 
@@ -118,6 +131,53 @@ class TestForkBoundary:
         assert latency[0]["count"] == len(queries)  # merged once, not twice
 
 
+class TestBatchMetrics:
+    def test_inline_and_lane_batches_ship_the_same_solver_telemetry(self, cluster):
+        """Each profiled batch records into a registry of its own and
+        ships it back, so ``workers=1`` reports what two lanes report."""
+        queries = _queries(cluster, count=18)
+
+        async def _iterations(workers):
+            registry = MetricsRegistry()
+            async with QueryServer(
+                cluster, workers=workers, max_batch=4, obs=ObsConfig(registry=registry)
+            ) as server:
+                await asyncio.gather(*(server.submit(n, q) for n, q in queries))
+            return {
+                s["labels"]["query"]: s["count"]
+                for s in samples_for(registry.snapshot(), "repro_solver_iterations")
+            }
+
+        inline = asyncio.run(_iterations(1))
+        lanes = asyncio.run(_iterations(2))
+        solved = {q: sum(1 for _, t in queries if t == q) for q in ("rwr", "php")}
+        assert inline == lanes == solved
+
+    @pytest.mark.parametrize("profile", [False, True])
+    def test_a_batch_ships_only_its_own_probes(self, cluster, profile):
+        """A profiled batch records into its own registry, not into the
+        registry the process's probes point at, and leaves them there."""
+        blueprint = ClusterBlueprint(cluster)
+        outer = MetricsRegistry()
+        items = [(node, "rwr", None) for node in range(3)]
+        task = BatchTask(0, items, blueprint.source(0), profile)
+        enable_profiling(outer)
+        try:
+            reply = serve_batch_task(blueprint.session(), task)
+            assert profiling_enabled()
+        finally:
+            disable_profiling()
+            release_session(blueprint.token)
+        outer_iterations = samples_for(outer.snapshot(), "repro_solver_iterations")
+        if profile:
+            assert outer_iterations == []
+            shipped = samples_for(reply.metrics, "repro_solver_iterations")
+            assert [s["count"] for s in shipped] == [len(items)]
+        else:
+            assert reply.metrics is None
+            assert [s["count"] for s in outer_iterations] == [len(items)]
+
+
 class TestHedgedTrace:
     def test_hedged_query_trace_spans_and_foreign_compute(self, cluster, tmp_path):
         """The acceptance criterion: a hedged query's trace shows
@@ -172,7 +232,7 @@ class TestWorkerDeathRespawn:
     def test_traces_and_metrics_survive_sigkill_respawn(self, cluster, tmp_path):
         """kill_worker murders a lane worker mid-batch; the batch is
         re-dispatched to the respawned worker, whose compute span and
-        harvested metrics land under the original trace ids."""
+        batch metrics land under the original trace ids."""
         registry = MetricsRegistry()
         tracer = Tracer(ring=16384)
         obs = ObsConfig(registry=registry, tenant="acme", tracer=tracer)
@@ -208,7 +268,7 @@ class TestWorkerDeathRespawn:
         snap = registry.snapshot()
         redis = samples_for(snap, "repro_redispatches_total")
         assert sum(s["value"] for s in redis) == stats.redispatches
-        # Per-batch harvest: compute recorded for batches delivered both
+        # Per-batch metrics: compute recorded for batches delivered both
         # before and after the respawn.
         compute = samples_for(snap, "repro_worker_compute_seconds")
         assert sum(s["count"] for s in compute) >= stats.batches

@@ -12,6 +12,7 @@ tenant, or the per-tenant ledgers.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from repro.distributed import build_summary_cluster
 from repro.errors import FrameError, ProtocolError, QueryError, ServingError, TenantError
 from repro.graph import planted_partition
 from repro.serving import NetClient, NetServer, ResilientClient, TenantConfig, TenantHost
-from repro.serving.protocol import HEADER, encode_frame
+from repro.serving.protocol import HEADER, PROTOCOL_VERSION, encode_frame
 
 pytestmark = pytest.mark.filterwarnings("error::ResourceWarning")
 
@@ -53,12 +54,11 @@ async def _serving(clusters, **host_kwargs):
 
 
 class TestHandshake:
-    def test_hello_negotiates_encoding_and_lists_tenants(self, clusters):
+    def test_hello_lists_tenants(self, clusters):
         async def _run():
             host, server = await _serving(clusters)
             try:
                 async with await NetClient.connect("127.0.0.1", server.port) as client:
-                    assert client.encoding in ("json", "msgpack")
                     assert client.tenants == list(clusters)
                     assert await client.ping()
                     assert await client.list_tenants() == list(clusters)
@@ -70,14 +70,24 @@ class TestHandshake:
         asyncio.run(_run())
 
     def test_json_only_peer_is_served(self, clusters):
+        """A hello's ``encodings`` offer is ignored: every frame is JSON."""
         async def _run():
             host, server = await _serving(clusters)
             try:
-                client = await NetClient.connect(
-                    "127.0.0.1", server.port, encodings=["json"]
-                )
-                async with client:
-                    assert client.encoding == "json"
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                hello = {"op": "hello", "protocol": PROTOCOL_VERSION, "encodings": ["cbor"]}
+                writer.write(encode_frame(json.dumps(hello).encode()))
+                await writer.drain()
+                (length,) = HEADER.unpack(await reader.readexactly(HEADER.size))
+                reply = json.loads(await reader.readexactly(length))
+                assert reply == {
+                    "op": "hello",
+                    "protocol": PROTOCOL_VERSION,
+                    "tenants": list(clusters),
+                }
+                writer.close()
+                await writer.wait_closed()
+                async with await NetClient.connect("127.0.0.1", server.port) as client:
                     answer = await client.query("acme", 0, "rwr")
                     expected = clusters["acme"].answer(0, "rwr")
                     assert answer.tobytes() == expected.tobytes()

@@ -20,16 +20,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CodecError, FrameError, ProtocolError
+from repro.errors import CodecError, FrameError
 from repro.serving.protocol import (
     HEADER,
     MAX_FRAME_BYTES,
     FrameDecoder,
     MessageCodec,
-    available_encodings,
-    decode_hello,
     encode_frame,
-    negotiate_encoding,
     pack_array,
     unpack_array,
 )
@@ -82,7 +79,7 @@ class TestRoundTrip:
     @given(message=_messages, chunk=st.integers(min_value=1, max_value=7))
     def test_any_message_survives_any_chunking(self, message, chunk):
         """encode → frame → feed in arbitrary slices → decode == original."""
-        codec = MessageCodec("json")
+        codec = MessageCodec()
         wire = encode_frame(codec.encode(message)) * 3  # three frames back to back
         decoder = FrameDecoder()
         frames = []
@@ -100,11 +97,10 @@ class TestRoundTrip:
         assert out.shape == array.shape
         assert out.tobytes() == np.asarray(array).tobytes()
 
-    def test_every_available_encoding_round_trips(self):
+    def test_nested_message_round_trips(self):
         message = {"op": "answer", "id": 7, "nested": {"xs": [1, 2.5, None, "s"]}}
-        for encoding in available_encodings():
-            codec = MessageCodec(encoding)
-            assert codec.decode(codec.encode(message)) == message
+        codec = MessageCodec()
+        assert codec.decode(codec.encode(message)) == message
 
 
 class TestFrameViolations:
@@ -140,7 +136,7 @@ class TestFrameViolations:
         """Arbitrary bytes: frames split fine or fail with FrameError; any
         completed payload decodes or fails with CodecError — nothing else."""
         decoder = FrameDecoder(max_frame=1024)
-        codec = MessageCodec("json")
+        codec = MessageCodec()
         try:
             frames = decoder.feed(data)
             decoder.assert_drained()
@@ -156,22 +152,19 @@ class TestFrameViolations:
     @SETTINGS
     @given(data=st.binary(max_size=200))
     def test_garbage_payloads_decode_to_codec_error_only(self, data):
-        for encoding in available_encodings():
-            try:
-                message = MessageCodec(encoding).decode(data)
-            except CodecError:
-                continue
-            assert isinstance(message, dict)
+        try:
+            message = MessageCodec().decode(data)
+        except CodecError:
+            return
+        assert isinstance(message, dict)
 
     def test_non_object_payloads_are_codec_errors(self):
-        for payload in (b"[1,2,3]", b'"str"', b"17", b"null", b"true"):
+        for payload in (b"[1,2,3]", b"[]", b'"str"', b"17", b"null", b"true"):
             with pytest.raises(CodecError):
-                MessageCodec("json").decode(payload)
-        with pytest.raises(CodecError):
-            decode_hello(b"[]")
+                MessageCodec().decode(payload)
 
     def test_unencodable_messages_are_codec_errors(self):
-        codec = MessageCodec("json")
+        codec = MessageCodec()
         with pytest.raises(CodecError):
             codec.encode({"x": float("nan")})
         with pytest.raises(CodecError):
@@ -232,23 +225,3 @@ class TestPackedArrayValidation:
             assert out.shape == np.asarray(array).shape
             assert out.tobytes() == np.asarray(array).tobytes()
 
-
-class TestNegotiation:
-    def test_json_is_always_available_and_mandatory(self):
-        assert "json" in available_encodings()
-        assert negotiate_encoding(["json"]) == "json"
-        assert negotiate_encoding(["weird", "json"]) == "json"
-
-    def test_local_preference_order_wins(self):
-        preferred = available_encodings()[0]
-        assert negotiate_encoding(list(reversed(available_encodings()))) == preferred
-
-    def test_no_common_encoding_is_a_protocol_error(self):
-        with pytest.raises(ProtocolError):
-            negotiate_encoding(["cbor", "protobuf"])
-        with pytest.raises(ProtocolError):
-            negotiate_encoding([])
-
-    def test_unavailable_codec_rejected_at_construction(self):
-        with pytest.raises(ProtocolError):
-            MessageCodec("cbor")

@@ -12,16 +12,17 @@ import numpy as np
 import pytest
 
 from repro.core import PegasusConfig, SummaryGraph, summarize
-from repro.core.summary_io import (
-    load_summary,
-    load_summary_binary,
-    save_summary,
-    save_summary_binary,
-)
+from repro.core.summary_io import load_summary, save_summary
 from repro.errors import GraphFormatError
 from repro.graph import Graph, barabasi_albert
 from repro.queries import hop_distances, php_scores, rwr_scores
-from repro.store import MappedSummary, load_graph, save_graph
+from repro.store import (
+    MappedSummary,
+    load_graph,
+    load_summary_binary,
+    save_graph,
+    save_summary_binary,
+)
 
 
 @pytest.fixture(scope="module")
