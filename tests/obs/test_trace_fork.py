@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import time
 
 import numpy as np
 import pytest
@@ -176,6 +177,69 @@ class TestBatchMetrics:
         else:
             assert reply.metrics is None
             assert [s["count"] for s in outer_iterations] == [len(items)]
+
+    def test_consecutive_batches_ship_disjoint_snapshots(self, cluster):
+        """Two batches on one worker each ship their own solves only:
+        the second snapshot is not a running total of the first."""
+        blueprint = ClusterBlueprint(cluster)
+        session = blueprint.session()
+        shipped = []
+        disable_profiling()
+        try:
+            for nodes in (range(3), range(3, 5)):
+                items = [(node, "php", None) for node in nodes]
+                task = BatchTask(1, items, blueprint.source(1), True)
+                reply = serve_batch_task(session, task)
+                iterations = samples_for(reply.metrics, "repro_solver_iterations")
+                shipped.append([(s["labels"]["query"], s["count"]) for s in iterations])
+        finally:
+            release_session(blueprint.token)
+        assert shipped == [[("php", 3)], [("php", 2)]]
+        assert not profiling_enabled()
+
+    def test_an_expired_batch_ships_no_solver_telemetry(self, cluster):
+        """Items whose deadline passed before compute are not solved, so
+        the batch's own registry holds no solver samples for them."""
+        blueprint = ClusterBlueprint(cluster)
+        expired = time.monotonic() - 1.0
+        items = [(node, "rwr", expired) for node in range(3)]
+        try:
+            reply = serve_batch_task(
+                blueprint.session(), BatchTask(0, items, blueprint.source(0), True)
+            )
+        finally:
+            release_session(blueprint.token)
+        assert reply.answers == [None] * len(items)
+        assert reply.metrics is not None
+        assert samples_for(reply.metrics, "repro_solver_iterations") == []
+
+    def test_inline_serving_turns_the_probes_off_again(self, cluster):
+        """``workers=1`` runs each profiled batch in the ingress process;
+        the probes are off again between batches, and the process-wide
+        registry records none of the batches' solves."""
+        queries = _queries(cluster, count=6)
+        registry = MetricsRegistry()
+        switch_between_batches = []
+        disable_profiling()
+        before = samples_for(get_registry().snapshot(), "repro_solver_iterations")
+
+        async def _run():
+            async with QueryServer(
+                cluster, workers=1, max_batch=2, obs=ObsConfig(registry=registry)
+            ) as server:
+                for node, query_type in queries:
+                    await server.submit(node, query_type)
+                    switch_between_batches.append(profiling_enabled())
+
+        asyncio.run(_run())
+        assert switch_between_batches == [False] * len(queries)
+        assert not profiling_enabled()
+        after = samples_for(get_registry().snapshot(), "repro_solver_iterations")
+        assert after == before
+        solved = samples_for(registry.snapshot(), "repro_solver_iterations")
+        assert sum(s["count"] for s in solved) == sum(
+            1 for _, q in queries if q in ("rwr", "php")
+        )
 
 
 class TestHedgedTrace:

@@ -280,6 +280,43 @@ class TestResilientClient:
 
         asyncio.run(_run())
 
+    def test_shed_is_retried_on_the_same_connection_after_its_hint(self, cluster):
+        """``Overloaded`` is the one server error the client backs off on:
+        it waits out the ``retry_after_ms`` hint, not its own 1 ms backoff,
+        and re-sends on the connection it has."""
+        from repro.resilience import RetryPolicy
+
+        config = TenantConfig(
+            deadline_ms=0.000001,
+            max_wait_ms=1.0,
+            breaker=BreakerConfig(window=4, min_samples=1, open_ms=500.0),
+        )
+
+        async def _run():
+            host, server = await _serving(cluster, config=config)
+            try:
+                client = await ResilientClient.connect(
+                    "127.0.0.1",
+                    server.port,
+                    retry=RetryPolicy(max_attempts=2, base_ms=1.0, jitter=0.0),
+                )
+                async with client:
+                    with pytest.raises(DeadlineExceeded):
+                        await client.query("acme", 0, "rwr")  # opens the breaker
+                    assert client.retries == 0
+                    # Shed while open; the one retry lands after the open
+                    # window, so it is admitted as the breaker's probe and
+                    # burns its deadline instead of being shed again.
+                    with pytest.raises(DeadlineExceeded):
+                        await client.query("acme", 1, "rwr")
+                    assert client.retries == 1
+                    assert client.connects == 1
+            finally:
+                await server.stop()
+                await host.close()
+
+        asyncio.run(_run())
+
     def test_connect_failure_is_typed_after_policy_exhaustion(self):
         from repro.resilience import RetryPolicy
 
