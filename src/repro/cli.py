@@ -336,13 +336,18 @@ def _cmd_serve_net(args) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    state = None if args.state_dir is None else HostState(args.state_dir)
     recovered = None
-    if state is not None and state.exists and state.tenants:
-        # A previous server durably saved its tenants here: recover and
-        # serve them instead of rebuilding — answers must byte-match the
-        # recovered clusters.
-        recovered = recover_host(args.state_dir)
+    try:
+        state = None if args.state_dir is None else HostState(args.state_dir)
+        if state is not None and state.exists and state.tenants:
+            # A previous server durably saved its tenants here: recover
+            # and serve them instead of rebuilding — answers must
+            # byte-match the recovered clusters.
+            recovered = recover_host(args.state_dir)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    if recovered is not None:
         clusters = {tenant: r.cluster for tenant, r in recovered.items()}
         name = f"recovered from {args.state_dir}"
         for tenant, r in recovered.items():
@@ -574,21 +579,18 @@ def _cmd_doctor(args) -> int:
         print(f"manifest        FAIL — {manifest['error']}")
     for name, tenant in report["tenants"].items():
         status = "ok" if tenant["ok"] else "BROKEN"
-        print(f"tenant          {name}: {status} ({tenant.get('kind', '?')})")
+        print(f"tenant          {name}: {status} ({tenant['kind']})")
         for entry in tenant["files"]:
             mark = "ok" if entry["ok"] else "FAIL"
             detail = "" if entry.get("error") is None else f" — {entry['error']}"
             print(f"  file          {entry['file']}: {mark} ({entry['bytes']} bytes){detail}")
-        delta = tenant.get("delta")
+        delta = tenant["delta"]
         if delta is not None:
-            mark = "ok" if delta["ok"] else "FAIL"
-            detail = "" if delta.get("error") is None else f" — {delta['error']}"
             print(
-                f"  delta log     {mark}: generation {delta['generation']}, "
-                f"durable window [{delta['folded_offset']}, {delta['logged_offset']}]"
-                f"{detail}"
+                f"  delta log     generation {delta['generation']}, "
+                f"durable window [{delta['origin']}, {delta['logged_offset']}]"
             )
-        if tenant.get("error"):
+        if tenant["error"]:
             print(f"  error         {tenant['error']}")
     verdict = "recoverable" if report["recoverable"] else "NOT recoverable"
     print(f"verdict         {verdict}")
@@ -1179,7 +1181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     doctor_cmd = sub.add_parser(
         "doctor",
-        help="checksum a --state-dir and report recoverability without starting a server",
+        help="dry-run recovery of a --state-dir and report recoverability, serving nothing",
     )
     doctor_cmd.add_argument("state_dir", help="state directory written by serve-net --state-dir")
     doctor_cmd.add_argument(

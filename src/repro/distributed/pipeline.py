@@ -94,38 +94,27 @@ def _spill_path(spill_dir: str, machine_id: int) -> str:
     return os.path.join(spill_dir, f"machine-{machine_id:04d}.store")
 
 
-def _summary_spill_task(shared, task) -> Tuple[int, str, float]:
-    """Build one machine's summary, persist it, and drop the in-RAM copy.
+def _spill_task(shared, task) -> Tuple[int, str, float]:
+    """Build one machine with *build_task*, persist it, drop the in-RAM copy.
 
-    The worker's return payload is a ``(machine_id, path, memory_bits)``
-    triple — the summary itself never travels back to (or stays resident
-    in) the parent; the parent memory-maps the store file instead.  The
-    graph CSR is not embedded (every machine shares the one input graph),
-    so each spill file holds exactly one machine's columnar summary.
+    *shared* is ``(build_task, build_shared, spill_dir)``.  The worker's
+    return payload is a ``(machine_id, path, memory_bits)`` triple — the
+    source itself never travels back to (or stays resident in) the
+    parent; the parent memory-maps the store file instead.  A summary's
+    graph CSR is not embedded (every machine shares the one input
+    graph), so each spill file holds exactly one machine's source.
     """
-    from repro.store import save_summary_binary
+    from repro.store import save_graph, save_summary_binary
 
-    graph, budget_bits, config, spill_dir = shared
-    machine_id, part = task
-    weights = PersonalizedWeights(graph, part, alpha=config.alpha)
-    result = summarize(graph, budget_bits=budget_bits, config=config, weights=weights)
-    path = _spill_path(spill_dir, machine_id)
+    build_task, build_shared, spill_dir = shared
+    machine = build_task(build_shared, task)
+    path = _spill_path(spill_dir, machine.machine_id)
     with probe("store.spill"):
-        save_summary_binary(result.summary, path, include_graph=False)
-    return machine_id, path, result.summary.size_in_bits()
-
-
-def _subgraph_spill_task(shared, task) -> Tuple[int, str, float]:
-    """Build one machine's budgeted subgraph, persist it, drop the copy."""
-    from repro.store import save_graph
-
-    graph, budget_bits, seed, spill_dir = shared
-    machine_id, part = task
-    subgraph = budgeted_subgraph(graph, part, budget_bits, seed=seed)
-    path = _spill_path(spill_dir, machine_id)
-    with probe("store.spill"):
-        save_graph(subgraph, path)
-    return machine_id, path, subgraph.size_in_bits()
+        if isinstance(machine.source, Graph):
+            save_graph(machine.source, path)
+        else:
+            save_summary_binary(machine.source, path, include_graph=False)
+    return machine.machine_id, path, machine.memory_bits
 
 
 def _machines_from_spill(
@@ -214,14 +203,11 @@ def build_summary_cluster(
     parts = _resolve_parts(graph, num_machines, partitioner, assignment, seed)
     config = config or PegasusConfig(seed=seed)
     tasks = list(enumerate(parts))
+    task_fn, shared = _summary_machine_task, (graph, float(budget_bits), config)
     if spill_dir is not None:
         spill_dir = os.fspath(spill_dir)
         os.makedirs(spill_dir, exist_ok=True)
-        shared = (graph, float(budget_bits), config, spill_dir)
-        task_fn = _summary_spill_task
-    else:
-        shared = (graph, float(budget_bits), config)
-        task_fn = _summary_machine_task
+        task_fn, shared = _spill_task, (task_fn, shared, spill_dir)
     results = ParallelExecutor(workers).map(task_fn, tasks, shared=shared)
     if spill_dir is not None:
         machines = _machines_from_spill(graph, parts, results, summaries=True)
@@ -252,14 +238,11 @@ def build_subgraph_cluster(
     """
     parts = _resolve_parts(graph, num_machines, partitioner, assignment, seed)
     tasks = list(enumerate(parts))
+    task_fn, shared = _subgraph_machine_task, (graph, float(budget_bits), seed)
     if spill_dir is not None:
         spill_dir = os.fspath(spill_dir)
         os.makedirs(spill_dir, exist_ok=True)
-        shared = (graph, float(budget_bits), seed, spill_dir)
-        task_fn = _subgraph_spill_task
-    else:
-        shared = (graph, float(budget_bits), seed)
-        task_fn = _subgraph_machine_task
+        task_fn, shared = _spill_task, (task_fn, shared, spill_dir)
     results = ParallelExecutor(workers).map(task_fn, tasks, shared=shared)
     if spill_dir is not None:
         machines = _machines_from_spill(None, parts, results, summaries=False)

@@ -1,22 +1,22 @@
 """A tiny asyncio HTTP endpoint exposing a registry to scrapers.
 
-``GET /metrics`` answers the Prometheus text exposition format and
-``GET /metrics.json`` the JSON snapshot — enough surface for a
-Prometheus scrape job, a ``curl``, or the CI smoke step, without
-pulling an HTTP framework into the dependency set.  The server shares
-the event loop with the serving tier (``repro serve-net
---metrics-port``), so a scrape never blocks query traffic and vice
-versa; rendering a snapshot is a pure read of the registry.
+``GET /metrics`` answers the Prometheus text exposition format — enough
+surface for a Prometheus scrape job, a ``curl``, or the CI smoke step,
+without pulling an HTTP framework into the dependency set.  (The JSON
+snapshot travels over the query port's ``metrics`` wire op instead,
+which is what ``repro top`` reads.)  The server shares the event loop
+with the serving tier (``repro serve-net --metrics-port``), so a scrape
+never blocks query traffic and vice versa; rendering is a pure read of
+the registry.
 
-Only ``GET``/``HEAD`` on the two known paths are served; anything else
-gets a 404/405 and the connection closes after every response
+Only ``GET``/``HEAD`` on ``/metrics`` (or ``/``) are served; anything
+else gets a 404/405 and the connection closes after every response
 (``Connection: close`` — scrapers reconnect per scrape anyway).
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 
 from repro.errors import ServingError
 from repro.obs.registry import MetricsRegistry
@@ -82,8 +82,6 @@ class MetricsHTTPServer:
     def _respond(self, path: str) -> "tuple[int, str, str]":
         if path in ("/metrics", "/"):
             return 200, "text/plain; version=0.0.4; charset=utf-8", self._registry.render_prometheus()
-        if path == "/metrics.json":
-            return 200, "application/json", json.dumps(self._registry.snapshot()) + "\n"
         return 404, "text/plain; charset=utf-8", "not found\n"
 
     async def _handle(

@@ -27,9 +27,13 @@ computation :meth:`~repro.streaming.summarizer.StreamingSummarizer.residual_for`
 performs incrementally, so recovered answers match an uninterrupted
 server on the durable stream prefix.
 
-:func:`doctor_report` is the read-only half: verify every checksum and
-report recoverability without constructing a single serving object —
-the ``repro doctor`` CLI.
+A machine cursor outside the recovered stream is refused rather than
+served: past its end, the summary would cover edges the durable log
+has lost.
+
+:func:`doctor_report` is recovery's dry run — the ``repro doctor`` CLI:
+it runs the same per-tenant recovery, reports whether each tenant came
+back, and serves nothing, so it cannot disagree with a restart.
 """
 
 from __future__ import annotations
@@ -37,13 +41,13 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.distributed.cluster import DistributedCluster, Machine
-from repro.errors import GraphFormatError, RecoveryError
+from repro.errors import GraphFormatError, RecoveryError, ReproError
 from repro.graph.graph import Graph
 from repro.store import (
     DeltaLog,
@@ -82,10 +86,8 @@ class RecoveredTenant:
 
     name: str
     cluster: DistributedCluster
-    entry: dict
     delta: "object | None" = None
     log: "Optional[DeltaLog]" = None
-    cursors: "Dict[int, int]" = field(default_factory=dict)
 
     @property
     def generation(self) -> "int | None":
@@ -339,10 +341,10 @@ def _recover_machines(
             # filter the live summarizer applies incrementally, so the
             # recovered source is identical to the uninterrupted one.
             lo = log.local_offset(cursor)
-            if lo < 0:
+            if not 0 <= lo <= delta.num_pending:
                 raise RecoveryError(
-                    f"{path}: cursor {cursor} predates the compacted base "
-                    f"(origin {log.origin}) — manifest and delta log disagree"
+                    f"{path}: cursor {cursor} outside the durable stream "
+                    f"[{log.origin}, {log.logged_offset}] — manifest and delta log disagree"
                 )
             suffix = delta.pending_edges()[lo:]
             if suffix.shape[0]:
@@ -363,6 +365,33 @@ def _recover_machines(
     return machines
 
 
+def _recover_tenant(
+    state_dir: str, name: str, record: dict, *, verify: bool
+) -> RecoveredTenant:
+    """Rebuild one tenant from its manifest *record*, or raise.
+
+    The one recovery routine: :func:`recover_host` serves what it
+    returns and :func:`doctor_report` only asks whether it returns.
+    """
+    directory = os.path.join(state_dir, "tenants", name)
+    delta = log = None
+    try:
+        if record["kind"] == "streaming":
+            delta, log = DeltaLog.recover(
+                os.path.join(directory, record["delta_dir"]), verify=verify
+            )
+            graph = delta.base
+        else:
+            graph = load_graph(os.path.join(directory, record["graph"]), verify=verify)
+        machines = _recover_machines(
+            directory, record, graph, delta=delta, log=log, verify=verify
+        )
+        cluster = DistributedCluster(graph, machines)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise RecoveryError(f"tenant {name!r}: malformed manifest entry: {exc}") from None
+    return RecoveredTenant(name=name, cluster=cluster, delta=delta, log=log)
+
+
 def recover_host(
     state_dir: "str | os.PathLike[str]", *, verify: bool = True
 ) -> "Dict[str, RecoveredTenant]":
@@ -375,44 +404,22 @@ def recover_host(
     """
     state_dir = os.fspath(state_dir)
     payload = _load_manifest(os.path.join(state_dir, MANIFEST_NAME))
-    recovered: "Dict[str, RecoveredTenant]" = {}
-    for name in sorted(payload["tenants"]):
-        record = payload["tenants"][name]
-        directory = os.path.join(state_dir, "tenants", name)
-        try:
-            if record["kind"] == "streaming":
-                delta, log = DeltaLog.recover(
-                    os.path.join(directory, record["delta_dir"]), verify=verify
-                )
-                graph = delta.base
-                machines = _recover_machines(
-                    directory, record, graph, delta=delta, log=log, verify=verify
-                )
-                cluster = DistributedCluster(graph, machines)
-                recovered[name] = RecoveredTenant(
-                    name=name,
-                    cluster=cluster,
-                    entry=record,
-                    delta=delta,
-                    log=log,
-                    cursors={int(m["id"]): int(m["cursor"]) for m in record["machines"]},
-                )
-            else:
-                graph = load_graph(os.path.join(directory, record["graph"]), verify=verify)
-                machines = _recover_machines(directory, record, graph, verify=verify)
-                cluster = DistributedCluster(graph, machines)
-                recovered[name] = RecoveredTenant(name=name, cluster=cluster, entry=record)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RecoveryError(f"tenant {name!r}: malformed manifest entry: {exc}") from None
-    return recovered
+    return {
+        name: _recover_tenant(state_dir, name, payload["tenants"][name], verify=verify)
+        for name in sorted(payload["tenants"])
+    }
 
 
 def doctor_report(state_dir: "str | os.PathLike[str]", *, verify: bool = True) -> dict:
-    """Checksum a state dir and report recoverability, without serving.
+    """Recovery's dry run: recover every tenant, report, serve nothing.
 
-    Never raises for a bad state dir — the whole point is diagnosing
-    one.  ``report["recoverable"]`` is the overall verdict; each tenant
-    and file carries its own ``ok``/``error``.
+    A tenant is ``ok`` exactly when the recovery :func:`recover_host`
+    runs returns for it, so the verdict cannot disagree with a restart
+    (and needs the restart's RAM: the pending edges since the newest
+    base).  Never raises for a bad state dir — the whole point is
+    diagnosing one.  ``report["recoverable"]`` is the overall verdict;
+    each tenant carries its ``ok``/``error``, a streaming tenant its
+    recovered ``delta`` window, and each file its own ``ok``/``error``.
     """
     state_dir = os.fspath(state_dir)
     report: dict = {
@@ -427,51 +434,40 @@ def doctor_report(state_dir: "str | os.PathLike[str]", *, verify: bool = True) -
         report["manifest"]["error"] = str(exc)
         return report
     report["manifest"]["ok"] = True
-    overall = True
     for name in sorted(payload["tenants"]):
         record = payload["tenants"][name]
         directory = os.path.join(state_dir, "tenants", name)
-        tenant: dict = {
-            "kind": record.get("kind"),
-            "files": [],
-            "delta": None,
-            "ok": True,
-            "error": None,
-        }
-        files = [record.get("routing")]
-        if record.get("graph"):
-            files.append(record["graph"])
-        files.extend(m.get("file") for m in record.get("machines", []))
-        for file_name in files:
+        tenant: dict = {"kind": None, "files": [], "delta": None, "ok": False, "error": None}
+        # Which file is damaged; the verdict is recovery's alone.
+        try:
+            tenant["kind"] = record["kind"]
+            files = [record["routing"], record.get("graph")]
+            files += [machine["file"] for machine in record["machines"]]
+        except (KeyError, TypeError):
+            files = []  # a malformed entry, which recovery's error names
+        for file_name in filter(None, files):
             entry = {"file": file_name, "ok": False, "bytes": 0, "error": None}
             path = os.path.join(directory, str(file_name))
             try:
                 entry["bytes"] = os.path.getsize(path)
-                container = open_store(path, verify=verify)
-                container.close()
+                open_store(path, verify=verify).close()
                 entry["ok"] = True
             except (OSError, GraphFormatError) as exc:
                 entry["error"] = str(exc)
-                tenant["ok"] = False
             tenant["files"].append(entry)
-        if record.get("kind") == "streaming":
-            delta_report = DeltaLog.describe(
-                os.path.join(directory, str(record.get("delta_dir"))), verify=verify
-            )
-            tenant["delta"] = delta_report
-            if not delta_report["ok"]:
-                tenant["ok"] = False
-            else:
-                for machine in record.get("machines", []):
-                    cursor = int(machine.get("cursor", 0))
-                    if not delta_report["folded_offset"] <= cursor <= delta_report["logged_offset"]:
-                        tenant["ok"] = False
-                        tenant["error"] = (
-                            f"machine {machine.get('id')} cursor {cursor} outside durable "
-                            f"window [{delta_report['folded_offset']}, "
-                            f"{delta_report['logged_offset']}]"
-                        )
-        overall = overall and tenant["ok"]
+        try:
+            recovered = _recover_tenant(state_dir, name, record, verify=verify)
+        except ReproError as exc:
+            tenant["error"] = str(exc)
+        else:
+            tenant["ok"] = True
+            if recovered.log is not None:
+                tenant["delta"] = {
+                    "generation": recovered.log.generation,
+                    "origin": recovered.log.origin,
+                    "logged_offset": recovered.log.logged_offset,
+                }
         report["tenants"][name] = tenant
-    report["recoverable"] = overall and bool(payload["tenants"])
+    tenants = report["tenants"].values()
+    report["recoverable"] = bool(tenants) and all(t["ok"] for t in tenants)
     return report

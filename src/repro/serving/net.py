@@ -112,9 +112,10 @@ class NetServer:
         id follows the request through the tenant host, the lanes, and
         the worker compute, and the answer-frame write is recorded as
         the ``reply`` span before the trace's ``total`` closes.  With a
-        registry, the ``metrics`` wire op exposes it (Prometheus text or
-        JSON snapshot) beside the ``stats`` op.  Normally the same
-        config object the tenant host was built with.
+        registry, the ``metrics`` wire op ships its JSON snapshot (what
+        ``repro top`` reads) beside the ``stats`` op; Prometheus text is
+        the job of :class:`~repro.obs.MetricsHTTPServer`.  Normally the
+        same config object the tenant host was built with.
 
     Use as an async context manager, or call :meth:`start` /
     :meth:`stop` explicitly.
@@ -331,11 +332,10 @@ class NetServer:
         await connection.send({"op": "stats", "id": message.get("id"), "stats": stats})
 
     async def _reply_metrics(self, connection: _Connection, message: Dict[str, Any]) -> None:
-        """The ``metrics`` wire op: the server's registry, rendered.
+        """The ``metrics`` wire op: the registry's mergeable snapshot dict.
 
-        ``format: "json"`` (default) ships the mergeable snapshot dict;
-        ``format: "prometheus"`` ships the text exposition.  A server
-        running without a metrics registry answers a non-fatal error.
+        A server running without a metrics registry answers a non-fatal
+        error.
         """
         registry = self._obs.registry if self._obs is not None else None
         if registry is None:
@@ -345,31 +345,9 @@ class NetServer:
                 ServingError("metrics are not enabled on this server"),
             )
             return
-        fmt = message.get("format", "json")
-        if fmt == "prometheus":
-            await connection.send(
-                {
-                    "op": "metrics",
-                    "id": message.get("id"),
-                    "format": "prometheus",
-                    "text": registry.render_prometheus(),
-                }
-            )
-        elif fmt == "json":
-            await connection.send(
-                {
-                    "op": "metrics",
-                    "id": message.get("id"),
-                    "format": "json",
-                    "snapshot": registry.snapshot(),
-                }
-            )
-        else:
-            await self._reply_error(
-                connection,
-                message,
-                _errors.CodecError(f"unknown metrics format {fmt!r}"),
-            )
+        await connection.send(
+            {"op": "metrics", "id": message.get("id"), "snapshot": registry.snapshot()}
+        )
 
     async def _reply_health(self, connection: _Connection, message: Dict[str, Any]) -> None:
         """The ``health`` wire op: lane liveness and respawns, breakers.
@@ -713,20 +691,16 @@ class NetClient:
         """The host-wide ledger: every tenant's counters folded together."""
         return await self.stats("*")
 
-    async def metrics(self, format: str = "json") -> Any:
-        """The server's metrics registry, rendered.
+    async def metrics(self) -> Dict[str, Any]:
+        """The server's metrics registry as a snapshot dict.
 
-        ``format="json"`` returns the snapshot dict (mergeable via
-        :meth:`~repro.obs.MetricsRegistry.merge_snapshot`);
-        ``format="prometheus"`` returns the text exposition as a string.
+        Mergeable via :meth:`~repro.obs.MetricsRegistry.merge_snapshot`.
         Raises :class:`~repro.errors.ServingError` when the server runs
         without a registry.
         """
-        reply = await self._request({"op": "metrics", "format": format})
+        reply = await self._request({"op": "metrics"})
         if reply.get("op") != "metrics":
             raise ProtocolError(f"expected a metrics reply, got op {reply.get('op')!r}")
-        if format == "prometheus":
-            return str(reply.get("text", ""))
         snapshot = reply.get("snapshot")
         if not isinstance(snapshot, dict):
             raise ProtocolError("malformed metrics reply")

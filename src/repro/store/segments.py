@@ -25,6 +25,10 @@ invariant the streaming layer depends on.  Deletion happens strictly
 after the new base is published, so a crash mid-compaction at worst
 leaves covered segments behind; recovery skips their folded prefix (and
 :meth:`GraphDelta.add_edges` would deduplicate them regardless).
+
+:meth:`DeltaLog.recover` is the one way a log directory is read back
+into a stream: ``repro doctor`` runs it too, as part of recovery's dry
+run, so the two cannot disagree about a log directory.
 """
 
 from __future__ import annotations
@@ -226,90 +230,6 @@ class DeltaLog:
         """Translate a local pending index to its global stream offset."""
         return self._origin + local_index
 
-    @staticmethod
-    def describe(directory: "str | os.PathLike[str]", *, verify: bool = True) -> dict:
-        """Inspect a log directory without replaying it into a delta.
-
-        The read-only half of :meth:`recover` — checks the same
-        invariants (a base exists, checksums pass when *verify*, the
-        durable segments form a gap-free run from the base's folded
-        offset) but never materializes edges, so ``repro doctor`` can
-        report on logs much larger than RAM.  Returns a dict with
-        ``ok``/``error`` plus ``generation``, ``folded_offset``,
-        ``logged_offset``, ``num_nodes``, and per-file listings.
-        """
-        directory = os.fspath(directory)
-        report: dict = {
-            "directory": directory,
-            "ok": False,
-            "error": None,
-            "generation": None,
-            "folded_offset": None,
-            "logged_offset": None,
-            "num_nodes": None,
-            "bases": [],
-            "segments": [],
-        }
-        try:
-            entries = sorted(os.listdir(directory))
-        except OSError as exc:
-            report["error"] = f"cannot list delta log: {exc}"
-            return report
-        segments: List[Tuple[int, int, str]] = []
-        for entry in entries:
-            match = _BASE_RE.match(entry)
-            if match:
-                report["bases"].append(entry)
-                continue
-            match = _SEG_RE.match(entry)
-            if match:
-                segments.append((int(match.group(1)), int(match.group(2)), entry))
-        if not report["bases"]:
-            report["error"] = "no base generation found"
-            return report
-        try:
-            generation = max(
-                int(_BASE_RE.match(entry).group(1)) for entry in report["bases"]
-            )
-            base = open_store(
-                os.path.join(directory, _base_name(generation)),
-                kind=BASE_KIND,
-                verify=verify,
-            )
-            offset = int(base.meta.get("pending_offset", -1))
-            report["generation"] = generation
-            report["folded_offset"] = offset
-            report["num_nodes"] = int(base.meta.get("num_nodes", -1))
-            base.close()
-            spans: List[Tuple[int, int, str]] = []
-            for _gen, _index, entry in sorted(segments):
-                container = open_store(
-                    os.path.join(directory, entry), kind=SEGMENT_KIND, verify=verify
-                )
-                start = int(container.meta.get("start", -1))
-                count = int(container.meta.get("count", -1))
-                container.close()
-                if start < 0 or count < 0:
-                    raise GraphFormatError(f"{entry}: segment start/count metadata invalid")
-                spans.append((start, count, entry))
-                report["segments"].append({"file": entry, "start": start, "count": count})
-            spans.sort()
-            cursor = offset
-            for start, count, entry in spans:
-                if start + count <= cursor:
-                    continue  # fully folded into the base
-                if start > cursor:
-                    raise GraphFormatError(
-                        f"delta log gap at global offset {cursor}: "
-                        f"next segment {entry} starts at {start}"
-                    )
-                cursor = start + count
-            report["logged_offset"] = cursor
-            report["ok"] = True
-        except GraphFormatError as exc:
-            report["error"] = str(exc)
-        return report
-
     def append(self, delta: GraphDelta) -> "str | None":
         """Persist every not-yet-durable pending edge as one new segment.
 
@@ -391,7 +311,9 @@ class DeltaLog:
                     count = int(container.meta.get("count", 0))
                     container.close()
                 except GraphFormatError:
-                    continue  # unreadable segment: keep for post-mortem, recovery ignores it
+                    # Unreadable segment: kept for post-mortem.  Recovery
+                    # (and so ``repro doctor``) refuses the log and names it.
+                    continue
                 if start + count <= target:
                     self._unlink(entry)
         self._generation = generation

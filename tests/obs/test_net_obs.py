@@ -2,10 +2,10 @@
 stats, the scrape endpoint, the slow-query log, and ``repro top``.
 
 Everything a monitoring stack touches from outside the process:
-``metrics`` frames (JSON and Prometheus text), the ``stats`` op with
+``metrics`` frames (the JSON snapshot), the ``stats`` op with
 per-tenant / all / ``"*"`` aggregate forms (including the hedging
-fields), the HTTP scrape endpoint, and the ``repro top`` CLI polling a
-live server.
+fields), the HTTP scrape endpoint (Prometheus text), and the ``repro
+top`` CLI polling a live server.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ async def _drive(clusters, obs, queries, *, chaos=None, config=None):
                         await client.query(name, node, query_type)
                 return {
                     "json": await client.metrics(),
-                    "prometheus": await client.metrics(format="prometheus"),
                     "per_tenant": await client.stats("acme"),
                     "all": await client.stats(),
                     "aggregate": await client.aggregate_stats(),
@@ -87,13 +86,6 @@ class TestMetricsWireOp:
         names = {f["name"] for f in snapshot["families"]}
         assert {"repro_requests_total", "repro_request_latency_seconds"} <= names
         json.dumps(snapshot)  # round-trippable
-
-    def test_prometheus_text_over_the_wire(self, served):
-        text = served["prometheus"]
-        assert isinstance(text, str)
-        assert "# TYPE repro_requests_total counter" in text
-        assert 'tenant="acme"' in text and 'tenant="globex"' in text
-        assert "repro_request_latency_seconds_bucket" in text
 
     def test_stats_shapes_per_tenant_all_and_aggregate(self, served):
         per_tenant, all_stats, aggregate = (
@@ -123,54 +115,36 @@ class TestMetricsWireOp:
 
         assert asyncio.run(_run())
 
-    def test_unknown_format_rejected(self, clusters, graph):
-        from repro.errors import CodecError
-
-        async def _run():
-            obs = ObsConfig(registry=MetricsRegistry())
-            async with TenantHost(workers=1, obs=obs) as host:
-                await host.add_tenant("acme", clusters["acme"])
-                async with NetServer(host, obs=obs) as net:
-                    client = await NetClient.connect("127.0.0.1", net.port)
-                    async with client:
-                        with pytest.raises(CodecError):
-                            await client.metrics(format="xml")
-
-        asyncio.run(_run())
-
 
 class TestHTTPScrape:
-    def test_prometheus_and_json_endpoints(self, clusters, graph):
+    def test_prometheus_endpoint(self, clusters, graph):
         registry = MetricsRegistry()
         obs = ObsConfig(registry=registry)
 
         async def _run():
             async with TenantHost(workers=1, obs=obs) as host:
-                await host.add_tenant("acme", clusters["acme"])
+                for name, cluster in clusters.items():
+                    await host.add_tenant(name, cluster)
                 async with NetServer(host) as net:
                     client = await NetClient.connect("127.0.0.1", net.port)
                     async with client:
-                        for node, query_type in _queries(graph, count=4):
-                            await client.query("acme", node, query_type)
+                        for name in clusters:
+                            for node, query_type in _queries(graph, count=4):
+                                await client.query(name, node, query_type)
                 async with MetricsHTTPServer(registry) as http:
-                    url = f"http://127.0.0.1:{http.port}"
+                    url = f"http://127.0.0.1:{http.port}/metrics"
 
-                    def _get(path):
-                        with urllib.request.urlopen(url + path, timeout=5) as reply:
+                    def _get():
+                        with urllib.request.urlopen(url, timeout=5) as reply:
                             return reply.status, reply.headers, reply.read().decode()
 
-                    status, headers, text = await asyncio.to_thread(_get, "/metrics")
+                    status, headers, text = await asyncio.to_thread(_get)
                     assert status == 200
                     assert headers["Content-Type"].startswith("text/plain")
-                    assert "repro_requests_total" in text
-                    status, _, body = await asyncio.to_thread(_get, "/metrics.json")
-                    assert status == 200
-                    snapshot = json.loads(body)
-                    assert any(
-                        f["name"] == "repro_request_latency_seconds"
-                        for f in snapshot["families"]
-                    )
-                    assert http.scrapes == 2
+                    assert "# TYPE repro_requests_total counter" in text
+                    assert 'tenant="acme"' in text and 'tenant="globex"' in text
+                    assert "repro_request_latency_seconds_bucket" in text
+                    assert http.scrapes == 1
 
         asyncio.run(_run())
 

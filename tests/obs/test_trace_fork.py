@@ -113,8 +113,8 @@ class TestForkBoundary:
         assert worker_pids and os.getpid() not in worker_pids
 
     def test_inline_path_computes_in_the_ingress_process(self, cluster):
-        """workers=1 serves inline: same spans, same pid — and the
-        worker-metrics harvest must not double-count the one registry."""
+        """workers=1 serves inline: same spans, same pid — and merging
+        the batch's own registry must not double-count the one registry."""
         tracer = Tracer()
         registry = MetricsRegistry()
         queries = _queries(cluster, count=4)
@@ -339,8 +339,9 @@ class TestWorkerDeathRespawn:
 
     def test_respawned_worker_ships_only_its_own_metrics(self, cluster):
         """A lane worker forked after traffic inherits the parent's
-        process-wide registry; its harvests must not ship that back, or
-        the parent counts it twice."""
+        process-wide registry; each batch ships only its own per-batch
+        registry, never that inherited copy, or the parent counts it
+        twice."""
         import signal
 
         queries = _queries(cluster, count=16)

@@ -2,20 +2,22 @@
 
 The contract under test: whatever manifest is durable names only fully
 durable files, ``recover_host`` serves byte-identically to the crashed
-process's durable state, and ``doctor_report`` diagnoses rather than
-raises.
+process's durable state, and ``doctor_report`` — recovery's dry run —
+diagnoses rather than raises and calls a dir recoverable exactly when
+``recover_host`` rebuilds it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.core import PegasusConfig
-from repro.errors import GraphFormatError, RecoveryError
+from repro.errors import GraphFormatError, RecoveryError, ReproError
 from repro.resilience import HostState, doctor_report, recover_host
 from repro.serving import QUERY_TYPES
 from repro.streaming import StreamingSummarizer
@@ -160,8 +162,11 @@ class TestDoctor:
         report = doctor_report(tmp_path)
         assert report["recoverable"]
         delta = report["tenants"]["stream"]["delta"]
-        assert delta["ok"]
-        assert delta["generation"] == summarizer.log.generation
+        assert delta == {
+            "generation": summarizer.log.generation,
+            "origin": summarizer.log.origin,
+            "logged_offset": summarizer.log.logged_offset,
+        }
 
     def test_missing_and_garbage_dirs_never_raise(self, tmp_path):
         report = doctor_report(tmp_path / "nope")
@@ -180,3 +185,94 @@ class TestDoctor:
         report = doctor_report(tmp_path)
         assert report["manifest"]["ok"]
         assert not report["recoverable"]  # nothing to recover is not "fine"
+
+
+def _save_static(state, graph, cluster):
+    state.save_static_tenant("acme", cluster)
+
+
+def _save_streaming(state, graph, cluster):
+    summarizer = StreamingSummarizer(
+        graph,
+        2,
+        0.5 * graph.size_in_bits(),
+        config=PegasusConfig(seed=3, t_max=3),
+        seed=3,
+        log_dir=state.delta_dir("stream"),
+        checkpoint=state.checkpoint_for("stream"),
+    )
+    state.save_streaming_tenant("stream", summarizer)
+    extra = np.random.default_rng(5).integers(0, graph.num_nodes, size=(60, 2))
+    summarizer.ingest(extra[:30], refresh="none")
+    summarizer.ingest(extra[30:], refresh="none")
+    return summarizer
+
+
+def _corrupt_graph_tail(state, graph, cluster):
+    _save_static(state, graph, cluster)
+    _corrupt_tail(os.path.join(state.tenant_dir("acme"), "graph.store"))
+
+
+def _garbage_manifest(state, graph, cluster):
+    _save_static(state, graph, cluster)
+    with open(state.manifest_path, "w", encoding="utf-8") as handle:
+        handle.write("not json at all")
+
+
+def _missing_routing(state, graph, cluster):
+    _save_static(state, graph, cluster)
+    os.remove(os.path.join(state.tenant_dir("acme"), "routing.store"))
+
+
+def _machine_swapped_for_graph(state, graph, cluster):
+    _save_static(state, graph, cluster)
+    directory = state.tenant_dir("acme")
+    shutil.copyfile(
+        os.path.join(directory, "graph.store"), os.path.join(directory, "machine-0001.store")
+    )
+
+
+def _malformed_tenant_record(state, graph, cluster):
+    _save_static(state, graph, cluster)
+    state._manifest["tenants"]["acme"] = "not a record"
+    state._flush_manifest()  # a valid checksum over a malformed entry
+
+
+def _last_segment_lost_after_refresh(state, graph, cluster):
+    summarizer = _save_streaming(state, graph, cluster)
+    summarizer.refresh([0])  # machine 0's cursor moves to the log's end
+    delta_dir = state.delta_dir("stream")
+    segments = sorted(entry for entry in os.listdir(delta_dir) if entry.startswith("seg-"))
+    os.remove(os.path.join(delta_dir, segments[-1]))
+
+
+class TestDoctorAgreesWithRecovery:
+    """``repro doctor`` exit 0 promises that a restart recovers the dir."""
+
+    @pytest.mark.parametrize(
+        "build, recoverable",
+        [
+            pytest.param(_save_static, True, id="healthy-static"),
+            pytest.param(_save_streaming, True, id="healthy-streaming"),
+            pytest.param(_corrupt_graph_tail, False, id="corrupt-graph-tail"),
+            pytest.param(_garbage_manifest, False, id="garbage-manifest"),
+            pytest.param(_missing_routing, False, id="missing-routing"),
+            pytest.param(_machine_swapped_for_graph, False, id="machine-swapped-for-graph"),
+            pytest.param(_malformed_tenant_record, False, id="malformed-tenant-record"),
+            pytest.param(
+                _last_segment_lost_after_refresh, False, id="last-segment-lost-after-refresh"
+            ),
+        ],
+    )
+    def test_doctor_verdict_is_whether_recover_host_returns(
+        self, build, recoverable, graph, cluster, tmp_path
+    ):
+        build(HostState(tmp_path), graph, cluster)
+        try:
+            recover_host(tmp_path)
+        except ReproError:
+            recovered = False
+        else:
+            recovered = True
+        assert recovered is recoverable
+        assert doctor_report(tmp_path)["recoverable"] is recovered

@@ -4,8 +4,9 @@ A real subprocess (``tests/resilience/_server.py fresh``) serves a
 streaming tenant while durably ingesting stream batches.  The test
 queries it under load, SIGKILLs it with work in flight, then:
 
-* reads the generation the crashed server *durably* logged straight
-  from the DeltaLog directory (read-only ``describe``),
+* reads the generation the crashed server *durably* logged from
+  ``doctor_report`` — recovery's dry run, which must call the dir
+  recoverable,
 * independently recovers the state dir with ``recover_host``,
 * restarts a server from the same state dir and requires every answered
   query to be byte-identical to the independently recovered cluster —
@@ -24,8 +25,8 @@ import pytest
 
 from _chaos import kill_server, spawn_server
 from repro.errors import ProtocolError, ReproError
+from repro.resilience import doctor_report, recover_host
 from repro.serving import NetClient
-from repro.store import DeltaLog
 
 pytestmark = pytest.mark.filterwarnings("error::ResourceWarning")
 
@@ -83,15 +84,13 @@ def test_crash_restart_recovers_byte_identical_state(tmp_path):
         assert ingested_offsets == sorted(ingested_offsets)
 
         # What the crashed server durably logged, read without serving.
-        delta_dir = os.path.join(state_dir, "tenants", "stream", "delta")
-        described = DeltaLog.describe(delta_dir)
-        assert described["ok"], described
+        report = doctor_report(state_dir)
+        assert report["recoverable"], report
+        described = report["tenants"]["stream"]["delta"]
         assert described["logged_offset"] >= ingests[-1][0]
         assert described["generation"] >= ingests[-1][1]
 
         # Independent recovery in-process: the reference answers.
-        from repro.resilience import recover_host
-
         reference = recover_host(state_dir)["stream"]
         assert reference.generation == described["generation"]
 

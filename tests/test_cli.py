@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 from repro.cli import main
@@ -261,6 +263,30 @@ class TestServeNetCommand:
         code = main(["serve-net", "--dataset", "lastfm_asia", "--scale", "0.12", *flags])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def _serve_state_dir(self, state_dir, capsys):
+        flags = ["--dataset", "lastfm_asia", "--scale", "0.12", "--state-dir", str(state_dir)]
+        code = main(["serve-net", *flags])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        return lines[0]
+
+    def test_garbage_manifest_is_one_error_line(self, tmp_path, capsys):
+        (tmp_path / "MANIFEST.json").write_text("not json at all")
+        assert "not valid JSON" in self._serve_state_dir(tmp_path, capsys)
+
+    def test_machine_file_of_the_wrong_kind_is_one_error_line(self, tmp_path, capsys):
+        from repro.distributed import build_summary_cluster
+        from repro.graph import planted_partition
+        from repro.resilience import HostState
+
+        graph = planted_partition(60, 2, avg_degree_in=6.0, avg_degree_out=1.0, seed=3)
+        cluster = build_summary_cluster(graph, 2, 0.5 * graph.size_in_bits())
+        HostState(tmp_path).save_static_tenant("tenant0", cluster)
+        tenant = tmp_path / "tenants" / "tenant0"
+        shutil.copyfile(tenant / "graph.store", tenant / "machine-0000.store")
+        assert "machine-0000.store" in self._serve_state_dir(tmp_path, capsys)
 
 
 def test_net_client_unreachable_server_exits_2(capsys):
